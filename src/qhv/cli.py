@@ -5,11 +5,13 @@ report per check (``--human`` switches to plain lines).  Exit code 0 means
 every check passed, 1 that some check failed or a golden comparison
 mismatched, 2 that the command line or config file could not be parsed.
 
-Reports are deterministic for a fixed configuration; ``duration_ms`` is the
-only varying field and is ignored by golden comparisons (``--golden DIR``
-compares the stream against ``DIR/<command>.jsonl``, ``--update-golden``
-rewrites it).  Resource budgets are taken from ``--budget``, the config file,
-or the ``QHV_BUDGET`` environment variable, in that order.
+Each report is printed as soon as its check ends.  Reports are deterministic
+for a fixed configuration; ``duration_ms`` is the only varying field and is
+ignored by golden comparisons (``--golden DIR`` compares the reports of each
+suite against ``DIR/<suite>.jsonl``, so ``all`` checks one file per suite;
+``--update-golden`` rewrites those files).  Resource budgets are taken from
+``--budget``, the config file, or the ``QHV_BUDGET`` environment variable, in
+that order; a budget given to :func:`main` lasts for that call only.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import degenerations as dg
@@ -70,167 +73,139 @@ def _run_check(name: str, params: dict, body) -> CheckReport:
 
 
 # -- suites --------------------------------------------------------------------
+#
+# A suite yields (check_name, params, body) in report order; ``body`` returns
+# (passed, witnesses) and is run by ``run``.
 
 
-def suite_verify_quadric(cfg) -> list[CheckReport]:
-    reports = []
+def _witnessed(check, *args):
+    rep = check(*args)
+    return rep["passed"], rep["witnesses"]
+
+
+def _gluing(family: str, k: int, l: int):
+    return _witnessed(dg.verify_gluing, dg.glued_family(family, k, l))
+
+
+def _adjudication(k: int):
+    rep = dg.adjudicate_f4_generators(k)
+    return rep["matched"], rep["rows"]
+
+
+def _equivariance(family: str, k: int, l: int):
+    rep = dg.verify_equivariance(dg.glued_family(family, k, l))
+    return rep["passed"], rep["torus"] + rep["sl2_mismatches"]
+
+
+def _singular_locus(k: int):
+    rep = dg.quadric_singular_loci(k)
+    return rep["passed"], [{"chart": c, **r} for c, r in rep["charts"].items()]
+
+
+def _terminal(n_max: int):
+    table = singular.classify_terminal_types(n_max)
+    return not table, [{"n_max": n_max, "counterexamples": table}]
+
+
+def _wps(weights: tuple[int, ...]):
+    rows = singular.wps_singularity_report(list(weights))
+    keys = ("vertex", "type", "isolated", "terminal")
+    return all(r["terminal"] for r in rows), [{key: r[key] for key in keys} for r in rows]
+
+
+def _bundle_normalize(n: int, k0: int, kinf: int):
+    state = ruled.construct_twisted(n, k0, kinf)
+    final, steps = ruled.figure1_normalize(state)
+    replayed = ruled.replay_reversed(n, steps)
+    ok = final.fiber_m == 0 and len(steps) == k0 + kinf and replayed == state
+    witness = {
+        "construction": list(state.transcript),
+        "normalization": list(steps),
+        "steps": len(steps),
+        "final_fiber": final.fiber_m,
+        "round_trip": replayed == state,
+    }
+    return ok, [witness]
+
+
+def _minus_one_count():
+    # 0 on the minimal surface, 3 after one blow-up, 6 after two (the
+    # degree-six del Pezzo's classical six lines).
+    expected = {0: 0, 1: 3, 2: 6}
+    rows = []
+    ok = True
+    for r, want in expected.items():
+        classes = ruled.minus_one_curves(ruled.quadric_blowup(r))
+        rows.append({"r": r, "count": len(classes), "classes": [str(c) for c in classes]})
+        ok = ok and len(classes) == want
+    return ok, rows
+
+
+def _homology_lemma(fiber: str):
+    rep = ruled.homology_lemma_cases(fiber)
+    return rep["passed"], rep["cases"]
+
+
+def suite_verify_quadric(cfg):
     for k in cfg.quadric_k:
         for l in cfg.quadric_l:
-            def body(k=k, l=l):
-                fam = dg.glued_family("quadric", k, l)
-                rep = dg.verify_gluing(fam)
-                return rep["passed"], rep["witnesses"]
-
-            reports.append(_run_check("quadric-gluing", {"k": k, "l": l}, body))
-    return reports
+            yield "quadric-gluing", {"k": k, "l": l}, partial(_gluing, "quadric", k, l)
 
 
-def suite_verify_f4(cfg) -> list[CheckReport]:
-    reports = []
+def suite_verify_f4(cfg):
     for k in cfg.f4_k:
-        def adjudication(k=k):
-            rep = dg.adjudicate_f4_generators(k)
-            return rep["matched"], rep["rows"]
-
-        reports.append(_run_check("f4-adjudication", {"k": k}, adjudication))
-
-        def embedding(k=k):
-            rep = dg.verify_embedding(k)
-            return rep["passed"], rep["witnesses"]
-
-        reports.append(_run_check("f4-embedding", {"k": k}, embedding))
+        yield "f4-adjudication", {"k": k}, partial(_adjudication, k)
+        yield "f4-embedding", {"k": k}, partial(_witnessed, dg.verify_embedding, k)
     for k in cfg.f4_k:
         for l in cfg.f4_l:
-            def gluing(k=k, l=l):
-                fam = dg.glued_family("f4", k, l)
-                rep = dg.verify_gluing(fam)
-                return rep["passed"], rep["witnesses"]
-
-            reports.append(_run_check("f4-gluing", {"k": k, "l": l}, gluing))
-    return reports
+            yield "f4-gluing", {"k": k, "l": l}, partial(_gluing, "f4", k, l)
 
 
-def suite_verify_quotient(cfg) -> list[CheckReport]:
-    reports = []
+def suite_verify_quotient(cfg):
     for k in cfg.f4_k:
-        def body(k=k):
-            rep = dg.verify_quotient(k)
-            return rep["passed"], rep["witnesses"]
-
-        reports.append(_run_check("f4-quotient", {"k": k}, body))
-    return reports
+        yield "f4-quotient", {"k": k}, partial(_witnessed, dg.verify_quotient, k)
 
 
-def suite_equivariance(cfg) -> list[CheckReport]:
-    reports = []
+def suite_equivariance(cfg):
     plans = []
     if cfg.family in ("both", "quadric"):
         plans += [("quadric", k, l) for k in cfg.quadric_k for l in cfg.quadric_l]
     if cfg.family in ("both", "f4"):
         plans += [("f4", k, l) for k in cfg.f4_k for l in cfg.f4_l]
     for family, k, l in plans:
-        def body(family=family, k=k, l=l):
-            fam = dg.glued_family(family, k, l)
-            rep = dg.verify_equivariance(fam)
-            return rep["passed"], rep["torus"] + rep["sl2_mismatches"]
-
-        reports.append(
-            _run_check("equivariance", {"family": family, "k": k, "l": l}, body)
-        )
-    return reports
+        params = {"family": family, "k": k, "l": l}
+        yield "equivariance", params, partial(_equivariance, family, k, l)
 
 
-def suite_singular_locus(cfg) -> list[CheckReport]:
-    reports = []
+def suite_singular_locus(cfg):
     for k in cfg.quadric_k:
-        def body(k=k):
-            rep = dg.quadric_singular_loci(k)
-            return rep["passed"], [{"chart": c, **r} for c, r in rep["charts"].items()]
-
-        reports.append(_run_check("quadric-singular-locus", {"k": k}, body))
-    return reports
+        yield "quadric-singular-locus", {"k": k}, partial(_singular_locus, k)
 
 
-def suite_terminal(cfg) -> list[CheckReport]:
-    def body():
-        table = singular.classify_terminal_types(cfg.terminal_n_max)
-        return not table, [{"n_max": cfg.terminal_n_max, "counterexamples": table}]
-
-    return [_run_check("terminal-classification", {"n_max": cfg.terminal_n_max}, body)]
+def suite_terminal(cfg):
+    n_max = cfg.terminal_n_max
+    yield "terminal-classification", {"n_max": n_max}, partial(_terminal, n_max)
 
 
-def suite_wps(cfg) -> list[CheckReport]:
-    reports = []
+def suite_wps(cfg):
     for weights in cfg.wps_weights:
-        def body(weights=weights):
-            rows = singular.wps_singularity_report(list(weights))
-            witnesses = [
-                {
-                    "vertex": r["vertex"],
-                    "type": r["type"],
-                    "isolated": r["isolated"],
-                    "terminal": r["terminal"],
-                }
-                for r in rows
-            ]
-            return all(r["terminal"] for r in rows), witnesses
-
         name = ",".join(str(w) for w in weights)
-        reports.append(_run_check("wps-vertices", {"weights": name}, body))
-    return reports
+        yield "wps-vertices", {"weights": name}, partial(_wps, weights)
 
 
-def suite_bundle_normalize(cfg) -> list[CheckReport]:
+def suite_bundle_normalize(cfg):
     n, k0, kinf = cfg.bundle
-
-    def body():
-        state = ruled.construct_twisted(n, k0, kinf)
-        final, steps = ruled.figure1_normalize(state)
-        replayed = ruled.replay_reversed(n, steps)
-        ok = (
-            final.fiber_m == 0
-            and len(steps) == k0 + kinf
-            and replayed == state
-        )
-        witness = {
-            "construction": list(state.transcript),
-            "normalization": list(steps),
-            "steps": len(steps),
-            "final_fiber": final.fiber_m,
-            "round_trip": replayed == state,
-        }
-        return ok, [witness]
-
-    return [_run_check("bundle-normalize", {"n": n, "k0": k0, "kinf": kinf}, body)]
+    params = {"n": n, "k0": k0, "kinf": kinf}
+    yield "bundle-normalize", params, partial(_bundle_normalize, n, k0, kinf)
 
 
-def suite_dp_homology(cfg) -> list[CheckReport]:
-    reports = []
-
-    def counts():
-        # 0 on the minimal surface, 3 after one blow-up, 6 after two (the
-        # degree-six del Pezzo's classical six lines).
-        expected = {0: 0, 1: 3, 2: 6}
-        rows = []
-        ok = True
-        for r, want in expected.items():
-            classes = ruled.minus_one_curves(ruled.quadric_blowup(r))
-            rows.append(
-                {"r": r, "count": len(classes), "classes": [str(c) for c in classes]}
-            )
-            ok = ok and len(classes) == want
-        return ok, rows
-
-    reports.append(_run_check("minus-one-count", {}, counts))
+def suite_dp_homology(cfg):
+    yield "minus-one-count", {}, _minus_one_count
     for fiber in ("sigma1", "blowup1", "blowup2"):
-        def body(fiber=fiber):
-            rep = ruled.homology_lemma_cases(fiber)
-            return rep["passed"], rep["cases"]
-
-        reports.append(_run_check("homology-lemma", {"fiber": fiber}, body))
-    return reports
+        yield "homology-lemma", {"fiber": fiber}, partial(_homology_lemma, fiber)
 
 
+#: Every suite in the order ``qhv all`` runs them.
 SUITES = {
     "verify-quadric": suite_verify_quadric,
     "verify-f4": suite_verify_f4,
@@ -242,18 +217,6 @@ SUITES = {
     "bundle-normalize": suite_bundle_normalize,
     "dp-homology": suite_dp_homology,
 }
-
-ALL_ORDER = (
-    "verify-quadric",
-    "verify-f4",
-    "verify-quotient",
-    "equivariance",
-    "singular-locus",
-    "terminal",
-    "wps",
-    "bundle-normalize",
-    "dp-homology",
-)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -421,25 +384,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suite_names(args) -> tuple[str, list[str]]:
+def _suite_names(args) -> list[str]:
     if args.command == "verify":
-        name = f"verify-{args.target}"
-        return name, [name]
+        return [f"verify-{args.target}"]
     if args.command == "all":
-        return "all", list(ALL_ORDER)
-    return args.command, [args.command]
+        return list(SUITES)
+    return [args.command]
 
 
-def run(suites: list[str], cfg: RunConfig) -> list[CheckReport]:
-    reports = []
+def run(suites: list[str], cfg: RunConfig, emit) -> dict[str, list[CheckReport]]:
+    """Run every check of the named suites in order; reports grouped by suite.
+
+    ``emit`` receives each report as soon as its check ends.
+    """
+    results = {}
     for suite in suites:
-        reports.extend(SUITES[suite](cfg))
-    return reports
+        reports = results[suite] = []
+        for name, params, body in SUITES[suite](cfg):
+            report = _run_check(name, params, body)
+            emit(report)
+            reports.append(report)
+    return results
 
 
-def _golden_compare(label: str, reports: list[CheckReport], directory: str, update: bool):
+def _golden_compare(suite: str, reports: list[CheckReport], directory: str, update: bool):
     """Returns an error message or None; golden files ignore duration_ms."""
-    path = Path(directory) / f"{label}.jsonl"
+    path = Path(directory) / f"{suite}.jsonl"
     produced = [r.to_json(with_duration=False) for r in reports]
     if update:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -481,27 +451,34 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
 
-    label, suites = _suite_names(args)
-    reports = run(suites, cfg)
-
     human = opt("human", False)
-    for report in reports:
+
+    def emit(report: CheckReport):
         if human:
             shown = " ".join(f"{k}={v}" for k, v in report.params.items())
-            print(f"{report.status.upper():5s} {report.check_name} {shown} "
-                  f"({report.duration_ms} ms)")
+            line = (f"{report.status.upper():5s} {report.check_name} {shown} "
+                    f"({report.duration_ms} ms)")
         else:
-            print(report.to_json())
+            line = report.to_json()
+        print(line, flush=True)
 
-    exit_code = 0 if all(r.status == "pass" for r in reports) else 1
+    try:
+        results = run(_suite_names(args), cfg, emit)
+    finally:
+        if budget is not None:
+            ideals.set_step_budget(None)  # the override lasts one invocation
+
+    passed = all(r.status == "pass" for reports in results.values() for r in reports)
+    exit_code = 0 if passed else 1
     golden_dir = opt("golden")
     if golden_dir:
-        message = _golden_compare(
-            label, reports, golden_dir, opt("update_golden", False)
-        )
-        if message:
-            print(message, file=sys.stderr)
-            exit_code = max(exit_code, 1)
+        for suite, suite_reports in results.items():
+            message = _golden_compare(
+                suite, suite_reports, golden_dir, opt("update_golden", False)
+            )
+            if message:
+                print(message, file=sys.stderr)
+                exit_code = 1
     return exit_code
 
 

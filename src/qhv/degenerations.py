@@ -22,12 +22,15 @@ module asserts is an exact polynomial identity:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 from .group_actions import (
+    EMBEDDING_COMPONENTS,
     F4_CHART_RING,
     QUADRIC_CHART_RING,
+    QUADRIC_INVARIANT,
     Sl2Triple,
     TorusAction,
     check_ideal_invariance,
@@ -40,8 +43,10 @@ from .ideals import (
     Ideal,
     contains,
     contains_one,
+    convert_context,
     eliminate,
     equal_up_to_units,
+    gauss_jordan,
     jacobian_ideal,
     minimal_generators,
 )
@@ -90,7 +95,7 @@ class GluedFamily:
 
 def quadric_generator(k: int, ring: VariableContext = QUADRIC_CHART_RING) -> Polynomial:
     """4xz - y^2 - l^k w^2, the single chart equation of the quadric family."""
-    return ring.parse("4*x*z - y^2") - ring.monomial(1, {"l": k, "w": 2})
+    return convert_context(QUADRIC_INVARIANT, ring) - ring.monomial(1, {"l": k, "w": 2})
 
 
 def _chart_torus(family: str, twist: int, chart_id: str) -> TorusAction:
@@ -139,13 +144,8 @@ _PARAM_RING = VariableContext(
 def _parametrization_relations(k: int) -> list[Polynomial]:
     R = _PARAM_RING
     return [
-        R.parse("a - x^2"),
-        R.parse("b - 2*x*y"),
-        R.parse("c - 2*x*z - y^2"),
-        R.parse("e - 2*y*z"),
-        R.parse("f - z^2"),
-        R.monomial(1, {"l": k, "g": 1}) - R.parse("4*x*z - y^2"),
-    ]
+        R.var(n) - convert_context(p, R) for n, p in EMBEDDING_COMPONENTS.items()
+    ] + [R.monomial(1, {"l": k, "g": 1}) - convert_context(QUADRIC_INVARIANT, R)]
 
 
 #: Twist-free presentation ring: t stands for the dressed coordinate l^k g.
@@ -157,27 +157,10 @@ def _row_echelon_polynomials(
 ) -> list[Polynomial]:
     """Canonical basis of the linear span: exact Gauss-Jordan over the
     monomials occurring, columns in descending monomial order."""
-    from fractions import Fraction
-
     monoms = sorted({m for p in polys for m in p.terms}, key=ring.monomial_key, reverse=True)
     rows = [[p.terms.get(m, Fraction(0)) for m in monoms] for p in polys]
-    pivot_row = 0
-    for j in range(len(monoms)):
-        src = next((r for r in range(pivot_row, len(rows)) if rows[r][j] != 0), None)
-        if src is None:
-            continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        inv = Fraction(1) / rows[pivot_row][j]
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][j] != 0:
-                factor = rows[r][j]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
     out = []
-    for row in rows:
+    for row in gauss_jordan(rows):
         terms = {m: v for m, v in zip(monoms, row) if v != 0}
         if terms:
             out.append(Polynomial(ring, terms))
@@ -194,8 +177,6 @@ def _undress(p: Polynomial, k: int) -> Polynomial:
     i = target.index("l")
     if any(exp[i] for exp in q.terms):
         raise ConstructionError(f"generator is not uniform in the base parameter: {p}")
-    from .ideals import convert_context
-
     return convert_context(q, _TWIST_FREE_RING)
 
 
@@ -420,15 +401,6 @@ def verify_gluing(fam: GluedFamily) -> dict:
     }
 
 
-def _extended_scaling(torus: TorusAction, ring: VariableContext, xi: str) -> SubstitutionMap:
-    ext = ring.extend((xi,), invertible=(xi,))
-    images = {
-        n: ext.monomial(1, {xi: torus.weights.get(n, 0), n: 1}) for n in ring.names
-    }
-    images[xi] = ext.var(xi)
-    return SubstitutionMap(ext, ext, images)
-
-
 def verify_equivariance(fam: GluedFamily) -> dict:
     """Action-then-glue equals glue-then-action, as exact substitution maps.
 
@@ -450,8 +422,8 @@ def verify_equivariance(fam: GluedFamily) -> dict:
             xi: ext.var(xi),
         },
     )
-    scale0 = _extended_scaling(fam.chart0.torus, ring, xi)
-    scale_inf = _extended_scaling(fam.chart_inf.torus, ring, xi)
+    scale0 = fam.chart0.torus.scaling_map(ring, xi)
+    scale_inf = fam.chart_inf.torus.scaling_map(ring, xi)
 
     torus_rows = []
     torus_ok = True
@@ -493,19 +465,20 @@ def verify_equivariance(fam: GluedFamily) -> dict:
 # -- embedding and quotient identities ----------------------------------------
 
 
+def _embedding_map(g_image: Polynomial) -> SubstitutionMap:
+    """a -> x^2, .., f -> z^2 into the quadric chart ring, l fixed, g -> g_image."""
+    ring = QUADRIC_CHART_RING
+    images = {n: convert_context(p, ring) for n, p in EMBEDDING_COMPONENTS.items()}
+    images.update(g=g_image, l=ring.var("l"))
+    return SubstitutionMap(F4_CHART_RING, ring, images)
+
+
 def embedding_substitution(k: int) -> SubstitutionMap:
     """a -> x^2, .., f -> z^2, g -> l^-k (4xz - y^2): the chart parametrization."""
     ring = QUADRIC_CHART_RING
-    images = {
-        "a": ring.parse("x^2"),
-        "b": ring.parse("2*x*y"),
-        "c": ring.parse("2*x*z + y^2"),
-        "e": ring.parse("2*y*z"),
-        "f": ring.parse("z^2"),
-        "g": ring.monomial(1, {"l": -k}) * ring.parse("4*x*z - y^2"),
-        "l": ring.var("l"),
-    }
-    return SubstitutionMap(F4_CHART_RING, ring, images)
+    return _embedding_map(
+        ring.monomial(1, {"l": -k}) * convert_context(QUADRIC_INVARIANT, ring)
+    )
 
 
 def verify_embedding(k: int) -> dict:
@@ -523,17 +496,7 @@ def verify_embedding(k: int) -> dict:
 
 def quotient_substitution() -> SubstitutionMap:
     """The double-cover pullback a -> x^2, .., f -> z^2, g -> w^2."""
-    ring = QUADRIC_CHART_RING
-    images = {
-        "a": ring.parse("x^2"),
-        "b": ring.parse("2*x*y"),
-        "c": ring.parse("2*x*z + y^2"),
-        "e": ring.parse("2*y*z"),
-        "f": ring.parse("z^2"),
-        "g": ring.parse("w^2"),
-        "l": ring.var("l"),
-    }
-    return SubstitutionMap(F4_CHART_RING, ring, images)
+    return _embedding_map(QUADRIC_CHART_RING.parse("w^2"))
 
 
 def verify_quotient(k: int) -> dict:

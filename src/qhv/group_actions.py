@@ -202,33 +202,18 @@ EMBEDDING_COMPONENTS: dict[str, Polynomial] = {
 QUADRIC_INVARIANT: Polynomial = _XYZ.parse("4*x*z - y^2")
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a square exact linear system by Gaussian elimination."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise PolyError("singular re-expression system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 def _express_in_embedding(q: Polynomial) -> list[Fraction]:
     """Coordinates of a quadratic form in the basis (a,b,c,e,f, invariant)."""
     basis = list(EMBEDDING_COMPONENTS.values()) + [QUADRIC_INVARIANT]
     monoms = sorted({m for b in basis for m in b.terms} | set(q.terms))
     if len(monoms) != 6:
         raise PolyError("image is not a quadratic form in (x, y, z)")
-    matrix = [[b.terms.get(m, Fraction(0)) for b in basis] for m in monoms]
-    rhs = [q.terms.get(m, Fraction(0)) for m in monoms]
-    return _solve_exact(matrix, rhs)
+    columns = basis + [q]
+    augmented = [[c.terms.get(m, Fraction(0)) for c in columns] for m in monoms]
+    reduced = ideals.gauss_jordan(augmented)
+    if [row[:6] for row in reduced] != [[int(i == j) for j in range(6)] for i in range(6)]:
+        raise PolyError("singular re-expression system")
+    return [row[6] for row in reduced]
 
 
 def sl2_v4_triple(k: int, ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
@@ -241,7 +226,7 @@ def sl2_v4_triple(k: int, ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
         raise PolyError("twist must be nonnegative")
     for needed in ("a", "b", "c", "e", "f", "g", "l"):
         ring.index(needed)
-    source = sl2_v2_triple(VariableContext(("x", "y", "z"), order=_XYZ.order))
+    source = sl2_v2_triple(_XYZ)
     zero = ring.zero()
     dressed_g = ring.monomial(1, {"l": k, "g": 1})
 
@@ -294,16 +279,11 @@ class TorusAction:
             return False
 
     def scaling_map(self, ring: VariableContext, xi: str = "xi") -> SubstitutionMap:
-        """Substitution v -> xi^w(v) * v into the ring extended by invertible xi."""
+        """v -> xi^w(v) * v on the ring extended by invertible xi, fixing xi."""
         ext = ring.extend((xi,), invertible=(xi,))
-        return SubstitutionMap(
-            ring,
-            ext,
-            {
-                n: ext.monomial(1, {xi: self.weights.get(n, 0), n: 1})
-                for n in ring.names
-            },
-        )
+        images = {n: ext.monomial(1, {xi: self.weights.get(n, 0), n: 1}) for n in ring.names}
+        images[xi] = ext.var(xi)
+        return SubstitutionMap(ext, ext, images)
 
 
 def check_semi_invariance(I: ideals.Ideal, A: TorusAction) -> bool:
@@ -317,11 +297,9 @@ def scaling_identity_holds(p: Polynomial, A: TorusAction, xi: str = "xi") -> boo
         d = A.weight(p)
     except NotHomogeneous:
         return False
-    ring = p.ring
-    scale = A.scaling_map(ring, xi)
-    ext = scale.target
-    inclusion = SubstitutionMap(ring, ext, {n: ext.var(n) for n in ring.names})
-    return scale.apply(p) == ext.monomial(1, {xi: d}) * inclusion.apply(p)
+    scale = A.scaling_map(p.ring, xi)
+    lifted = ideals.convert_context(p, scale.source)
+    return scale.apply(lifted) == scale.source.monomial(1, {xi: d}) * lifted
 
 
 # -- weight bases ------------------------------------------------------------

@@ -14,7 +14,6 @@ budget can be overridden through the ``QHV_BUDGET`` environment variable.
 
 from __future__ import annotations
 
-import itertools
 import os
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -343,40 +342,41 @@ def eliminate(I: Ideal, drop: Iterable[str], max_steps: int | None = None) -> Id
     return Ideal(kept)
 
 
-def _det(matrix: list[list[Polynomial]], ring: VariableContext) -> Polynomial:
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = ring.zero()
-    for col in range(len(matrix)):
-        entry = matrix[0][col]
-        if entry.is_zero():
-            continue
-        minor = [[row[c] for c in range(len(matrix)) if c != col] for row in matrix[1:]]
-        cofactor = _det(minor, ring)
-        total = total + entry * cofactor * (-1) ** col
-    return total
-
-
 def jacobian_ideal(I: Ideal, variables: Sequence[str]) -> Ideal:
-    """Singular-locus ideal of V(I) on an affine chart.
+    """Singular-locus ideal of a hypersurface V(f) on an affine chart.
 
-    For a hypersurface this is the ideal generated by the single equation and
-    its partials; multi-generator input adds every maximal minor of the
-    Jacobian matrix instead.
+    The ideal is generated by the single equation f and its partials in
+    ``variables``; input with more than one generator is rejected.
     """
-    names = list(variables)
-    gens = list(I.generators)
-    if len(gens) == 1:
-        extra = [derivative(gens[0], v) for v in names]
-    else:
-        if len(gens) > len(names):
-            raise PolyError("more generators than chart variables; not a complete intersection")
-        jac = [[derivative(g, v) for v in names] for g in gens]
-        extra = []
-        for cols in itertools.combinations(range(len(names)), len(gens)):
-            minor = [[row[c] for c in cols] for row in jac]
-            extra.append(_det(minor, I.ring))
-    return Ideal(gens + extra)
+    if len(I.generators) != 1:
+        raise PolyError(
+            f"jacobian_ideal takes one hypersurface equation, got {len(I.generators)}"
+        )
+    (f,) = I.generators
+    return Ideal([f] + [derivative(f, v) for v in variables])
+
+
+def gauss_jordan(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Reduced row echelon form of an exact matrix, pivots taken column by column.
+
+    The result is unique, so it is a canonical form of the row space; zero
+    rows come last.
+    """
+    rows = [row[:] for row in rows]
+    pivot_row = 0
+    for j in range(len(rows[0]) if rows else 0):
+        src = next((r for r in range(pivot_row, len(rows)) if rows[r][j] != 0), None)
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        inv = Fraction(1) / rows[pivot_row][j]
+        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][j] != 0:
+                factor = rows[r][j]
+                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+    return rows
 
 
 def contains_one(I: Ideal, max_steps: int | None = None) -> bool:

@@ -196,13 +196,7 @@ def homology_lemma_cases(fiber: Literal["sigma1", "blowup1", "blowup2"], bound: 
     """
     if fiber == "sigma1":
         lat = hirzebruch(1)
-        minus_k = anticanonical(lat)
-        exceptional = [
-            d
-            for d in _classes_in_box(lat, bound)
-            if intersect(d, d) == -1 and intersect(d, minus_k) == 1
-        ]
-        traces = [tuple(exceptional)]  # the unique (-1)-section
+        traces = [tuple(minus_one_curves(lat, bound))]  # the unique (-1)-section
     elif fiber == "blowup1":
         lat = quadric_blowup(1)
         e1 = DivisorClass(lat, (0, 0, -1))

@@ -43,7 +43,8 @@ class CyclicQuotient:
     def isolated(self) -> bool:
         """True when the action is free outside the origin (all weights
         coprime to n); recorded, not enforced."""
-        return all(gcd(w, self.n) == 1 for w in self.weights)
+        w1, w2, w3 = self.weights
+        return gcd(w1 * w2 * w3, self.n) == 1  # n is coprime to a product iff to each factor
 
     def __str__(self):
         return f"(1/{self.n})({', '.join(str(w) for w in self.weights)})"
@@ -103,11 +104,8 @@ def classify_terminal_types(n_max: int) -> list[dict]:
                 w2 = units[i2]
                 for i3 in range(i2, len(units)):
                     w3 = units[i3]
-                    terminal = all(
-                        (j * w1) % n + (j * w2) % n + (j * w3) % n > n
-                        for j in range(1, n)
-                    )
                     q = CyclicQuotient(n, (w1, w2, w3))
+                    terminal = is_terminal(q)
                     form = matches_terminal_form(q)
                     if terminal != form:
                         table.append(

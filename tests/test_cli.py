@@ -18,12 +18,7 @@ def payloads(lines):
     return [json.loads(line) for line in lines]
 
 
-@pytest.fixture(autouse=True)
-def reset_budget():
-    yield
-    from qhv import ideals
-
-    ideals.set_step_budget(None)
+GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 
 
 class TestBasics:
@@ -80,6 +75,14 @@ class TestBasics:
         assert code == 1
         assert any(p["status"] == "error" for p in payloads(lines))
 
+    def test_budget_lasts_one_call(self, capsys):
+        argv = ("verify", "f4", "--k", "1", "--l", "1")
+        code, lines, _ = run_cli(capsys, *argv, "--budget", "10")
+        assert code == 1
+        code, lines, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert all(p["status"] == "pass" for p in payloads(lines))
+
     def test_budget_env_variable(self, capsys, monkeypatch):
         from qhv import ideals
 
@@ -91,6 +94,27 @@ class TestBasics:
         monkeypatch.setenv("QHV_BUDGET", "junk")
         with pytest.raises(ValueError):
             ideals.default_step_budget()
+
+
+class TestStreaming:
+    def test_each_report_emitted_before_next_check(self, monkeypatch):
+        events = []
+
+        def body(i):
+            events.append(("start", i))
+            return True, []
+
+        def probe(cfg):
+            for i in range(3):
+                yield "probe", {"i": i}, lambda i=i: body(i)
+
+        def emit(report):
+            events.append(("emit", report.params["i"]))
+
+        monkeypatch.setitem(cli.SUITES, "probe", probe)
+        results = cli.run(["probe"], cli.RunConfig(), emit)
+        assert events == [(kind, i) for i in range(3) for kind in ("start", "emit")]
+        assert [r.params["i"] for r in results["probe"]] == [0, 1, 2]
 
 
 class TestDeterminism:
@@ -148,19 +172,31 @@ class TestGolden:
         assert "does not exist" in err
 
     def test_committed_goldens_match(self, capsys):
-        goldens = Path(__file__).resolve().parent.parent / "goldens"
         for suite in ("verify-f4", "dp-homology", "wps"):
             argv = suite.split("-", 1) if suite.startswith("verify-") else [suite]
-            code, _, err = run_cli(capsys, *argv, "--golden", str(goldens))
+            code, _, err = run_cli(capsys, *argv, "--golden", str(GOLDENS))
             assert code == 0, f"{suite}: {err}"
 
     def test_full_run_matches_golden(self, capsys):
-        goldens = Path(__file__).resolve().parent.parent / "goldens"
-        code, lines, err = run_cli(capsys, "all", "--golden", str(goldens))
+        code, lines, err = run_cli(capsys, "all", "--golden", str(GOLDENS))
         assert code == 0, err
-        assert len(lines) == len(
-            (goldens / "all.jsonl").read_text().splitlines()
+        assert len(lines) == sum(
+            len((GOLDENS / f"{suite}.jsonl").read_text().splitlines()) for suite in cli.SUITES
         )
+
+    def test_all_compares_each_suite_file(self, capsys, tmp_path, monkeypatch):
+        cheap = ("wps", "bundle-normalize")
+        monkeypatch.setattr(cli, "SUITES", {name: cli.SUITES[name] for name in cheap})
+        code, _, _ = run_cli(capsys, "all", "--golden", str(tmp_path), "--update-golden")
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.jsonl" for n in cheap)
+        for name in cheap:
+            written = (tmp_path / f"{name}.jsonl").read_text()
+            assert written == (GOLDENS / f"{name}.jsonl").read_text()
+        (tmp_path / "wps.jsonl").write_text('{"made": "up"}\n')
+        code, _, err = run_cli(capsys, "all", "--golden", str(tmp_path))
+        assert code == 1
+        assert "wps.jsonl" in err and "bundle-normalize.jsonl" not in err
 
 
 class TestConfigFile:

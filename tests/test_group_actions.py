@@ -115,6 +115,14 @@ class TestSl2Triples:
         assert T.H.images["a"] == F4.parse("-4*a")
         assert T.H.images["f"] == F4.parse("4*f")
 
+    def test_singular_embedding_basis_rejected(self, monkeypatch):
+        # a basis in which the invariant repeats x^2 spans only five dimensions
+        from qhv import group_actions
+
+        monkeypatch.setattr(group_actions, "QUADRIC_INVARIANT", group_actions._XYZ.parse("x^2"))
+        with pytest.raises(PolyError, match="singular re-expression system"):
+            sl2_v4_triple(1)
+
     def test_v4_kills_dressed_coordinate(self):
         T = sl2_v4_triple(2)
         for D in T.operators():

@@ -1,6 +1,7 @@
 """Groebner engine: bases, normal forms, elimination, Jacobian ideals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from qhv.ideals import (
     contains_one,
     eliminate,
     equal_up_to_units,
+    gauss_jordan,
     groebner,
     is_groebner_basis,
     jacobian_ideal,
@@ -18,7 +20,7 @@ from qhv.ideals import (
     normal_form,
     spolynomial,
 )
-from qhv.polyring import VariableContext
+from qhv.polyring import PolyError, VariableContext
 from linalg_oracle import is_member_bounded, is_member_up_to
 from randpoly import random_polynomial, random_ring
 
@@ -138,11 +140,19 @@ class TestJacobian:
         J = jacobian_ideal(Ideal([C.parse("x^2")]), C.names)
         assert [str(g) for g in groebner(J)] == ["x"]
 
-    def test_maximal_minors_route(self):
+    def test_multiple_generators_rejected(self):
         C = VariableContext(("x", "y", "z"))
         I = Ideal([C.parse("x"), C.parse("y")])
-        J = jacobian_ideal(I, C.names)
-        assert contains_one(J)  # the 2x2 identity minor
+        with pytest.raises(PolyError, match="one hypersurface equation"):
+            jacobian_ideal(I, C.names)
+
+
+class TestGaussJordan:
+    def test_reduced_row_echelon_form(self):
+        F = Fraction
+        rows = [[F(0), F(2), F(4)], [F(1), F(1), F(1)], [F(2), F(4), F(6)]]
+        assert gauss_jordan(rows) == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
+        assert rows[0] == [0, 2, 4]  # the input is left as it was
 
 
 class TestMinimalGenerators:
