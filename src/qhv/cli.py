@@ -240,9 +240,13 @@ class ConfigError(ValueError):
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        values = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        # an empty twist list would run no checks and pass vacuously
+        raise ConfigError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def read_config_file(path: str) -> dict:

@@ -26,7 +26,6 @@ linear form in (a, .., f, l^k g).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -127,39 +126,6 @@ def _scale(D: Derivation, c) -> Derivation:
     return Derivation(D.ring, {n: img * Fraction(c) for n, img in D.images.items()})
 
 
-def monomials_up_to_degree(ring: VariableContext, degree: int) -> list[Polynomial]:
-    """All monomials of total degree <= degree with nonnegative exponents."""
-    n = len(ring.names)
-    out = []
-    for total in range(degree + 1):
-        for cuts in itertools.combinations_with_replacement(range(n), total):
-            exp = [0] * n
-            for i in cuts:
-                exp[i] += 1
-            out.append(Polynomial(ring, {tuple(exp): Fraction(1)}))
-    return out
-
-
-def brackets_hold_on_monomials(T: Sl2Triple, degree: int = 4) -> bool:
-    """Check the three bracket relations termwise on all monomials up to ``degree``."""
-    ring = T.E.ring
-    pairs = (
-        (T.H, T.E, _scale(T.E, 2)),
-        (T.H, T.F, _scale(T.F, -2)),
-        (T.E, T.F, T.H),
-    )
-    for m in monomials_up_to_degree(ring, degree):
-        for A, B, want in pairs:
-            lhs = apply(A, apply(B, m)) - apply(B, apply(A, m))
-            if lhs != apply(want, m):
-                return False
-    return True
-
-
-def leibniz_holds(D: Derivation, p: Polynomial, q: Polynomial) -> bool:
-    return apply(D, p * q) == apply(D, p) * q + p * apply(D, q)
-
-
 # -- the concrete triples ----------------------------------------------------
 
 
@@ -250,13 +216,9 @@ def sl2_v4_triple(k: int, ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
 # -- invariance checks -------------------------------------------------------
 
 
-def check_ideal_invariance(I: ideals.Ideal, T: Sl2Triple, max_steps: int | None = None) -> bool:
+def check_ideal_invariance(I: ideals.Ideal, T: Sl2Triple) -> bool:
     """True iff every operator image of every generator lies in I."""
-    return all(
-        ideals.contains(I, apply(D, g), max_steps)
-        for D in T.operators()
-        for g in I.generators
-    )
+    return all(ideals.contains(I, apply(D, g)) for D in T.operators() for g in I.generators)
 
 
 @dataclass(frozen=True)
@@ -289,44 +251,3 @@ class TorusAction:
 def check_semi_invariance(I: ideals.Ideal, A: TorusAction) -> bool:
     """True iff every generator is weight-homogeneous for A."""
     return all(A.is_semi_invariant(g) for g in I.generators)
-
-
-def scaling_identity_holds(p: Polynomial, A: TorusAction, xi: str = "xi") -> bool:
-    """Literal identity: substituting the scaling yields xi^d times p."""
-    try:
-        d = A.weight(p)
-    except NotHomogeneous:
-        return False
-    scale = A.scaling_map(p.ring, xi)
-    lifted = ideals.convert_context(p, scale.source)
-    return scale.apply(lifted) == scale.source.monomial(1, {xi: d}) * lifted
-
-
-# -- weight bases ------------------------------------------------------------
-
-
-def generate_weight_basis(
-    middle: Polynomial, T: Sl2Triple, steps: int
-) -> list[Polynomial]:
-    """Weight vectors [F^s m, .., F m, m, E m, .., E^s m] with zero tails trimmed.
-
-    ``middle`` must be an H-weight-0 vector (H kills it); this reconstructs
-    the weight basis of the representation generated by the middle vector.
-    """
-    if not apply(T.H, middle).is_zero():
-        raise NotHomogeneous("middle vector is not H-homogeneous of weight 0")
-    down: list[Polynomial] = []
-    current = middle
-    for _ in range(steps):
-        current = apply(T.F, current)
-        if current.is_zero():
-            break
-        down.append(current)
-    up: list[Polynomial] = []
-    current = middle
-    for _ in range(steps):
-        current = apply(T.E, current)
-        if current.is_zero():
-            break
-        up.append(current)
-    return list(reversed(down)) + [middle] + up

@@ -64,9 +64,9 @@ def default_step_budget() -> int:
 class _Counter:
     __slots__ = ("steps", "limit")
 
-    def __init__(self, limit: int | None):
+    def __init__(self):
         self.steps = 0
-        self.limit = default_step_budget() if limit is None else limit
+        self.limit = default_step_budget()
 
     def tick(self, n: int = 1):
         self.steps += n
@@ -94,10 +94,9 @@ class Ideal:
         self.generators = gens
         self._basis: tuple[Polynomial, ...] | None = None
 
-    def groebner_basis(self, max_steps: int | None = None) -> tuple[Polynomial, ...]:
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            counter = _Counter(max_steps)
-            self._basis = tuple(_buchberger(self.generators, self.ring, counter))
+            self._basis = tuple(_buchberger(self.generators, self.ring, _Counter()))
         return self._basis
 
     def __repr__(self):
@@ -255,27 +254,26 @@ def _buchberger(
 # -- public operations --------------------------------------------------------
 
 
-def groebner(I: Ideal, max_steps: int | None = None) -> tuple[Polynomial, ...]:
+def groebner(I: Ideal) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis of I under its context's order."""
-    return I.groebner_basis(max_steps)
+    return I.groebner_basis()
 
 
-def normal_form(p: Polynomial, I: Ideal, max_steps: int | None = None) -> Polynomial:
+def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     """Unique remainder of p modulo the reduced basis of I."""
     if p.ring != I.ring:
         raise ContextMismatch("polynomial and ideal contexts differ")
-    basis = I.groebner_basis(max_steps)
+    basis = I.groebner_basis()
     prepared = [(g.leading_term()[0], dict(g.terms)) for g in basis]
-    counter = _Counter(max_steps)
-    rem = _reduce_terms(dict(p.terms), prepared, I.ring, counter)
+    rem = _reduce_terms(dict(p.terms), prepared, I.ring, _Counter())
     return Polynomial(I.ring, rem)
 
 
-def contains(I: Ideal, p: Polynomial, max_steps: int | None = None) -> bool:
-    return normal_form(p, I, max_steps).is_zero()
+def contains(I: Ideal, p: Polynomial) -> bool:
+    return normal_form(p, I).is_zero()
 
 
-def equal_up_to_units(I: Ideal, J: Ideal, max_steps: int | None = None) -> bool:
+def equal_up_to_units(I: Ideal, J: Ideal) -> bool:
     """Generator-by-generator ideal equality after clearing unit monomials.
 
     Each generator of either side is normalized by a single Laurent monomial
@@ -286,9 +284,9 @@ def equal_up_to_units(I: Ideal, J: Ideal, max_steps: int | None = None) -> bool:
         raise ContextMismatch("ideals live in different contexts")
     In = Ideal([strip_unit_content(g) for g in I.generators])
     Jn = Ideal([strip_unit_content(g) for g in J.generators])
-    return all(
-        contains(Jn, g, max_steps) for g in In.generators
-    ) and all(contains(In, h, max_steps) for h in Jn.generators)
+    return all(contains(Jn, g) for g in In.generators) and all(
+        contains(In, h) for h in Jn.generators
+    )
 
 
 def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:
@@ -310,7 +308,7 @@ def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:
     return Polynomial(target, out)
 
 
-def eliminate(I: Ideal, drop: Iterable[str], max_steps: int | None = None) -> Ideal:
+def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """Generators of the contraction of I to the subring without ``drop``.
 
     Computes a Groebner basis under a block order with the dropped variables
@@ -329,7 +327,7 @@ def eliminate(I: Ideal, drop: Iterable[str], max_steps: int | None = None) -> Id
         tuple(block + rest), I.ring.invertible, elimination_order(len(block))
     )
     lifted = Ideal([convert_context(g, elim_ctx) for g in I.generators])
-    basis = lifted.groebner_basis(max_steps)
+    basis = lifted.groebner_basis()
     nb = len(block)
     target = VariableContext(tuple(rest), I.ring.invertible & set(rest))
     kept = [
@@ -379,16 +377,12 @@ def gauss_jordan(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return rows
 
 
-def contains_one(I: Ideal, max_steps: int | None = None) -> bool:
+def contains_one(I: Ideal) -> bool:
     """True when I is the unit ideal (the chart is smooth for Jacobian ideals)."""
-    return contains(I, I.ring.one(), max_steps)
+    return contains(I, I.ring.one())
 
 
-def minimal_generators(
-    polys: Sequence[Polynomial],
-    max_steps: int | None = None,
-    degree=None,
-) -> list[Polynomial]:
+def minimal_generators(polys: Sequence[Polynomial], degree=None) -> list[Polynomial]:
     """Greedy minimal generating subset, scanning by ascending degree.
 
     ``degree`` defaults to total degree; pass a callable to rank by a custom
@@ -406,33 +400,7 @@ def minimal_generators(
     )
     kept: list[Polynomial] = []
     for p in ordered:
-        if kept and contains(Ideal(kept), p, max_steps):
+        if kept and contains(Ideal(kept), p):
             continue
         kept.append(p)
     return kept
-
-
-def spolynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial of two nonzero polynomials in one context (monic inputs)."""
-    if f.ring != g.ring:
-        raise ContextMismatch("S-polynomial requires one context")
-    fm, gm = f.monic(), g.monic()
-    terms = _spoly_terms(
-        (fm.leading_term()[0], dict(fm.terms)), (gm.leading_term()[0], dict(gm.terms))
-    )
-    return Polynomial(f.ring, terms)
-
-
-def is_groebner_basis(basis: Sequence[Polynomial], max_steps: int | None = None) -> bool:
-    """Buchberger postcondition: every S-polynomial reduces to zero."""
-    if not basis:
-        return True
-    ring = basis[0].ring
-    prepared = [(g.monic().leading_term()[0], dict(g.monic().terms)) for g in basis]
-    counter = _Counter(max_steps)
-    for i in range(len(prepared)):
-        for j in range(i + 1, len(prepared)):
-            s = _spoly_terms(prepared[i], prepared[j])
-            if _reduce_terms(s, prepared, ring, counter):
-                return False
-    return True

@@ -104,9 +104,6 @@ class VariableContext:
         nb = self.order[1]
         return (_grevlex_key(exp[:nb]), _grevlex_key(exp[nb:]))
 
-    def with_order(self, order: tuple) -> "VariableContext":
-        return VariableContext(self.names, self.invertible, order)
-
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
         return VariableContext(
             self.names + tuple(names), self.invertible | frozenset(invertible), self.order
@@ -176,9 +173,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
-
     def is_unit_monomial(self) -> bool:
         """True for a single term supported only on invertible variables."""
         if len(self.terms) != 1:
@@ -187,13 +181,6 @@ class Polynomial:
         return all(
             e == 0 or name in self.ring.invertible for name, e in zip(self.ring.names, exp)
         )
-
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise PolyError("polynomial is not constant")
-        return next(iter(self.terms.values()))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -475,16 +462,6 @@ class SubstitutionMap:
                     term = term * power(name, e)
             result = result + term
         return result
-
-    def then(self, other: "SubstitutionMap") -> "SubstitutionMap":
-        """Composite map applying self first, then other."""
-        if self.target != other.source:
-            raise ContextMismatch("composition requires matching middle context")
-        return SubstitutionMap(
-            self.source,
-            other.target,
-            {n: other.apply(img) for n, img in self.assignments.items()},
-        )
 
 
 def substitute(p: Polynomial, s: SubstitutionMap) -> Polynomial:

@@ -10,12 +10,11 @@ Two lattice families carry all the intersection arithmetic used here:
 
 On top of the lattices: enumeration of (-1)-classes, the case analysis that
 exhibits a curve meeting a candidate divisor trace nonpositively (the
-homology-lemma contradiction), the Hirzebruch index bookkeeping of elementary
-transformations, and a combinatorial model of twisted P1-bundles over a
-Hirzebruch base.  A bundle state records the base index, the two twist
-counters, the fiber index (always their sum) and which boundary divisor
-carries two invariant curves; the normal-form algorithm walks these states
-back to the trivial bundle, one fiber index per step.
+homology-lemma contradiction), and a combinatorial model of twisted
+P1-bundles over a Hirzebruch base.  A bundle state records the base index,
+the two twist counters, the fiber index (always their sum) and which
+boundary divisor carries two invariant curves; the normal-form algorithm
+walks these states back to the trivial bundle, one fiber index per step.
 """
 
 from __future__ import annotations
@@ -237,23 +236,6 @@ def homology_lemma_cases(fiber: Literal["sigma1", "blowup1", "blowup2"], bound: 
     return {"fiber": fiber, "bound": bound, "passed": passed, "cases": cases}
 
 
-# -- elementary transformations of Hirzebruch surfaces -------------------------
-
-
-def elm_surface(n: int, on_negative_section: bool) -> int:
-    """Index change of one elementary transformation of the ruled surface.
-
-    A center on the (-n)-section raises the index, any other center lowers
-    it.  On the index-0 surface every point lies on a ruling section, so
-    either flag yields index 1.
-    """
-    if n < 0:
-        raise ValueError("surface index must be >= 0")
-    if n == 0:
-        return 1
-    return n + 1 if on_negative_section else n - 1
-
-
 # -- twisted P1-bundles over a Hirzebruch base ---------------------------------
 
 E0 = "E0"
@@ -393,47 +375,3 @@ def replay_reversed(n: int, steps: Sequence[str]) -> BundleState:
     for step in reversed(steps):
         state = apply_construction_step(state, _UNDOES[step])
     return state
-
-
-# -- the diagonally twisted bundle over the index-0 base -----------------------
-
-
-@dataclass(frozen=True)
-class DiagonalTwistState:
-    """Split P1-bundle of bidegree (n, -n) over the quadric surface, after one
-    elementary transformation centered on a diagonal orbit."""
-
-    n: int
-    split_bidegree: tuple[int, int]
-    transformed: bool
-    sections_intersect: bool
-    intersection_over_diagonal: bool
-
-
-def sigma0_twist(n: int) -> DiagonalTwistState:
-    """Diagonally twisted bundle over the index-0 base; n = 0 is excluded.
-
-    After the transformation the two invariant sections meet transversally
-    in one orbit over the diagonal.
-    """
-    if n < 1:
-        raise ValueError("the diagonal twist requires n >= 1")
-    return DiagonalTwistState(
-        n=n,
-        split_bidegree=(n, -n),
-        transformed=True,
-        sections_intersect=True,
-        intersection_over_diagonal=True,
-    )
-
-
-def back_transform(state: DiagonalTwistState) -> DiagonalTwistState:
-    """Undo the diagonal transformation: the sections become disjoint again."""
-    if not state.transformed:
-        raise ValueError("state is already in split form")
-    return replace(
-        state,
-        transformed=False,
-        sections_intersect=False,
-        intersection_over_diagonal=False,
-    )

@@ -28,13 +28,10 @@ from qhv.group_actions import (
     F4_CHART_RING,
     QUADRIC_CHART_RING,
     apply,
-    brackets_hold_on_monomials,
-    leibniz_holds,
-    monomials_up_to_degree,
     sl2_v2_triple,
     sl2_v4_triple,
 )
-from qhv.ideals import Ideal, groebner, is_groebner_basis, jacobian_ideal, normal_form
+from qhv.ideals import Ideal, groebner, jacobian_ideal, normal_form
 from qhv.polyring import SubstitutionMap, VariableContext, strip_unit_content, substitute
 from qhv.ruled import (
     A0,
@@ -53,6 +50,12 @@ from qhv.ruled import (
 )
 from qhv.singular import CyclicQuotient, classify_terminal_types, is_terminal, wps_singularity_report
 from linalg_oracle import is_member_bounded, is_member_up_to
+from oracles import (
+    brackets_hold_on_monomials,
+    is_groebner_basis,
+    leibniz_holds,
+    monomials_up_to_degree,
+)
 from randpoly import random_polynomial, random_ring
 
 QUADRIC_TWISTS = (1, 3, 5, 7, 9)

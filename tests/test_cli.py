@@ -96,6 +96,30 @@ class TestBasics:
             ideals.default_step_budget()
 
 
+class TestGluingVerifiedOnce:
+    def run_counted(self, capsys, monkeypatch, *argv):
+        from qhv import degenerations
+
+        calls, original = [], degenerations.verify_gluing
+        monkeypatch.setattr(
+            degenerations, "verify_gluing", lambda fam: calls.append(fam) or original(fam)
+        )
+        code, lines, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return [p["check_name"] for p in payloads(lines)], len(calls)
+
+    @pytest.mark.parametrize("target", ["quadric", "f4"])
+    def test_one_verification_per_gluing_check(self, capsys, monkeypatch, target):
+        argv = ("verify", target, "--k", "1", "--l", "1,3")
+        names, calls = self.run_counted(capsys, monkeypatch, *argv)
+        assert names.count(f"{target}-gluing") == 2 and calls == 2
+
+    def test_equivariance_does_not_verify_gluing(self, capsys, monkeypatch):
+        argv = ("equivariance", "--k", "1", "--l", "1")
+        names, calls = self.run_counted(capsys, monkeypatch, *argv)
+        assert names == ["equivariance"] * 2 and calls == 0
+
+
 class TestStreaming:
     def test_each_report_emitted_before_next_check(self, monkeypatch):
         events = []
@@ -232,6 +256,20 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         code, _, err = run_cli(capsys, "wps", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "quadric", "--k", ","), ("equivariance", "--k", "1", "--l", "")]
+    )
+    def test_empty_integer_list_exit_2(self, capsys, argv):
+        code, lines, err = run_cli(capsys, *argv)
+        assert code == 2 and lines == [] and "at least one integer" in err
+
+    def test_empty_config_list_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("quadric-k =\n")
+        code, lines, err = run_cli(capsys, "verify", "quadric", "--config", str(cfg))
+        assert code == 2 and lines == []
+        assert "quadric-k" in err
 
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "wps", "--config", str(tmp_path / "none.cfg"))

@@ -10,20 +10,21 @@ from qhv.group_actions import (
     Derivation,
     TorusAction,
     apply,
-    brackets_hold_on_monomials,
     check_ideal_invariance,
     check_semi_invariance,
     commutator,
-    generate_weight_basis,
-    leibniz_holds,
-    monomials_up_to_degree,
-    scaling_identity_holds,
     sl2_v2_triple,
     sl2_v4_triple,
 )
 from qhv.ideals import Ideal
-from qhv.polyring import NotHomogeneous, PolyError, VariableContext
+from qhv.polyring import PolyError, VariableContext
 from qhv.degenerations import quadric_generator, derive_f4_ideal, embedding_substitution
+from oracles import (
+    brackets_hold_on_monomials,
+    leibniz_holds,
+    monomials_up_to_degree,
+    scaling_identity_holds,
+)
 from randpoly import random_polynomial
 
 R = QUADRIC_CHART_RING
@@ -179,31 +180,40 @@ class TestInvarianceChecks:
 
 
 class TestWeightBasis:
+    # the weight vectors F^s m, .., m, .., E^s m of sl2_v2_triple around an
+    # H-weight-0 middle vector m
+
+    @staticmethod
+    def chain(D, m, steps):
+        out = []
+        for _ in range(steps):
+            m = apply(D, m)
+            out.append(m)
+        return out
+
     def test_middle_variable_chain(self):
-        basis = generate_weight_basis(P("y"), sl2_v2_triple(), steps=1)
-        assert basis == [P("2*x"), P("y"), P("2*z")]
+        T = sl2_v2_triple()
+        assert apply(T.H, P("y")).is_zero()
+        assert self.chain(T.F, P("y"), 1) == [P("2*x")]
+        assert self.chain(T.E, P("y"), 1) == [P("2*z")]
 
     def test_constant_middle(self):
-        basis = generate_weight_basis(R.const(5), sl2_v2_triple(), steps=3)
-        assert basis == [R.const(5)]
+        assert all(apply(D, R.const(5)).is_zero() for D in sl2_v2_triple().operators())
 
     def test_five_dim_chain_from_pulled_back_middle(self):
         # c - l^k g pulled back to (x, y, z) is 2y^2 - 2xz, weight 0; two
         # raising and two lowering steps fill the five-dimensional chain
+        T = sl2_v2_triple()
         middle = P("2*y^2 - 2*x*z")
-        basis = generate_weight_basis(middle, sl2_v2_triple(), steps=2)
-        assert basis == [
-            P("12*x^2"),
-            P("6*x*y"),
-            P("2*y^2 - 2*x*z"),
-            P("6*y*z"),
-            P("12*z^2"),
-        ]
+        assert apply(T.H, middle).is_zero()
+        assert self.chain(T.F, middle, 3) == [P("6*x*y"), P("12*x^2"), R.zero()]
+        assert self.chain(T.E, middle, 3) == [P("6*y*z"), P("12*z^2"), R.zero()]
 
     def test_non_homogeneous_middle_rejected(self):
-        with pytest.raises(NotHomogeneous):
-            generate_weight_basis(P("x + y"), sl2_v2_triple(), steps=1)
+        # x + y is no H-weight vector: H maps it to -2x, not a multiple of it
+        assert apply(sl2_v2_triple().H, P("x + y")) == P("-2*x")
 
     def test_trimming_of_vanishing_tails(self):
-        basis = generate_weight_basis(P("y"), sl2_v2_triple(), steps=5)
-        assert len(basis) == 3  # F^2 y = E^2 y = 0 get trimmed
+        T = sl2_v2_triple()
+        for D in (T.E, T.F):  # E^2 y = F^2 y = 0
+            assert self.chain(D, P("y"), 5)[1:] == [R.zero()] * 4

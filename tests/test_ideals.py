@@ -14,14 +14,13 @@ from qhv.ideals import (
     equal_up_to_units,
     gauss_jordan,
     groebner,
-    is_groebner_basis,
     jacobian_ideal,
     minimal_generators,
     normal_form,
-    spolynomial,
 )
 from qhv.polyring import PolyError, VariableContext
 from linalg_oracle import is_member_bounded, is_member_up_to
+from oracles import is_groebner_basis
 from randpoly import random_polynomial, random_ring
 
 R = VariableContext(("x", "y", "z", "w", "l"), invertible={"l"})
@@ -53,10 +52,11 @@ class TestGroebner:
             assert g.leading_term()[1] == 1
         assert is_groebner_basis(groebner(I))
 
-    def test_resource_limit(self):
+    def test_resource_limit(self, monkeypatch):
+        monkeypatch.setenv("QHV_BUDGET", "5")
         I = Ideal([P("x^3*y - z^2 + w"), P("y^3*z - x + l"), P("z^3*x - y")])
         with pytest.raises(ResourceLimitExceeded):
-            I.groebner_basis(max_steps=5)
+            I.groebner_basis()
 
 
 class TestNormalForm:
@@ -179,9 +179,17 @@ class TestEngineSoundness:
     def test_spolynomial_of_basis_pairs_reduces(self):
         I = Ideal([P("4*x*z - y^2 - l*w^2"), P("w*x - y"), P("y*z - l")])
         basis = groebner(I)
+
+        def over(lcm, lt):  # the monomial lcm / lt
+            return R.from_terms({tuple(a - b for a, b in zip(lcm, lt)): 1})
+
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                s = spolynomial(basis[i], basis[j])
+                # the basis is monic, so S = (L / lt_i) g_i - (L / lt_j) g_j, L the lcm
+                lt_i, lt_j = basis[i].leading_term()[0], basis[j].leading_term()[0]
+                lcm = tuple(map(max, lt_i, lt_j))
+                s = over(lcm, lt_i) * basis[i] - over(lcm, lt_j) * basis[j]
+                assert lcm not in s.terms
                 assert normal_form(s, I).is_zero()
 
     def test_membership_agrees_with_linear_algebra_oracle(self):

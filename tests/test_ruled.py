@@ -15,9 +15,7 @@ from qhv.ruled import (
     LatticeMismatch,
     StopB,
     apply_construction_step,
-    back_transform,
     construct_twisted,
-    elm_surface,
     figure1_normalize,
     hirzebruch,
     homology_lemma_cases,
@@ -26,7 +24,6 @@ from qhv.ruled import (
     minus_one_curves,
     quadric_blowup,
     replay_reversed,
-    sigma0_twist,
     trivial_bundle,
 )
 
@@ -167,20 +164,6 @@ class TestHomologyLemmaCases:
             homology_lemma_cases("sigma2")
 
 
-class TestElmSurface:
-    def test_index_changes(self):
-        assert elm_surface(2, True) == 3
-        assert elm_surface(2, False) == 1
-        assert elm_surface(0, False) == 1
-        assert elm_surface(0, True) == 1
-
-    def test_alternating_round_trip(self):
-        for n in range(0, 8):
-            assert elm_surface(elm_surface(n, True), False) == n
-        for n in range(1, 8):
-            assert elm_surface(elm_surface(n, False), True) == n
-
-
 class TestBundleStates:
     def test_trivial_state(self):
         s = construct_twisted(1, 0, 0)
@@ -248,21 +231,3 @@ class TestBundleStates:
         state = trivial_bundle(1)
         with pytest.raises(ValueError):
             apply_construction_step(state, "X0")
-
-
-class TestDiagonalTwist:
-    def test_sections_intersect(self):
-        s = sigma0_twist(1)
-        assert s.sections_intersect and s.intersection_over_diagonal
-        assert s.split_bidegree == (1, -1)
-
-    def test_zero_twist_excluded(self):
-        with pytest.raises(ValueError):
-            sigma0_twist(0)
-
-    def test_back_transform_splits(self):
-        s = back_transform(sigma0_twist(4))
-        assert not s.sections_intersect
-        assert s.split_bidegree == (4, -4)
-        with pytest.raises(ValueError):
-            back_transform(s)
