@@ -57,7 +57,6 @@ from .polyring import (
     VariableContext,
     primitive_integer_form,
     strip_unit_content,
-    substitute,
     weighted_degree,
 )
 
@@ -369,7 +368,7 @@ def verify_gluing(fam: GluedFamily) -> dict:
     images = []
     witnesses = []
     for gen in fam.chart0.ideal.generators:
-        image = substitute(gen, fam.gluing)
+        image = fam.gluing.apply(gen)
         cleared = strip_unit_content(image)
         witnesses.append(
             {
@@ -434,7 +433,7 @@ def verify_equivariance(fam: GluedFamily) -> dict:
         ("E", "H", "F"), fam.chart0.sl2.operators(), fam.chart_inf.sl2.operators()
     ):
         for n in ring.names:
-            lhs = substitute(D0.images[n], fam.gluing)
+            lhs = fam.gluing.apply(D0.images[n])
             rhs = apply(Dinf, fam.gluing(n))
             same = lhs == rhs
             sl2_ok = sl2_ok and same

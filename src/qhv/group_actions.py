@@ -63,9 +63,6 @@ class Derivation:
             if img.ring != self.ring:
                 raise PolyError(f"image of {name!r} lives in a different context")
 
-    def __call__(self, p: Polynomial) -> Polynomial:
-        return apply(self, p)
-
 
 def apply(D: Derivation, p: Polynomial) -> Polynomial:
     """Leibniz extension of D applied to p; valid on Laurent exponents."""

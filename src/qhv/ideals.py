@@ -254,11 +254,6 @@ def _buchberger(
 # -- public operations --------------------------------------------------------
 
 
-def groebner(I: Ideal) -> tuple[Polynomial, ...]:
-    """Reduced monic Groebner basis of I under its context's order."""
-    return I.groebner_basis()
-
-
 def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     """Unique remainder of p modulo the reduced basis of I."""
     if p.ring != I.ring:

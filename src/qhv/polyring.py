@@ -24,7 +24,6 @@ from typing import Iterable, Mapping
 Exponent = tuple[int, ...]
 
 GREVLEX = ("grevlex",)
-LEX = ("lex",)
 
 
 def elimination_order(block_size: int) -> tuple:
@@ -64,8 +63,8 @@ class VariableContext:
     """Ordered variable set with a monomial order and invertibility flags.
 
     Contexts compare by value, so two independently built contexts with the
-    same data are interchangeable.  The order tag is one of ``GREVLEX``,
-    ``LEX`` or ``elimination_order(n)``.
+    same data are interchangeable.  The order tag is ``GREVLEX`` or
+    ``elimination_order(n)``.
     """
 
     names: tuple[str, ...]
@@ -81,7 +80,7 @@ class VariableContext:
         if unknown:
             raise PolyError(f"invertible variables not in context: {sorted(unknown)}")
         tag = self.order[0] if self.order else None
-        if tag not in ("grevlex", "lex", "elim"):
+        if tag not in ("grevlex", "elim"):
             raise PolyError(f"unknown monomial order {self.order!r}")
         if tag == "elim" and not (1 <= self.order[1] <= len(self.names)):
             raise PolyError("elimination block size out of range")
@@ -99,8 +98,6 @@ class VariableContext:
         tag = self.order[0]
         if tag == "grevlex":
             return _grevlex_key(exp)
-        if tag == "lex":
-            return exp
         nb = self.order[1]
         return (_grevlex_key(exp[:nb]), _grevlex_key(exp[nb:]))
 
@@ -186,13 +183,6 @@ class Polynomial:
         if not self.terms:
             return 0
         return max(sum(exp) for exp in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of ``name`` over all terms (0 for the zero poly)."""
-        i = self.ring.index(name)
-        if not self.terms:
-            return 0
-        return max(exp[i] for exp in self.terms)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         if not self.terms:
@@ -436,10 +426,6 @@ class SubstitutionMap:
                     f"{format_polynomial(img)}"
                 )
 
-    @staticmethod
-    def identity(ring: VariableContext) -> "SubstitutionMap":
-        return SubstitutionMap(ring, ring, {n: ring.var(n) for n in ring.names})
-
     def __call__(self, name: str) -> Polynomial:
         return self.assignments[name]
 
@@ -462,11 +448,6 @@ class SubstitutionMap:
                     term = term * power(name, e)
             result = result + term
         return result
-
-
-def substitute(p: Polynomial, s: SubstitutionMap) -> Polynomial:
-    """Fully expanded simultaneous substitution of s into p."""
-    return s.apply(p)
 
 
 # -- text format -------------------------------------------------------------

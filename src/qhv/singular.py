@@ -8,9 +8,12 @@ inequality; equality marks the canonical case).  Only isolated quotients (all
 weights coprime to n) are decided; anything else raises
 :class:`NonIsolatedQuotient` rather than applying the wrong criterion.
 
-The classification table brute-forces, for every order up to a bound, the
-equivalence of "terminal" with "of type (1/n)(1, a, -a) up to permuting the
-weights and multiplying all of them by a unit mod n".
+The classification table checks, for every order up to a bound, the
+Morrison-Stevens lemma: an isolated quotient is terminal iff it is of type
+(1/n)(1, a, -a) up to permuting the weights and multiplying all of them by a
+unit mod n.  Both sides are invariant under those symmetries, so the table
+runs the age criterion only on the representatives (1, a, b), which reach
+every orbit, and compares it with the closed form of the right-hand side.
 """
 
 from __future__ import annotations
@@ -69,53 +72,46 @@ def is_terminal(q: CyclicQuotient) -> bool:
 
 
 def matches_terminal_form(q: CyclicQuotient) -> bool:
-    """Brute-force equivalence with the pattern (1, a, -a) mod n.
+    """Whether u*q is of type (1, a, -a) mod n, up to order, for some unit u.
 
-    Scans every unit u mod n; the scaled multiset {u wi mod n} matches the
-    pattern iff it contains 1 and the remaining two entries sum to 0 mod n.
+    Closed form: some weight w_i is coprime to n and the other two sum to
+    0 mod n.  Proof: u*w_i = 1 mod n forces w_i to be a unit and
+    u = w_i^-1; since u is a unit, u*(w_j + w_k) = 0 iff w_j + w_k = 0 mod n.
+    Conversely u = w_i^-1 scales such a triple to (1, a, -a).  This holds for
+    every triple, isolated or not.
     """
     n = q.n
-    for u in range(1, n):
-        if gcd(u, n) != 1:
-            continue
-        scaled = [(u * w) % n for w in q.weights]
-        for i in range(3):
-            if scaled[i] == 1:
-                rest = [scaled[m] for m in range(3) if m != i]
-                if (rest[0] + rest[1]) % n == 0:
-                    return True
-    return False
+    w = q.weights
+    return any(
+        gcd(w[i], n) == 1 and (w[i - 1] + w[i - 2]) % n == 0 for i in range(3)
+    )
 
 
 def classify_terminal_types(n_max: int) -> list[dict]:
     """Counterexample table for: terminal iff of type (1/n)(1, a, -a).
 
-    Scans all isolated weight triples (up to permutation, which both sides
-    respect) for every order up to n_max; a correct criterion yields an
-    empty table.
+    For every order up to n_max, checks the representatives (1, a, b) with
+    units a <= b.  They reach every isolated triple: scaling by w1^-1 and
+    sorting maps (w1, w2, w3) to one of them.  Both sides are invariant under
+    permuting the weights and scaling them by a unit u (for the ages, u only
+    permutes the group elements j -> j*u), so each triple decides its whole
+    orbit (an orbit has at most three representatives, one per weight that
+    can be scaled to 1).  A correct criterion yields an empty table.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     table = []
     for n in range(2, n_max + 1):
         units = [w for w in range(1, n) if gcd(w, n) == 1]
-        for i1, w1 in enumerate(units):
-            for i2 in range(i1, len(units)):
-                w2 = units[i2]
-                for i3 in range(i2, len(units)):
-                    w3 = units[i3]
-                    q = CyclicQuotient(n, (w1, w2, w3))
-                    terminal = is_terminal(q)
-                    form = matches_terminal_form(q)
-                    if terminal != form:
-                        table.append(
-                            {
-                                "n": n,
-                                "weights": (w1, w2, w3),
-                                "terminal": terminal,
-                                "matches_form": form,
-                            }
-                        )
+        for i, a in enumerate(units):
+            for b in units[i:]:
+                q = CyclicQuotient(n, (1, a, b))
+                terminal = is_terminal(q)
+                form = matches_terminal_form(q)
+                if terminal != form:
+                    table.append(
+                        {"n": n, "weights": q.weights, "terminal": terminal, "matches_form": form}
+                    )
     return table
 
 

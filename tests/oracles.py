@@ -5,27 +5,66 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from qhv import ideals
 from qhv.group_actions import Derivation, Sl2Triple, TorusAction, _scale, apply
-from qhv.ideals import _Counter, _reduce_terms, _spoly_terms
 from qhv.polyring import NotHomogeneous, Polynomial, VariableContext
+from qhv.singular import CyclicQuotient
+
+
+def _remainder(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Multivariate division of p by basis, written with the public
+    ``Polynomial`` API only, so it shares no code with the engine's reducer."""
+    ring = p.ring
+    rem = ring.zero()
+    while p:
+        exp, coeff = p.leading_term()
+        for g in basis:
+            gexp, gcoeff = g.leading_term()
+            if all(a <= b for a, b in zip(gexp, exp)):
+                shift = tuple(b - a for a, b in zip(gexp, exp))
+                p = p - ring.from_terms({shift: coeff / gcoeff}) * g
+                break
+        else:
+            lead = ring.from_terms({exp: coeff})
+            rem = rem + lead
+            p = p - lead
+    return rem
 
 
 def is_groebner_basis(basis: Sequence[Polynomial]) -> bool:
     """Buchberger postcondition: every S-polynomial reduces to zero."""
-    if not basis:
-        return True
-    ring = basis[0].ring
-    prepared = [(g.monic().leading_term()[0], dict(g.monic().terms)) for g in basis]
-    counter = _Counter()
-    for i in range(len(prepared)):
-        for j in range(i + 1, len(prepared)):
-            s = _spoly_terms(prepared[i], prepared[j])
-            if _reduce_terms(s, prepared, ring, counter):
+    for i, f in enumerate(basis):
+        for g in basis[i + 1 :]:
+            (fexp, fcoeff), (gexp, gcoeff) = f.leading_term(), g.leading_term()
+            lcm = tuple(max(a, b) for a, b in zip(fexp, gexp))
+            fmul = f.ring.from_terms({tuple(a - b for a, b in zip(lcm, fexp)): 1 / fcoeff})
+            gmul = g.ring.from_terms({tuple(a - b for a, b in zip(lcm, gexp)): 1 / gcoeff})
+            s = fmul * f - gmul * g
+            if _remainder(s, basis):
                 return False
     return True
+
+
+def matches_terminal_form_by_unit_scan(q: CyclicQuotient) -> bool:
+    """Brute-force equivalence with the pattern (1, a, -a) mod n.
+
+    Scans every unit u mod n; the scaled multiset {u wi mod n} matches the
+    pattern iff it contains 1 and the remaining two entries sum to 0 mod n.
+    """
+    n = q.n
+    for u in range(1, n):
+        if gcd(u, n) != 1:
+            continue
+        scaled = [(u * w) % n for w in q.weights]
+        for i in range(3):
+            if scaled[i] == 1:
+                rest = [scaled[m] for m in range(3) if m != i]
+                if (rest[0] + rest[1]) % n == 0:
+                    return True
+    return False
 
 
 def monomials_up_to_degree(ring: VariableContext, degree: int) -> list[Polynomial]:

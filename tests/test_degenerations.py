@@ -24,7 +24,7 @@ from qhv.degenerations import (
 )
 from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING
 from qhv.ideals import contains
-from qhv.polyring import SubstitutionMap, VariableContext, substitute
+from qhv.polyring import SubstitutionMap, VariableContext
 from linalg_oracle import is_member_up_to
 
 R = QUADRIC_CHART_RING
@@ -45,7 +45,8 @@ class TestCharts:
     def test_f4_chart_any_nonnegative_twist(self):
         chart = f4_chart(0, ZERO)
         # twist 0 leaves no trace of the base parameter in the generators
-        assert all(g.degree_in("l") == 0 for g in chart.ideal.generators)
+        l = chart.ideal.ring.index("l")
+        assert all(exp[l] == 0 for g in chart.ideal.generators for exp in g.terms)
         with pytest.raises(ConstructionError):
             f4_chart(-1, ZERO)
 
@@ -184,7 +185,7 @@ class TestQuotient:
             "l": R.var("l"),
         }
         sigma = SubstitutionMap(F4, R, sigma_images)
-        pulled = substitute(F4.parse("3*e^2 - 8*c*f + 4*f*l*g"), sigma)
+        pulled = sigma.apply(F4.parse("3*e^2 - 8*c*f + 4*f*l*g"))
         assert pulled == R.parse("-4*z^2") * quadric_generator(1)
 
     def test_pullbacks_even_in_w(self):

@@ -1,11 +1,13 @@
 """Cyclic quotient ages, terminality, classification, vertex reports."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from qhv import singular
 from qhv.singular import (
     CyclicQuotient,
     NonIsolatedQuotient,
@@ -15,6 +17,17 @@ from qhv.singular import (
     matches_terminal_form,
     wps_singularity_report,
 )
+from oracles import matches_terminal_form_by_unit_scan
+
+
+def units(n):
+    return [w for w in range(1, n) if gcd(w, n) == 1]
+
+
+def orbit(n, weights):
+    """Sorted unit multiples of the weights mod n: the orbit of the triple
+    under permutation and unit scaling."""
+    return {tuple(sorted(u * w % n for w in weights)) for u in units(n)}
 
 
 class TestAge:
@@ -97,21 +110,47 @@ class TestClassification:
         q = CyclicQuotient(5, (1, 2, 3))
         assert matches_terminal_form(q) and is_terminal(q)
 
+    def test_orders_up_to_100_empty_table(self):
+        assert classify_terminal_types(100) == []
+
     def test_brute_force_oracle_small_orders(self):
-        # independent re-derivation: a triple is of type (1, a, -a) up to a
-        # unit and permutation iff some two weights sum to 0 mod n
-        for n in range(2, 13):
-            units = [w for w in range(1, n) if gcd(w, n) == 1]
-            for w1 in units:
-                for w2 in units:
-                    for w3 in units:
-                        q = CyclicQuotient(n, (w1, w2, w3))
-                        pair_sum = (
-                            (w1 + w2) % n == 0
-                            or (w1 + w3) % n == 0
-                            or (w2 + w3) % n == 0
-                        )
-                        assert matches_terminal_form(q) == pair_sum
+        # the closed form against the unit scan: every residue triple for
+        # n <= 20 (non-isolated ones exercise the coprimality guard), every
+        # sorted unit triple for n <= 30
+        for n in range(2, 21):
+            for ws in itertools.product(range(n), repeat=3):
+                q = CyclicQuotient(n, ws)
+                assert matches_terminal_form(q) == matches_terminal_form_by_unit_scan(q)
+        for n in range(2, 31):
+            for ws in itertools.combinations_with_replacement(units(n), 3):
+                q = CyclicQuotient(n, ws)
+                assert matches_terminal_form(q) == matches_terminal_form_by_unit_scan(q)
+
+    def test_representatives_reach_every_orbit(self, monkeypatch):
+        original = singular.matches_terminal_form
+        visited = []
+
+        def record(q):
+            visited.append(q)
+            return original(q)
+
+        monkeypatch.setattr(singular, "matches_terminal_form", record)
+        assert classify_terminal_types(30) == []
+        reached = {(q.n, t) for q in visited for t in orbit(q.n, q.weights)}
+        for n in range(2, 31):
+            for ws in itertools.combinations_with_replacement(units(n), 3):
+                assert (n, ws) in reached, (n, ws)
+
+        # a criterion that is wrong on one orbit only shows up in the table
+        wrong = orbit(7, (1, 2, 4))
+
+        def flipped(q):
+            return original(q) != (q.n == 7 and tuple(sorted(q.weights)) in wrong)
+
+        monkeypatch.setattr(singular, "matches_terminal_form", flipped)
+        table = classify_terminal_types(10)
+        assert table
+        assert all(r["n"] == 7 and tuple(sorted(r["weights"])) in wrong for r in table)
 
 
 class TestWps:
