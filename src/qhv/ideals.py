@@ -5,7 +5,8 @@ criteria, full interreduction and monic normalization, so every basis it
 returns is the reduced Groebner basis under the context's monomial order.
 Generators carrying Laurent monomial content on invertible variables are
 unit-normalized before the computation; "equality up to units" of ideals is
-decided generator by generator after the same normalization.
+decided by comparing the two reduced bases, which the same normalization
+makes those of the unit-stripped generators.
 
 All computations run under an explicit step budget and raise
 :class:`ResourceLimitExceeded` instead of truncating silently.  The default
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -107,7 +110,7 @@ class Ideal:
 
 
 def _divides(d: Exponent, m: Exponent) -> bool:
-    return all(a <= b for a, b in zip(d, m))
+    return all(map(le, d, m))
 
 
 def _reduce_terms(
@@ -116,26 +119,43 @@ def _reduce_terms(
     ring: VariableContext,
     counter: _Counter,
 ) -> dict[Exponent, Fraction]:
-    """Canonical remainder of a term map modulo monic reducers."""
-    key = ring.monomial_key
+    """Canonical remainder of a term map modulo monic reducers.
+
+    The largest pending monomial is reduced first, by the first reducer whose
+    leading monomial divides it.  Pending monomials sit in a min-heap under
+    ``ring.descending_key``, each pushed when it enters ``work``; an entry
+    whose monomial has cancelled is skipped when popped.  A reduction only
+    adds monomials below the one it removes, so the remainder's terms come
+    out in descending order.
+    """
+    dkey = ring.descending_key
     work = dict(terms)
+    heap = [(dkey(e), e) for e in work]
+    heapify(heap)
     remainder: dict[Exponent, Fraction] = {}
-    while work:
-        lead = max(work, key=key)
-        coeff = work.pop(lead)
+    while heap:
+        lead = heappop(heap)[1]
+        coeff = work.pop(lead, None)
+        if coeff is None:
+            continue
         for lt, gterms in basis:
             if _divides(lt, lead):
-                shift = tuple(a - b for a, b in zip(lead, lt))
+                shift = tuple(map(sub, lead, lt))
                 counter.tick(len(gterms))
                 for gexp, gc in gterms.items():
                     if gexp == lt:
                         continue
-                    target = tuple(a + b for a, b in zip(shift, gexp))
-                    v = work.get(target, Fraction(0)) - coeff * gc
-                    if v == 0:
-                        work.pop(target, None)
+                    target = tuple(map(add, shift, gexp))
+                    v = work.get(target)
+                    if v is None:
+                        work[target] = -coeff * gc
+                        heappush(heap, (dkey(target), target))
                     else:
-                        work[target] = v
+                        v -= coeff * gc
+                        if v == 0:
+                            del work[target]
+                        else:
+                            work[target] = v
                 break
         else:
             remainder[lead] = coeff
@@ -156,17 +176,18 @@ def _prepare(polys: Iterable[Polynomial]):
 def _spoly_terms(
     f: tuple[Exponent, dict[Exponent, Fraction]],
     g: tuple[Exponent, dict[Exponent, Fraction]],
+    lcm: Exponent,
 ) -> dict[Exponent, Fraction]:
+    """S-polynomial of two monic reducers whose leading monomials have ``lcm``."""
     lf, ft = f
     lg, gt = g
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
+    sf = tuple(map(sub, lcm, lf))
+    sg = tuple(map(sub, lcm, lg))
     out: dict[Exponent, Fraction] = {}
     for exp, c in ft.items():
-        out[tuple(a + b for a, b in zip(exp, sf))] = c
+        out[tuple(map(add, exp, sf))] = c
     for exp, c in gt.items():
-        target = tuple(a + b for a, b in zip(exp, sg))
+        target = tuple(map(add, exp, sg))
         v = out.get(target, Fraction(0)) - c
         if v == 0:
             out.pop(target, None)
@@ -183,53 +204,47 @@ def _buchberger(
     if not basis:
         return []
 
-    def lcm(a: Exponent, b: Exponent) -> Exponent:
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    def mul(a: Exponent, b: Exponent) -> Exponent:
-        return tuple(x + y for x, y in zip(a, b))
-
     # Gebauer-Moeller style pair update: drop pairs by the product and chain
-    # criteria as each new element enters the basis.
-    pairs: set[tuple[int, int]] = set()
+    # criteria as each new element enters the basis.  Live pairs map to their
+    # lcm; the queue holds (key(lcm), pair) once per pair, and an entry whose
+    # pair was dropped since is skipped when popped.
+    pairs: dict[tuple[int, int], Exponent] = {}
+    queue: list[tuple[tuple, tuple[int, int]]] = []
 
     def update(new_index: int):
-        nonlocal pairs
         lm_new = basis[new_index][0]
-        kept = set()
-        for i, j in pairs:
-            l_ij = lcm(basis[i][0], basis[j][0])
-            if (
-                not _divides(lm_new, l_ij)
-                or lcm(basis[i][0], lm_new) == l_ij
-                or lcm(basis[j][0], lm_new) == l_ij
-            ):
-                kept.add((i, j))
+        new_lcms = [tuple(map(max, basis[i][0], lm_new)) for i in range(new_index)]
+        for (i, j), l_ij in list(pairs.items()):
+            if _divides(lm_new, l_ij) and new_lcms[i] != l_ij and new_lcms[j] != l_ij:
+                del pairs[i, j]
         fresh: dict[Exponent, list[int]] = {}
-        for i in range(new_index):
-            fresh.setdefault(lcm(basis[i][0], lm_new), []).append(i)
+        for i, l in enumerate(new_lcms):
+            fresh.setdefault(l, []).append(i)
         minimal: list[Exponent] = []
         for l in sorted(fresh, key=key):
             if all(not _divides(m, l) for m in minimal):
                 minimal.append(l)
         for l in minimal:
-            if any(lcm(basis[i][0], lm_new) == mul(basis[i][0], lm_new) for i in fresh[l]):
+            if any(l == tuple(map(add, basis[i][0], lm_new)) for i in fresh[l]):
                 continue  # product criterion
-            kept.add((min(fresh[l]), new_index))
-        pairs = kept
+            pair = (min(fresh[l]), new_index)
+            pairs[pair] = l
+            heappush(queue, (key(l), pair))
 
     for idx in range(len(basis)):
         update(idx)
 
-    while pairs:
+    while queue:
+        pair = heappop(queue)[1]
+        lcm = pairs.pop(pair, None)
+        if lcm is None:
+            continue
         counter.tick()
-        i, j = min(pairs, key=lambda p: (key(lcm(basis[p[0]][0], basis[p[1]][0])), p))
-        pairs.discard((i, j))
-        s = _spoly_terms(basis[i], basis[j])
+        i, j = pair
+        s = _spoly_terms(basis[i], basis[j], lcm)
         rem = _reduce_terms(s, basis, ring, counter)
         if rem:
-            lead = max(rem, key=key)
-            lc = rem[lead]
+            lead, lc = next(iter(rem.items()))
             basis.append((lead, {e: c / lc for e, c in rem.items()}))
             update(len(basis) - 1)
 
@@ -245,7 +260,7 @@ def _buchberger(
     for idx, (lt, terms) in enumerate(minimal_basis):
         others = minimal_basis[:idx] + minimal_basis[idx + 1 :]
         rem = _reduce_terms(terms, others, ring, counter)
-        lc = rem[max(rem, key=key)]
+        lc = next(iter(rem.values()))
         reduced.append(Polynomial(ring, {e: c / lc for e, c in rem.items()}))
     reduced.sort(key=lambda p: key(p.leading_term()[0]))
     return reduced
@@ -269,19 +284,16 @@ def contains(I: Ideal, p: Polynomial) -> bool:
 
 
 def equal_up_to_units(I: Ideal, J: Ideal) -> bool:
-    """Generator-by-generator ideal equality after clearing unit monomials.
+    """Ideal equality after clearing unit monomials from the generators.
 
-    Each generator of either side is normalized by a single Laurent monomial
-    in the invertible variables and then tested for membership in the other
-    (likewise normalized) ideal.
+    The engine divides each generator by its Laurent monomial content in the
+    invertible variables before computing, and the reduced Groebner basis of
+    an ideal is unique, so the two ideals are equal exactly when their
+    reduced bases are.
     """
     if I.ring != J.ring:
         raise ContextMismatch("ideals live in different contexts")
-    In = Ideal([strip_unit_content(g) for g in I.generators])
-    Jn = Ideal([strip_unit_content(g) for g in J.generators])
-    return all(contains(Jn, g) for g in In.generators) and all(
-        contains(In, h) for h in Jn.generators
-    )
+    return I.groebner_basis() == J.groebner_basis()
 
 
 def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:

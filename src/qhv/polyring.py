@@ -101,6 +101,18 @@ class VariableContext:
         nb = self.order[1]
         return (_grevlex_key(exp[:nb]), _grevlex_key(exp[nb:]))
 
+    def descending_key(self, exp: Exponent):
+        """Sort key in the opposite direction: smaller key means larger monomial.
+
+        Each part of ``monomial_key`` negated, so a min-heap under it pops
+        monomials in descending order.
+        """
+        if self.order[0] == "grevlex":
+            return (-sum(exp), exp[::-1])
+        nb = self.order[1]
+        head, tail = exp[:nb], exp[nb:]
+        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
         return VariableContext(
             self.names + tuple(names), self.invertible | frozenset(invertible), self.order

@@ -1,7 +1,9 @@
 """Groebner engine: bases, normal forms, elimination, Jacobian ideals."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from qhv.ideals import (
 )
 from qhv.polyring import PolyError, VariableContext
 from linalg_oracle import is_member_bounded, is_member_up_to
-from oracles import is_groebner_basis
+from oracles import _remainder, is_groebner_basis
 from randpoly import random_polynomial, random_ring
 
 R = VariableContext(("x", "y", "z", "w", "l"), invertible={"l"})
@@ -27,6 +29,38 @@ R = VariableContext(("x", "y", "z", "w", "l"), invertible={"l"})
 
 def P(text):
     return R.parse(text)
+
+
+def katsura(n):
+    """Katsura-n in u0..un: u0 + 2(u1 + .. + un) = 1 and, for m < n,
+    the sum of u_|l| u_|m-l| over l in -n..n with |m-l| <= n equals u_m."""
+    ring = VariableContext(tuple(f"u{i}" for i in range(n + 1)))
+    u = [ring.var(name) for name in ring.names]
+    gens = [u[0] + 2 * sum(u[1:], ring.zero()) - 1]
+    for m in range(n):
+        products = [u[abs(l)] * u[abs(m - l)] for l in range(-n, n + 1) if abs(m - l) <= n]
+        gens.append(sum(products, ring.zero()) - u[m])
+    return gens
+
+
+def cyclic(n):
+    """Cyclic-n in x0..x(n-1): the cyclic sums of the products of d
+    consecutive variables, d = 1..n-1, and x0 x1 .. x(n-1) - 1."""
+    ring = VariableContext(tuple(f"x{i}" for i in range(n)))
+    x = [ring.var(name) for name in ring.names]
+
+    def consecutive(i, d):
+        out = ring.one()
+        for j in range(d):
+            out = out * x[(i + j) % n]
+        return out
+
+    gens = [sum((consecutive(i, d) for i in range(n)), ring.zero()) for d in range(1, n)]
+    return gens + [consecutive(0, n) - 1]
+
+
+def term_maps(polys):
+    return {frozenset(p.terms.items()) for p in polys}
 
 
 class TestGroebner:
@@ -77,6 +111,22 @@ class TestNormalForm:
         assert contains(I, P("4*x*z - y^2"))
         assert not contains(I, P("x"))
 
+    def test_matches_oracle_division_on_random_ideals(self):
+        # the remainder modulo a Groebner basis is unique, so any correct
+        # division by the reduced basis gives the same polynomial
+        rng = random.Random(8080)
+        for _ in range(40):
+            ring = random_ring(rng)
+            I = Ideal(
+                [
+                    random_polynomial(rng, ring, max_degree=3, max_terms=3)
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+            for _ in range(3):
+                p = random_polynomial(rng, ring, max_degree=4, max_terms=6)
+                assert normal_form(p, I) == _remainder(p, I.groebner_basis())
+
 
 class TestEqualUpToUnits:
     def test_unit_multiple(self):
@@ -87,8 +137,55 @@ class TestEqualUpToUnits:
         assert not equal_up_to_units(Ideal([P("x")]), Ideal([P("y")]))
 
     def test_laurent_content(self):
-        f = P("4*x*z - y^2 - l*w^2")
+        f, g = P("4*x*z - y^2 - l*w^2"), P("w*x - y")
         assert equal_up_to_units(Ideal([P("l^-3") * f]), Ideal([f]))
+        assert equal_up_to_units(Ideal([P("l^-3") * f, P("l^2") * g]), Ideal([f, g]))
+        # w is not invertible, so its content is not cleared
+        assert not equal_up_to_units(Ideal([P("w") * f, g]), Ideal([f, g]))
+
+    def test_strict_containment_either_order(self):
+        small = Ideal([P("x^2"), P("y")])
+        large = Ideal([P("x"), P("y")])
+        assert not equal_up_to_units(small, large)
+        assert not equal_up_to_units(large, small)
+
+    def test_different_generators_of_one_ideal(self):
+        f, g = P("4*x*z - y^2 - l*w^2"), P("w*x - y")
+        assert equal_up_to_units(Ideal([f, g]), Ideal([2 * f - P("x") * g, 3 * g]))
+
+
+class TestKnownAnswers:
+    """Standard systems against the reduced bases recorded in the benchmark's
+    known answers; the file is only read."""
+
+    EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "gb-fixed.json"
+
+    @staticmethod
+    def expected_term_maps(basis):
+        return {frozenset((tuple(e), Fraction(c)) for e, c in g) for g in basis}
+
+    @pytest.mark.parametrize("system, n", [(katsura, 4), (cyclic, 5)])
+    def test_reduced_basis(self, system, n):
+        expected = json.loads(self.EXPECTED.read_text())[f"{system.__name__}-{n}"]["basis"]
+        assert term_maps(Ideal(system(n)).groebner_basis()) == self.expected_term_maps(expected)
+
+    def test_katsura4_elimination(self):
+        expected = json.loads(self.EXPECTED.read_text())["katsura-4-elim-u0"]
+        E = eliminate(Ideal(katsura(4)), ["u0"])
+        assert list(E.ring.names) == expected["names"]
+        assert term_maps(E.generators) == self.expected_term_maps(expected["basis"])
+
+    # The engine's step counts for these bases: a change to the work done
+    # would move budget verdicts.  Cyclic-5, unlike katsura-4, has queued
+    # pairs that a later element drops by the chain criterion.
+    @pytest.mark.parametrize("system, n, steps", [(katsura, 4, 7502), (cyclic, 5, 17534)])
+    def test_step_count_pinned(self, monkeypatch, system, n, steps):
+        gens = system(n)
+        monkeypatch.setenv("QHV_BUDGET", str(steps))
+        Ideal(gens).groebner_basis()
+        monkeypatch.setenv("QHV_BUDGET", str(steps - 1))
+        with pytest.raises(ResourceLimitExceeded):
+            Ideal(gens).groebner_basis()
 
 
 class TestEliminate:

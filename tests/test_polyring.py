@@ -1,10 +1,12 @@
 """Exact polynomial kernel: arithmetic, Laurent handling, substitution, text."""
 
+import itertools
 import random
 
 import pytest
 
 from qhv.polyring import (
+    GREVLEX,
     ContextMismatch,
     NotHomogeneous,
     ParseError,
@@ -12,6 +14,7 @@ from qhv.polyring import (
     Polynomial,
     SubstitutionMap,
     VariableContext,
+    elimination_order,
     format_polynomial,
     primitive_integer_form,
     strip_unit_content,
@@ -208,6 +211,21 @@ class TestUnitsAndNormalForms:
     def test_primitive_integer_form(self):
         assert primitive_integer_form(P("1/2*x + 3/4*y")) == P("2*x + 3*y")
         assert primitive_integer_form(P("-2*x^2 - 4*y")) == P("x^2 + 2*y")
+
+
+class TestMonomialOrder:
+    @pytest.mark.parametrize(
+        "order",
+        [GREVLEX, elimination_order(1), elimination_order(2)],
+        ids=["grevlex", "elim1", "elim2"],
+    )
+    def test_descending_key_reverses_monomial_key(self, order):
+        ring = VariableContext(("a", "b", "c", "d"), order=order)
+        exps = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
+        assert len({ring.descending_key(e) for e in exps}) == len(exps)  # no ties
+        assert sorted(exps, key=ring.descending_key) == sorted(
+            exps, key=ring.monomial_key, reverse=True
+        )
 
 
 class TestTextFormat:
