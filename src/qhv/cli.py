@@ -9,9 +9,9 @@ Each report is printed as soon as its check ends.  Reports are deterministic
 for a fixed configuration; ``duration_ms`` is the only varying field and is
 ignored by golden comparisons (``--golden DIR`` compares the reports of each
 suite against ``DIR/<suite>.jsonl``, so ``all`` checks one file per suite;
-``--update-golden`` rewrites those files).  Resource budgets are taken from
-``--budget``, the config file, or the ``QHV_BUDGET`` environment variable, in
-that order; a budget given to :func:`main` lasts for that call only.
+``--update-golden`` rewrites those files and needs ``--golden``).  Every
+engine call runs under the fixed step limit ``ideals.STEP_BUDGET``; a check
+that exceeds it reports ``error``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 from . import degenerations as dg
-from . import ideals, ruled, singular
+from . import ruled, singular
 
 DEFAULT_QUADRIC_TWISTS = (1, 3, 5, 7, 9)
 DEFAULT_F4_TWISTS = (0, 1, 2, 3)
@@ -279,13 +279,11 @@ _CONFIG_KEYS = {
         lambda text: tuple(_parse_int_list(part) for part in text.split(";")),
     ),
     "bundle": ("bundle", _parse_int_list),
-    "budget": ("budget", int),
 }
 
 
-def build_config(args, file_values: dict) -> tuple[RunConfig, int | None]:
+def build_config(args, file_values: dict) -> RunConfig:
     cfg = RunConfig()
-    budget = None
     for key, raw in file_values.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -294,10 +292,7 @@ def build_config(args, file_values: dict) -> tuple[RunConfig, int | None]:
             value = convert(raw)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-        if attr == "budget":
-            budget = value
-        else:
-            setattr(cfg, attr, value)
+        setattr(cfg, attr, value)
     # flags win over the config file
     if getattr(args, "k", None) is not None:
         cfg.quadric_k = _parse_int_list(args.k)
@@ -316,13 +311,11 @@ def build_config(args, file_values: dict) -> tuple[RunConfig, int | None]:
         if getattr(args, name, None) is not None:
             bundle[i] = getattr(args, name)
     cfg.bundle = tuple(bundle)
-    if getattr(args, "budget", None) is not None:
-        budget = args.budget
     if len(cfg.bundle) != 3:
         raise ConfigError("bundle needs exactly n, k0, kinf")
     if cfg.family not in ("both", "quadric", "f4"):
         raise ConfigError(f"unknown family {cfg.family!r}")
-    return cfg, budget
+    return cfg
 
 
 # -- entry point -----------------------------------------------------------------
@@ -333,19 +326,14 @@ def _build_parser() -> argparse.ArgumentParser:
     # keeps the subparser from clobbering values the main parser already set.
     sup = argparse.SUPPRESS
     common = argparse.ArgumentParser(add_help=False)
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--json", action="store_true", default=sup,
-                      help="JSON lines output (default)")
-    mode.add_argument("--human", action="store_true", default=sup,
-                      help="plain text output")
+    common.add_argument("--human", action="store_true", default=sup,
+                        help="plain text output instead of JSON lines")
     common.add_argument("--golden", metavar="DIR", default=sup,
                         help="compare reports against stored files")
     common.add_argument("--update-golden", action="store_true", default=sup,
-                        help="rewrite the stored golden file")
+                        help="rewrite the stored golden files (needs --golden)")
     common.add_argument("--config", metavar="FILE", default=sup,
                         help="flat key=value config file")
-    common.add_argument("--budget", type=int, default=sup,
-                        help="reduction step budget override")
 
     parser = argparse.ArgumentParser(
         prog="qhv",
@@ -441,19 +429,17 @@ def main(argv: list[str] | None = None) -> int:
     def opt(name, default=None):
         return getattr(args, name, default)
 
+    golden_dir = opt("golden")
+    update = opt("update_golden", False)
+    if update and not golden_dir:
+        parser.error("--update-golden needs --golden DIR")
     try:
         config_path = opt("config")
         file_values = read_config_file(config_path) if config_path else {}
-        cfg, budget = build_config(args, file_values)
+        cfg = build_config(args, file_values)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if budget is not None:
-        try:
-            ideals.set_step_budget(budget)
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
 
     human = opt("human", False)
 
@@ -466,20 +452,12 @@ def main(argv: list[str] | None = None) -> int:
             line = report.to_json()
         print(line, flush=True)
 
-    try:
-        results = run(_suite_names(args), cfg, emit)
-    finally:
-        if budget is not None:
-            ideals.set_step_budget(None)  # the override lasts one invocation
-
+    results = run(_suite_names(args), cfg, emit)
     passed = all(r.status == "pass" for reports in results.values() for r in reports)
     exit_code = 0 if passed else 1
-    golden_dir = opt("golden")
     if golden_dir:
         for suite, suite_reports in results.items():
-            message = _golden_compare(
-                suite, suite_reports, golden_dir, opt("update_golden", False)
-            )
+            message = _golden_compare(suite, suite_reports, golden_dir, update)
             if message:
                 print(message, file=sys.stderr)
                 exit_code = 1

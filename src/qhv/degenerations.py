@@ -562,8 +562,12 @@ def quadric_singular_loci(k: int) -> dict:
 
     The four standard charts set one projective coordinate to 1; the only
     singular chart for twist >= 2 is w = 1, where the locus is the single
-    point x = y = z = l = 0.
+    point x = y = z = l = 0.  For twist 0 and 1 every chart is smooth: on
+    w = 1 the equation 4xz - y^2 - l^k has the partial -1 in l when k = 1,
+    and when k = 0 its partials vanish only at x = y = z = 0, off the chart.
     """
+    if k < 0:
+        raise ConstructionError(f"twist must be nonnegative, got {k}")
     gen = quadric_generator(k)
     charts = {}
     passed = True
@@ -571,9 +575,6 @@ def quadric_singular_loci(k: int) -> dict:
         chart_ring, equation = _affine_chart(gen, unit_var)
         result = _locus_of_chart(chart_ring, equation)
         charts[unit_var] = result
-        if k == 1:
-            passed = passed and result["status"] == "smooth"
-        else:
-            expected = "single_point_origin" if unit_var == "w" else "smooth"
-            passed = passed and result["status"] == expected
+        expected = "single_point_origin" if unit_var == "w" and k >= 2 else "smooth"
+        passed = passed and result["status"] == expected
     return {"twist": k, "passed": passed, "charts": charts}

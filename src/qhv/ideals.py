@@ -8,14 +8,16 @@ unit-normalized before the computation; "equality up to units" of ideals is
 decided by comparing the two reduced bases, which the same normalization
 makes those of the unit-stripped generators.
 
-All computations run under an explicit step budget and raise
-:class:`ResourceLimitExceeded` instead of truncating silently.  The default
-budget can be overridden through the ``QHV_BUDGET`` environment variable.
+Each engine call (one basis computation or one normal form) counts its
+reduction steps against the fixed limit :data:`STEP_BUDGET` and raises
+:class:`ResourceLimitExceeded` instead of truncating silently.  The limit is
+a constant, so a call's step count alone decides whether it succeeds: a
+cached basis always comes from a call that succeeded under the same limit,
+and no result depends on what ran earlier in the process.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
@@ -32,50 +34,29 @@ from .polyring import (
     strip_unit_content,
 )
 
-DEFAULT_STEP_BUDGET = 2_000_000
-
-_budget_override: int | None = None
+#: Reduction steps one engine call may take.  The largest call of ``qhv all``
+#: takes about 2,400, so reaching the limit means a runaway computation.
+STEP_BUDGET = 2_000_000
 
 
 class ResourceLimitExceeded(RuntimeError):
     """A Groebner computation exceeded its step budget."""
 
 
-def set_step_budget(steps: int | None):
-    """Process-wide default budget override (stronger than QHV_BUDGET)."""
-    global _budget_override
-    if steps is not None and steps <= 0:
-        raise ValueError("budget must be positive")
-    _budget_override = steps
-
-
-def default_step_budget() -> int:
-    if _budget_override is not None:
-        return _budget_override
-    raw = os.environ.get("QHV_BUDGET")
-    if raw is None:
-        return DEFAULT_STEP_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QHV_BUDGET must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError("QHV_BUDGET must be positive")
-    return value
-
-
 class _Counter:
-    __slots__ = ("steps", "limit")
+    __slots__ = ("steps", "limit", "ring")
 
-    def __init__(self):
+    def __init__(self, ring: VariableContext):
         self.steps = 0
-        self.limit = default_step_budget()
+        self.limit = STEP_BUDGET
+        self.ring = ring
 
     def tick(self, n: int = 1):
         self.steps += n
         if self.steps > self.limit:
             raise ResourceLimitExceeded(
-                f"step budget of {self.limit} exceeded; the instance is beyond desk scale"
+                f"step budget of {self.limit} exceeded after {self.steps} steps "
+                f"over the variables {', '.join(self.ring.names)}"
             )
 
 
@@ -99,7 +80,7 @@ class Ideal:
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._basis = tuple(_buchberger(self.generators, self.ring, _Counter()))
+            self._basis = tuple(_buchberger(self.generators, self.ring, _Counter(self.ring)))
         return self._basis
 
     def __repr__(self):
@@ -275,7 +256,7 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
         raise ContextMismatch("polynomial and ideal contexts differ")
     basis = I.groebner_basis()
     prepared = [(g.leading_term()[0], dict(g.terms)) for g in basis]
-    rem = _reduce_terms(dict(p.terms), prepared, I.ring, _Counter())
+    rem = _reduce_terms(dict(p.terms), prepared, I.ring, _Counter(I.ring))
     return Polynomial(I.ring, rem)
 
 

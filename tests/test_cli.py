@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qhv import cli
+from qhv import cli, degenerations, ideals
 
 
 def run_cli(capsys, *argv):
@@ -68,38 +68,28 @@ class TestBasics:
             cli.main(["no-such-suite"])
         assert excinfo.value.code == 2
 
-    def test_budget_too_small_gives_error_report(self, capsys):
-        code, lines, _ = run_cli(
-            capsys, "verify", "f4", "--k", "1", "--l", "1", "--budget", "10"
-        )
+    def test_budget_too_small_gives_error_report(self, capsys, monkeypatch):
+        # the singular-locus check builds its ideals fresh, so no cache is read
+        monkeypatch.setattr(ideals, "STEP_BUDGET", 4)
+        code, lines, _ = run_cli(capsys, "singular-locus", "--k", "3")
         assert code == 1
-        assert any(p["status"] == "error" for p in payloads(lines))
+        (report,) = payloads(lines)
+        assert report["status"] == "error"
+        message = report["witnesses"][0]["error"]
+        assert message.startswith("ResourceLimitExceeded: step budget of 4 exceeded after ")
+        assert "steps over the variables" in message
 
-    def test_budget_lasts_one_call(self, capsys):
-        argv = ("verify", "f4", "--k", "1", "--l", "1")
-        code, lines, _ = run_cli(capsys, *argv, "--budget", "10")
-        assert code == 1
-        code, lines, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert all(p["status"] == "pass" for p in payloads(lines))
-
-    def test_budget_env_variable(self, capsys, monkeypatch):
-        from qhv import ideals
-
-        monkeypatch.setenv("QHV_BUDGET", "10")
-        assert ideals.default_step_budget() == 10
-        code, lines, _ = run_cli(capsys, "verify", "f4", "--k", "1", "--l", "1")
-        assert code == 1
-        assert any(p["status"] == "error" for p in payloads(lines))
-        monkeypatch.setenv("QHV_BUDGET", "junk")
-        with pytest.raises(ValueError):
-            ideals.default_step_budget()
+    def test_update_golden_without_golden_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["wps", "--update-golden"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--update-golden needs --golden" in captured.err
 
 
 class TestGluingVerifiedOnce:
     def run_counted(self, capsys, monkeypatch, *argv):
-        from qhv import degenerations
-
         calls, original = [], degenerations.verify_gluing
         monkeypatch.setattr(
             degenerations, "verify_gluing", lambda fam: calls.append(fam) or original(fam)
@@ -153,6 +143,28 @@ class TestDeterminism:
             return out
 
         assert stripped() == stripped()
+
+    def test_report_independent_of_earlier_runs(self, capsys):
+        # Small ranges that still reach every suite.  The cold pass empties the
+        # chart caches, and with them every cached basis, before each check.
+        cfg = cli.RunConfig(
+            quadric_k=(1, 3), quadric_l=(1,), f4_k=(0, 1), f4_l=(1,), terminal_n_max=12
+        )
+        caches = (degenerations.quadric_chart, degenerations.f4_chart,
+                  degenerations.derive_f4_ideal)
+
+        def checks():
+            for suite in cli.SUITES.values():
+                yield from suite(cfg)
+
+        cold = []
+        for check in checks():
+            for cache in caches:
+                cache.cache_clear()
+            cold.append(cli._run_check(*check).payload(with_duration=False))
+        assert run_cli(capsys, "all")[0] == 0
+        warm = [cli._run_check(*check).payload(with_duration=False) for check in checks()]
+        assert warm == cold
 
 
 class TestGolden:
@@ -270,6 +282,13 @@ class TestConfigFile:
         code, lines, err = run_cli(capsys, "verify", "quadric", "--config", str(cfg))
         assert code == 2 and lines == []
         assert "quadric-k" in err
+
+    def test_budget_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "budget.cfg"
+        cfg.write_text("budget = 10\n")
+        code, lines, err = run_cli(capsys, "wps", "--config", str(cfg))
+        assert code == 2 and lines == []
+        assert "unknown config key 'budget'" in err
 
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "wps", "--config", str(tmp_path / "none.cfg"))

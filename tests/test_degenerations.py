@@ -216,3 +216,13 @@ class TestSingularLoci:
         }
         for chart in ("x", "y", "z"):
             assert report["charts"][chart]["status"] == "smooth"
+
+    def test_twist_zero_smooth_everywhere(self):
+        # 4xz - y^2 = w^2 is a smooth quadric; the w-chart point needs k >= 2
+        report = quadric_singular_loci(0)
+        assert report["passed"]
+        assert all(r["status"] == "smooth" for r in report["charts"].values())
+
+    def test_negative_twist_rejected(self):
+        with pytest.raises(ConstructionError, match="twist must be nonnegative"):
+            quadric_singular_loci(-1)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qhv import ideals
 from qhv.ideals import (
     Ideal,
     ResourceLimitExceeded,
@@ -86,7 +87,7 @@ class TestGroebner:
         assert is_groebner_basis(I.groebner_basis())
 
     def test_resource_limit(self, monkeypatch):
-        monkeypatch.setenv("QHV_BUDGET", "5")
+        monkeypatch.setattr(ideals, "STEP_BUDGET", 5)
         I = Ideal([P("x^3*y - z^2 + w"), P("y^3*z - x + l"), P("z^3*x - y")])
         with pytest.raises(ResourceLimitExceeded):
             I.groebner_basis()
@@ -175,15 +176,15 @@ class TestKnownAnswers:
         assert list(E.ring.names) == expected["names"]
         assert term_maps(E.generators) == self.expected_term_maps(expected["basis"])
 
-    # The engine's step counts for these bases: a change to the work done
-    # would move budget verdicts.  Cyclic-5, unlike katsura-4, has queued
-    # pairs that a later element drops by the chain criterion.
+    # The engine's step counts for these bases, pinned so that any change to
+    # the work the engine does shows here.  Cyclic-5, unlike katsura-4, has
+    # queued pairs that a later element drops by the chain criterion.
     @pytest.mark.parametrize("system, n, steps", [(katsura, 4, 7502), (cyclic, 5, 17534)])
     def test_step_count_pinned(self, monkeypatch, system, n, steps):
         gens = system(n)
-        monkeypatch.setenv("QHV_BUDGET", str(steps))
+        monkeypatch.setattr(ideals, "STEP_BUDGET", steps)
         Ideal(gens).groebner_basis()
-        monkeypatch.setenv("QHV_BUDGET", str(steps - 1))
+        monkeypatch.setattr(ideals, "STEP_BUDGET", steps - 1)
         with pytest.raises(ResourceLimitExceeded):
             Ideal(gens).groebner_basis()
 
