@@ -3,6 +3,12 @@
 The engine is a plain Buchberger implementation with the product and chain
 criteria, full interreduction and monic normalization, so every basis it
 returns is the reduced Groebner basis under the context's monomial order.
+Inside the engine every polynomial is a primitive integer term map (coprime
+coefficients, positive leading coefficient): reductions cross-multiply
+instead of dividing, so no ``Fraction`` arithmetic runs in the reduction
+loop.  ``Fraction`` appears only at the boundary, when the reduced basis is
+made monic over Q and when :func:`normal_form` divides its integer remainder
+by the accumulated multiplier.
 Generators carrying Laurent monomial content on invertible variables are
 unit-normalized before the computation; "equality up to units" of ideals is
 decided by comparing the two reduced bases, which the same normalization
@@ -18,8 +24,10 @@ and no result depends on what ran earlier in the process.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -61,9 +69,14 @@ class _Counter:
 
 
 class Ideal:
-    """Finite generator list with a write-once cached reduced Groebner basis."""
+    """Finite generator list with a write-once cached reduced Groebner basis.
 
-    __slots__ = ("ring", "generators", "_basis")
+    ``_basis`` is the reduced basis as monic polynomials over Q, ``None``
+    until computed; ``_reducers`` holds the same elements as primitive
+    integer reducers, in the same order, for :func:`normal_form`.
+    """
+
+    __slots__ = ("ring", "generators", "_basis", "_reducers")
 
     def __init__(self, generators: Sequence[Polynomial], ring: VariableContext | None = None):
         gens = tuple(generators)
@@ -77,10 +90,15 @@ class Ideal:
         self.ring = gens[0].ring
         self.generators = gens
         self._basis: tuple[Polynomial, ...] | None = None
+        self._reducers: list[_Reducer] = []
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._basis = tuple(_buchberger(self.generators, self.ring, _Counter(self.ring)))
+            self._reducers = _buchberger(self.generators, self.ring, _Counter(self.ring))
+            self._basis = tuple(
+                Polynomial(self.ring, {e: Fraction(c, lc) for e, c in terms.items()})
+                for _, lc, terms in self._reducers
+            )
         return self._basis
 
     def __repr__(self):
@@ -89,21 +107,48 @@ class Ideal:
 
 # -- division ---------------------------------------------------------------
 
+#: A basis element as the engine holds it: leading monomial, leading
+#: coefficient and term map, with coprime integer coefficients and lc > 0.
+_Reducer = tuple[Exponent, int, dict[Exponent, int]]
+
 
 def _divides(d: Exponent, m: Exponent) -> bool:
     return all(map(le, d, m))
 
 
+def _integer_terms(terms: dict[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
+    """The term map times the lcm of its denominators, and that lcm."""
+    denom = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}, denom
+
+
+def _primitive(lead: Exponent, terms: dict[Exponent, int]) -> _Reducer:
+    """The reducer of a nonzero integer term map with leading monomial ``lead``."""
+    content = gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    if content != 1:
+        terms = {e: c // content for e, c in terms.items()}
+    return lead, terms[lead], terms
+
+
 def _reduce_terms(
-    terms: dict[Exponent, Fraction],
-    basis: Sequence[tuple[Exponent, dict[Exponent, Fraction]]],
+    terms: dict[Exponent, int],
+    basis: Sequence[_Reducer],
     ring: VariableContext,
     counter: _Counter,
-) -> dict[Exponent, Fraction]:
-    """Canonical remainder of a term map modulo monic reducers.
+) -> tuple[dict[Exponent, int], int]:
+    """Canonical remainder of an integer term map modulo integer reducers.
 
+    Returns ``(remainder, scale)``: the remainder of ``scale * terms``, with
+    integer coefficients, so the remainder over Q is ``remainder / scale``.
     The largest pending monomial is reduced first, by the first reducer whose
-    leading monomial divides it.  Pending monomials sit in a min-heap under
+    leading monomial divides it.  To remove ``c*m`` with a reducer of leading
+    coefficient ``lc``, the pending terms are multiplied by ``lc/d``, where
+    ``d = gcd(c, lc)``, and ``(c/d)`` times the shifted reducer is
+    subtracted; ``scale`` accumulates these factors.  A remainder term keeps
+    the scale at which it was emitted and is brought to the final scale at
+    the end.  Pending monomials sit in a min-heap under
     ``ring.descending_key``, each pushed when it enters ``work``; an entry
     whose monomial has cancelled is skipped when popped.  A reduction only
     adds monomials below the one it removes, so the remainder's terms come
@@ -113,16 +158,23 @@ def _reduce_terms(
     work = dict(terms)
     heap = [(dkey(e), e) for e in work]
     heapify(heap)
-    remainder: dict[Exponent, Fraction] = {}
+    scale = 1
+    emitted: list[tuple[Exponent, int, int]] = []
     while heap:
         lead = heappop(heap)[1]
         coeff = work.pop(lead, None)
         if coeff is None:
             continue
-        for lt, gterms in basis:
+        for lt, lc, gterms in basis:
             if _divides(lt, lead):
                 shift = tuple(map(sub, lead, lt))
                 counter.tick(len(gterms))
+                d = gcd(coeff, lc)
+                if d != lc:
+                    factor = lc // d
+                    work = {e: c * factor for e, c in work.items()}
+                    scale *= factor
+                coeff //= d
                 for gexp, gc in gterms.items():
                     if gexp == lt:
                         continue
@@ -139,37 +191,37 @@ def _reduce_terms(
                             work[target] = v
                 break
         else:
-            remainder[lead] = coeff
-    return remainder
+            emitted.append((lead, coeff, scale))
+    return {e: c * (scale // s) for e, c, s in emitted}, scale
 
 
-def _prepare(polys: Iterable[Polynomial]):
+def _prepare(polys: Iterable[Polynomial]) -> list[_Reducer]:
     out = []
     for p in polys:
         if p.is_zero():
             continue
-        q = strip_unit_content(p).monic()
+        q = strip_unit_content(p)
         lt, _ = q.leading_term()
-        out.append((lt, dict(q.terms)))
+        out.append(_primitive(lt, _integer_terms(q.terms)[0]))
     return out
 
 
-def _spoly_terms(
-    f: tuple[Exponent, dict[Exponent, Fraction]],
-    g: tuple[Exponent, dict[Exponent, Fraction]],
-    lcm: Exponent,
-) -> dict[Exponent, Fraction]:
-    """S-polynomial of two monic reducers whose leading monomials have ``lcm``."""
-    lf, ft = f
-    lg, gt = g
+def _spoly_terms(f: _Reducer, g: _Reducer, lcm: Exponent) -> dict[Exponent, int]:
+    """Integer S-polynomial of two reducers whose leading monomials have ``lcm``.
+
+    With ``d = gcd(lc_f, lc_g)`` it is ``(lc_g/d)·(lcm/lt_f)·f −
+    (lc_f/d)·(lcm/lt_g)·g``, a positive multiple of the monic S-polynomial.
+    """
+    lf, cf, ft = f
+    lg, cg, gt = g
+    d = gcd(cf, cg)
+    mf, mg = cg // d, cf // d
     sf = tuple(map(sub, lcm, lf))
     sg = tuple(map(sub, lcm, lg))
-    out: dict[Exponent, Fraction] = {}
-    for exp, c in ft.items():
-        out[tuple(map(add, exp, sf))] = c
+    out = {tuple(map(add, exp, sf)): mf * c for exp, c in ft.items()}
     for exp, c in gt.items():
         target = tuple(map(add, exp, sg))
-        v = out.get(target, Fraction(0)) - c
+        v = out.get(target, 0) - mg * c
         if v == 0:
             out.pop(target, None)
         else:
@@ -179,7 +231,8 @@ def _spoly_terms(
 
 def _buchberger(
     generators: Sequence[Polynomial], ring: VariableContext, counter: _Counter
-) -> list[Polynomial]:
+) -> list[_Reducer]:
+    """Reducers of the reduced Groebner basis, sorted by leading monomial."""
     key = ring.monomial_key
     basis = _prepare(generators)
     if not basis:
@@ -223,27 +276,24 @@ def _buchberger(
         counter.tick()
         i, j = pair
         s = _spoly_terms(basis[i], basis[j], lcm)
-        rem = _reduce_terms(s, basis, ring, counter)
+        rem = _reduce_terms(s, basis, ring, counter)[0]
         if rem:
-            lead, lc = next(iter(rem.items()))
-            basis.append((lead, {e: c / lc for e, c in rem.items()}))
+            basis.append(_primitive(next(iter(rem)), rem))
             update(len(basis) - 1)
 
     # minimalize: keep elements whose leading monomial no other kept one divides
     basis.sort(key=lambda item: key(item[0]))
-    minimal_basis = []
-    for lt, terms in basis:
-        if all(not _divides(k[0], lt) for k in minimal_basis):
-            minimal_basis.append((lt, terms))
+    minimal_basis: list[_Reducer] = []
+    for item in basis:
+        if all(not _divides(k[0], item[0]) for k in minimal_basis):
+            minimal_basis.append(item)
 
     # interreduce tails for the unique reduced basis
-    reduced: list[Polynomial] = []
-    for idx, (lt, terms) in enumerate(minimal_basis):
+    reduced: list[_Reducer] = []
+    for idx, (lt, _, terms) in enumerate(minimal_basis):
         others = minimal_basis[:idx] + minimal_basis[idx + 1 :]
-        rem = _reduce_terms(terms, others, ring, counter)
-        lc = next(iter(rem.values()))
-        reduced.append(Polynomial(ring, {e: c / lc for e, c in rem.items()}))
-    reduced.sort(key=lambda p: key(p.leading_term()[0]))
+        reduced.append(_primitive(lt, _reduce_terms(terms, others, ring, counter)[0]))
+    reduced.sort(key=lambda item: key(item[0]))
     return reduced
 
 
@@ -254,10 +304,11 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     """Unique remainder of p modulo the reduced basis of I."""
     if p.ring != I.ring:
         raise ContextMismatch("polynomial and ideal contexts differ")
-    basis = I.groebner_basis()
-    prepared = [(g.leading_term()[0], dict(g.terms)) for g in basis]
-    rem = _reduce_terms(dict(p.terms), prepared, I.ring, _Counter(I.ring))
-    return Polynomial(I.ring, rem)
+    I.groebner_basis()
+    terms, denom = _integer_terms(p.terms)
+    rem, scale = _reduce_terms(terms, I._reducers, I.ring, _Counter(I.ring))
+    scale *= denom
+    return Polynomial(I.ring, {e: Fraction(c, scale) for e, c in rem.items()})
 
 
 def contains(I: Ideal, p: Polynomial) -> bool:

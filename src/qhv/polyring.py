@@ -162,14 +162,15 @@ class Polynomial:
         n = len(ring.names)
         clean: dict[Exponent, Fraction] = {}
         for exp, coeff in terms.items():
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c == 0:
                 continue
             if len(exp) != n:
                 raise PolyError(f"exponent vector {exp} does not match {ring.names}")
-            for name, e in zip(ring.names, exp):
-                if e < 0 and name not in ring.invertible:
-                    raise PolyError(f"negative exponent on non-invertible variable {name!r}")
+            if n and min(exp) < 0:
+                for name, e in zip(ring.names, exp):
+                    if e < 0 and name not in ring.invertible:
+                        raise PolyError(f"negative exponent on non-invertible variable {name!r}")
             clean[tuple(exp)] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
@@ -201,14 +202,6 @@ class Polynomial:
             raise PolyError("zero polynomial has no leading term")
         exp = max(self.terms, key=self.ring.monomial_key)
         return exp, self.terms[exp]
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, lc = self.leading_term()
-        if lc == 1:
-            return self
-        return self / lc
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: self.ring.monomial_key(t[0]), reverse=True)

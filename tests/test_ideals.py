@@ -112,6 +112,29 @@ class TestNormalForm:
         assert contains(I, P("4*x*z - y^2"))
         assert not contains(I, P("x"))
 
+    # The engine reduces with primitive integer reducers; these pin the exact
+    # rational remainder against reducers whose leading coefficient is not 1.
+    def test_rational_input_non_unit_leading_coefficient(self):
+        I = Ideal([P("2*x - 3*y")])
+        assert normal_form(P("1/3*x^2"), I) == P("3/4*y^2")
+        # a pending term sits beside the one being reduced when the pending
+        # terms are rescaled
+        assert normal_form(P("1/3*x^2 + z"), I) == P("3/4*y^2 + z")
+        assert normal_form(P("1/3*x^2 - 5/7*x*z + w"), I) == P("3/4*y^2 - 15/14*y*z + w")
+
+    def test_two_non_unit_reducers_in_sequence(self):
+        # x^2/3 -> 3/4 y^2 by 2x - 3y, then y^2 -> 5/3 z by 3y^2 - 5z
+        I = Ideal([P("2*x - 3*y"), P("3*y^2 - 5*z")])
+        assert normal_form(P("1/3*x^2"), I) == P("5/4*z")
+        assert normal_form(P("1/3*x^2 + 1/2*w^3"), I) == P("5/4*z + 1/2*w^3")
+
+    def test_laurent_generator_and_input(self):
+        # the unit l^-2 is stripped from the generator; the term of negative
+        # l-degree is not divisible by x and stays in the remainder
+        I = Ideal([P("l^-2") * P("2*x - 3*y")])
+        assert normal_form(P("1/3*x^2*l + 1/5*x*l^-1"), I) == P("3/4*y^2*l + 1/5*x*l^-1")
+        assert normal_form(P("2*x*l^3 - 3*y*l^3"), I).is_zero()
+
     def test_matches_oracle_division_on_random_ideals(self):
         # the remainder modulo a Groebner basis is unique, so any correct
         # division by the reduced basis gives the same polynomial
@@ -165,7 +188,7 @@ class TestKnownAnswers:
     def expected_term_maps(basis):
         return {frozenset((tuple(e), Fraction(c)) for e, c in g) for g in basis}
 
-    @pytest.mark.parametrize("system, n", [(katsura, 4), (cyclic, 5)])
+    @pytest.mark.parametrize("system, n", [(katsura, 4), (katsura, 5), (cyclic, 5)])
     def test_reduced_basis(self, system, n):
         expected = json.loads(self.EXPECTED.read_text())[f"{system.__name__}-{n}"]["basis"]
         assert term_maps(Ideal(system(n)).groebner_basis()) == self.expected_term_maps(expected)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,16 @@ class TestArithmetic:
     def test_negative_exponent_rejected_on_plain_variable(self):
         with pytest.raises(PolyError):
             P("w^-1")
+
+    def test_constructor_checks_exponent_signs(self):
+        with pytest.raises(PolyError, match="non-invertible variable 'w'"):
+            Polynomial(R, {(0, 0, 0, -1, 0): 1})
+        assert Polynomial(R, {(1, 0, 0, 0, -2): 3}) == P("3*x*l^-2")
+
+    def test_constructor_stores_fractions(self):
+        p = Polynomial(R, {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): Fraction(1, 2), (0, 0, 1, 0, 0): 0})
+        assert p.terms == {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
 
     def test_context_mismatch(self):
         other = VariableContext(("x", "y"))
