@@ -9,9 +9,10 @@ module asserts is an exact polynomial identity:
 * the gluing carries one chart ideal to the other up to a unit power of ``l``;
 * the torus scaling commutes with the gluing once the scaling parameter ``xi``
   is adjoined as a formal invertible variable;
-* the six-generator chart ideal of the F4 family is re-derived as the
-  elimination kernel of the quadratic parametrization, and the hand-recorded
-  generator lists are adjudicated against it member by member;
+* the six-generator chart ideal of the F4 family is derived once, as the
+  elimination kernel of the quadratic parametrization in the twist-free
+  coordinates (a, .., f, t), and dressed by t -> l^k g for each twist k; the
+  hand-recorded generator lists are adjudicated against it member by member;
 * the F4 chart is the quotient of the quadric chart by the sign involution of
   ``w``: every derived generator pulls back into the quadric ideal through
   ``g -> w^2`` and the pullback only involves even powers of ``w``;
@@ -57,7 +58,6 @@ from .polyring import (
     VariableContext,
     primitive_integer_form,
     strip_unit_content,
-    weighted_degree,
 )
 
 ZERO = "zero"
@@ -96,8 +96,9 @@ class GluedFamily:
 # -- quadric charts -----------------------------------------------------------
 
 
-def quadric_generator(k: int, ring: VariableContext = QUADRIC_CHART_RING) -> Polynomial:
+def quadric_generator(k: int) -> Polynomial:
     """4xz - y^2 - l^k w^2, the single chart equation of the quadric family."""
+    ring = QUADRIC_CHART_RING
     return convert_context(QUADRIC_INVARIANT, ring) - ring.monomial(1, {"l": k, "w": 2})
 
 
@@ -138,19 +139,6 @@ def quadric_chart(k: int, chart_id: str = ZERO) -> ChartModel:
 
 # -- the F4 chart ideal, derived by elimination -------------------------------
 
-#: Parametrization ring: embedding source (x, y, z) first for elimination.
-_PARAM_RING = VariableContext(
-    ("x", "y", "z", "a", "b", "c", "e", "f", "g", "l"), invertible={"l"}
-)
-
-
-def _parametrization_relations(k: int) -> list[Polynomial]:
-    R = _PARAM_RING
-    return [
-        R.var(n) - convert_context(p, R) for n, p in EMBEDDING_COMPONENTS.items()
-    ] + [R.monomial(1, {"l": k, "g": 1}) - convert_context(QUADRIC_INVARIANT, R)]
-
-
 #: Twist-free presentation ring: t stands for the dressed coordinate l^k g.
 _TWIST_FREE_RING = VariableContext(("a", "b", "c", "e", "f", "t"))
 
@@ -170,21 +158,27 @@ def _row_echelon_polynomials(
     return out
 
 
-def _undress(p: Polynomial, k: int) -> Polynomial:
-    """Rename l^k g to t; fails if some monomial is not dressed that way."""
-    target = _TWIST_FREE_RING.extend(("l",), invertible=("l",))
-    images = {n: target.var(n) for n in "abcef"}
-    images["g"] = target.monomial(1, {"l": -k, "t": 1})
-    images["l"] = target.var("l")
-    q = SubstitutionMap(F4_CHART_RING, target, images).apply(p)
-    i = target.index("l")
-    if any(exp[i] for exp in q.terms):
-        raise ConstructionError(f"generator is not uniform in the base parameter: {p}")
-    return convert_context(q, _TWIST_FREE_RING)
+@lru_cache(maxsize=None)
+def _twist_free_f4_generators() -> tuple[Polynomial, ...]:
+    """Kernel of a -> x^2, .., f -> z^2, t -> 4xz - y^2, derived by elimination.
+
+    Eliminates (x, y, z) from the graph relations, extracts the minimal
+    generators by total degree and canonicalizes them by row reduction: six
+    quadrics in (a, .., f, t) with primitive integer coefficients, the ideal
+    of the Veronese surface in this basis of the quadrics.
+    """
+    R = VariableContext(("x", "y", "z") + _TWIST_FREE_RING.names)
+    graph = [R.var(n) - convert_context(p, R) for n, p in EMBEDDING_COMPONENTS.items()]
+    graph.append(R.var("t") - convert_context(QUADRIC_INVARIANT, R))
+    kernel = eliminate(Ideal(graph), {"x", "y", "z"})
+    echelon = _row_echelon_polynomials(
+        minimal_generators(kernel.generators), _TWIST_FREE_RING
+    )
+    return tuple(primitive_integer_form(g) for g in echelon)
 
 
 def _dress(p: Polynomial, k: int) -> Polynomial:
-    """Substitute t -> l^k g back into a twist-free generator."""
+    """Substitute t -> l^k g into a twist-free generator."""
     images = {n: F4_CHART_RING.var(n) for n in "abcef"}
     images["t"] = F4_CHART_RING.monomial(1, {"l": k, "g": 1})
     return SubstitutionMap(_TWIST_FREE_RING, F4_CHART_RING, images).apply(p)
@@ -192,25 +186,16 @@ def _dress(p: Polynomial, k: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def derive_f4_ideal(k: int) -> Ideal:
-    """Kernel of the quadratic parametrization, derived by elimination.
+    """Kernel of the twist-k quadratic parametrization ``g -> l^-k (4xz - y^2)``.
 
-    Eliminates (x, y, z) from the graph relations, extracts the minimal
-    generators under the grading in which ``l`` weighs zero, and
-    canonicalizes them by row reduction in the twist-free presentation (so
-    the generator lists for different twists coincide literally after
-    renaming l^k g to one variable).  The result is six quadrics in
-    (a, .., f, l^k g) with primitive integer coefficients.
+    Since l is a unit, ``t = l^k g`` is a change of coordinates that carries
+    the twist-k parametrization onto the twist-free one with ``Q[l^±]``
+    adjoined, so the kernel is the twist-free kernel, extended.  It is
+    derived once, on first use, and dressed here by t -> l^k g.
     """
     if k < 0:
         raise ConstructionError(f"twist must be nonnegative, got {k}")
-    full = Ideal(_parametrization_relations(k))
-    kernel = eliminate(full, {"x", "y", "z"})
-    grading = {name: 1 for name in F4_CHART_RING.names if name != "l"}
-    gens = minimal_generators(
-        kernel.generators, degree=lambda p: weighted_degree(p, grading)
-    )
-    echelon = _row_echelon_polynomials([_undress(g, k) for g in gens], _TWIST_FREE_RING)
-    return Ideal([_dress(primitive_integer_form(g), k) for g in echelon])
+    return Ideal([_dress(g, k) for g in _twist_free_f4_generators()])
 
 
 @lru_cache(maxsize=None)
@@ -342,19 +327,19 @@ def glued_family(family: str, k: int, l: int) -> GluedFamily:
     return GluedFamily(chart_fn(k, ZERO), chart_fn(l, INFINITY), gluing_map(family, k, l))
 
 
-def _transition_denominator(gen: Polynomial, gluing: SubstitutionMap, name: str = "l") -> int:
-    """Power of ``name`` cleared from the denominator the transition incurs.
+def _transition_denominator(gen: Polynomial, gluing: SubstitutionMap) -> int:
+    """Power of ``l`` cleared from the denominator the transition incurs.
 
     The gluing sends the base parameter to a unit monomial with negative
     exponent; each generator term of degree d in the parameter passes through
     a denominator of that power times d.
     """
-    img = gluing(name)
+    img = gluing("l")
     (exp,) = img.terms
-    v = exp[img.ring.index(name)]
+    v = exp[img.ring.index("l")]
     if v >= 0:
         return 0
-    i = gen.ring.index(name)
+    i = gen.ring.index("l")
     return max((t[i] * -v for t in gen.terms), default=0)
 
 

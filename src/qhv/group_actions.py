@@ -179,7 +179,7 @@ def _express_in_embedding(q: Polynomial) -> list[Fraction]:
     return [row[6] for row in reduced]
 
 
-def sl2_v4_triple(k: int, ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
+def sl2_v4_triple(k: int) -> Sl2Triple:
     """Triple on (a, .., f) obtained by push-forward through the embedding.
 
     Each image is the derivative of the corresponding coordinate function,
@@ -187,8 +187,7 @@ def sl2_v4_triple(k: int, ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
     """
     if k < 0:
         raise PolyError("twist must be nonnegative")
-    for needed in ("a", "b", "c", "e", "f", "g", "l"):
-        ring.index(needed)
+    ring = F4_CHART_RING
     source = sl2_v2_triple(_XYZ)
     zero = ring.zero()
     dressed_g = ring.monomial(1, {"l": k, "g": 1})

@@ -78,14 +78,11 @@ class Ideal:
 
     __slots__ = ("ring", "generators", "_basis", "_reducers")
 
-    def __init__(self, generators: Sequence[Polynomial], ring: VariableContext | None = None):
+    def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
         if not gens:
             raise PolyError("an ideal needs at least one generator (possibly zero)")
-        rings = {g.ring for g in gens}
-        if ring is not None:
-            rings.add(ring)
-        if len(rings) != 1:
+        if len({g.ring for g in gens}) != 1:
             raise ContextMismatch("ideal generators live in different contexts")
         self.ring = gens[0].ring
         self.generators = gens
@@ -421,21 +418,17 @@ def contains_one(I: Ideal) -> bool:
     return contains(I, I.ring.one())
 
 
-def minimal_generators(polys: Sequence[Polynomial], degree=None) -> list[Polynomial]:
-    """Greedy minimal generating subset, scanning by ascending degree.
+def minimal_generators(polys: Sequence[Polynomial]) -> list[Polynomial]:
+    """Greedy minimal generating subset, scanning by ascending total degree.
 
-    ``degree`` defaults to total degree; pass a callable to rank by a custom
-    grading (for instance one in which a unit-like variable weighs zero).  A
-    candidate already contained in the ideal of the kept ones is dropped.
+    A candidate already contained in the ideal of the kept ones is dropped.
     Deterministic: ties are broken by the context's monomial order on
     leading terms.
     """
     ring = polys[0].ring
-    if degree is None:
-        degree = Polynomial.total_degree
     ordered = sorted(
         (p for p in polys if not p.is_zero()),
-        key=lambda p: (degree(p), ring.monomial_key(p.leading_term()[0])),
+        key=lambda p: (p.total_degree(), ring.monomial_key(p.leading_term()[0])),
     )
     kept: list[Polynomial] = []
     for p in ordered:

@@ -354,14 +354,6 @@ def derivative(p: Polynomial, name: str) -> Polynomial:
     return Polynomial(p.ring, out)
 
 
-def weighted_degree(p: Polynomial, weights: Mapping[str, int]) -> int:
-    """Maximum weighted degree over the terms of p (0 for the zero poly)."""
-    wvec = [weights.get(name, 0) for name in p.ring.names]
-    if not p.terms:
-        return 0
-    return max(sum(e * w for e, w in zip(exp, wvec)) for exp in p.terms)
-
-
 def primitive_integer_form(p: Polynomial) -> Polynomial:
     """Rescale to integer coefficients with content 1 and positive leading sign."""
     if not p.terms:

@@ -151,7 +151,7 @@ class TestDeterminism:
             quadric_k=(1, 3), quadric_l=(1,), f4_k=(0, 1), f4_l=(1,), terminal_n_max=12
         )
         caches = (degenerations.quadric_chart, degenerations.f4_chart,
-                  degenerations.derive_f4_ideal)
+                  degenerations.derive_f4_ideal, degenerations._twist_free_f4_generators)
 
         def checks():
             for suite in cli.SUITES.values():

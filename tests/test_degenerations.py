@@ -2,6 +2,7 @@
 
 import pytest
 
+from qhv import degenerations
 from qhv.degenerations import (
     ConstructionError,
     INFINITY,
@@ -23,7 +24,7 @@ from qhv.degenerations import (
     verify_quotient,
 )
 from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING
-from qhv.ideals import contains
+from qhv.ideals import Ideal, contains, eliminate, equal_up_to_units
 from qhv.polyring import SubstitutionMap, VariableContext
 from linalg_oracle import is_member_up_to
 
@@ -100,6 +101,29 @@ class TestDeriveF4:
             lists.append([rename.apply(g) for g in derive_f4_ideal(k).generators])
         assert all(exp[T.index("l")] == 0 for g in lists[0] for exp in g.terms)
         assert all(entry == lists[0] for entry in lists)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_generates_the_per_twist_kernel(self, k):
+        # eliminate x, y, z from the twist-k graph relations with l invertible
+        P = VariableContext(("x", "y", "z", "a", "b", "c", "e", "f", "g", "l"), invertible={"l"})
+        relations = ["a - x^2", "b - 2*x*y", "c - 2*x*z - y^2", "e - 2*y*z", "f - z^2",
+                     f"l^{k}*g - 4*x*z + y^2"]
+        kernel = eliminate(Ideal([P.parse(r) for r in relations]), {"x", "y", "z"})
+        assert equal_up_to_units(kernel, derive_f4_ideal(k))
+
+    def test_one_elimination_for_all_twists(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return eliminate(*args)
+
+        monkeypatch.setattr(degenerations, "eliminate", counting)
+        degenerations.derive_f4_ideal.cache_clear()
+        degenerations._twist_free_f4_generators.cache_clear()
+        for k in range(4):
+            derive_f4_ideal(k)
+        assert len(calls) == 1
 
 
 class TestGluing:
