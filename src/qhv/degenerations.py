@@ -3,7 +3,10 @@
 A degeneration is covered by two charts over the affine base parameter ``l``;
 each chart carries a defining ideal, a torus scaling and an sl2 triple.  The
 charts glue over the punctured base through ``l -> l^-1`` together with a
-twist of the last projective coordinate by a power of ``l``.  Everything this
+twist of the family's marked coordinate by a power of ``l``.  What tells the
+two families apart is data, in :data:`FAMILIES`: the chart ring, the marked
+coordinate (``w``, or ``g = w^2`` on the F4 quotient), its degree in ``w``
+and the twist rule.  Everything this
 module asserts is an exact polynomial identity:
 
 * the gluing carries one chart ideal to the other up to a unit power of ``l``;
@@ -93,7 +96,63 @@ class GluedFamily:
     gluing: SubstitutionMap
 
 
-# -- quadric charts -----------------------------------------------------------
+# -- chart families -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChartFamily:
+    """One chart family: its ring, the marked coordinate that the twist acts
+    on, that coordinate's degree in w (g = w^2 on the F4 quotient), and its
+    twist rule."""
+
+    ring: VariableContext
+    marked: str
+    degree: int
+    odd_twists: bool  # twists odd and positive, else any nonnegative twist
+
+
+FAMILIES = {
+    "quadric": ChartFamily(QUADRIC_CHART_RING, "w", 1, odd_twists=True),
+    "f4": ChartFamily(F4_CHART_RING, "g", 2, odd_twists=False),
+}
+
+
+def _family(name: str, *twists: int) -> ChartFamily:
+    """The family called ``name``, once every twist has passed its rule."""
+    if name not in FAMILIES:
+        raise ConstructionError(f"unknown family {name!r}")
+    family = FAMILIES[name]
+    if any(k < 0 or family.odd_twists and k % 2 == 0 for k in twists):
+        rule = "odd and positive" if family.odd_twists else "nonnegative"
+        raise ConstructionError(f"{name} twists must be {rule}, got {list(twists)}")
+    return family
+
+
+def _chart(
+    name: str,
+    k: int,
+    chart_id: str,
+    ideal: Callable[[], Ideal],
+    sl2: Callable[[], Sl2Triple],
+) -> ChartModel:
+    """Build one chart and check its ideal against its group data.
+
+    ``ideal`` and ``sl2`` build the chart ideal and the triple once the twist
+    and the chart id are known to be valid.  The torus weighs the marked
+    coordinate -degree*k and l 2 on the zero chart, and the reverse at
+    infinity.
+    """
+    family = _family(name, k)
+    if chart_id not in (ZERO, INFINITY):
+        raise ConstructionError(f"unknown chart id {chart_id!r}")
+    sign = -1 if chart_id == ZERO else 1
+    torus = TorusAction({family.marked: sign * family.degree * k, "l": -2 * sign})
+    chart = ChartModel(name, chart_id, k, ideal(), torus, sl2())
+    if not check_semi_invariance(chart.ideal, torus):
+        raise ConstructionError(f"{name} chart ideal is not torus semi-invariant")
+    if not check_ideal_invariance(chart.ideal, chart.sl2):
+        raise ConstructionError(f"{name} chart ideal is not sl2 invariant")
+    return chart
 
 
 def quadric_generator(k: int) -> Polynomial:
@@ -102,39 +161,10 @@ def quadric_generator(k: int) -> Polynomial:
     return convert_context(QUADRIC_INVARIANT, ring) - ring.monomial(1, {"l": k, "w": 2})
 
 
-def _chart_torus(family: str, twist: int, chart_id: str) -> TorusAction:
-    if family == "quadric":
-        scaled, unit = "w", twist
-    else:
-        scaled, unit = "g", 2 * twist
-    if chart_id == ZERO:
-        return TorusAction({scaled: -unit, "l": 2})
-    return TorusAction({scaled: unit, "l": -2})
-
-
-def _checked_chart(family, chart_id, twist, ideal, torus, sl2) -> ChartModel:
-    if not check_semi_invariance(ideal, torus):
-        raise ConstructionError(f"{family} chart ideal is not torus semi-invariant")
-    if not check_ideal_invariance(ideal, sl2):
-        raise ConstructionError(f"{family} chart ideal is not sl2 invariant")
-    return ChartModel(family, chart_id, twist, ideal, torus, sl2)
-
-
 @lru_cache(maxsize=None)
 def quadric_chart(k: int, chart_id: str = ZERO) -> ChartModel:
     """Chart of the quadric degeneration; the twist must be odd and positive."""
-    if chart_id not in (ZERO, INFINITY):
-        raise ConstructionError(f"unknown chart id {chart_id!r}")
-    if k <= 0 or k % 2 == 0:
-        raise ConstructionError(f"quadric charts require an odd positive twist, got {k}")
-    return _checked_chart(
-        "quadric",
-        chart_id,
-        k,
-        Ideal([quadric_generator(k)]),
-        _chart_torus("quadric", k, chart_id),
-        sl2_v2_triple(),
-    )
+    return _chart("quadric", k, chart_id, lambda: Ideal([quadric_generator(k)]), sl2_v2_triple)
 
 
 # -- the F4 chart ideal, derived by elimination -------------------------------
@@ -201,18 +231,7 @@ def derive_f4_ideal(k: int) -> Ideal:
 @lru_cache(maxsize=None)
 def f4_chart(k: int, chart_id: str = ZERO) -> ChartModel:
     """Chart of the F4 degeneration; any twist >= 0 is allowed."""
-    if chart_id not in (ZERO, INFINITY):
-        raise ConstructionError(f"unknown chart id {chart_id!r}")
-    if k < 0:
-        raise ConstructionError(f"F4 charts require a nonnegative twist, got {k}")
-    return _checked_chart(
-        "f4",
-        chart_id,
-        k,
-        derive_f4_ideal(k),
-        _chart_torus("f4", k, chart_id),
-        sl2_v4_triple(k),
-    )
+    return _chart("f4", k, chart_id, lambda: derive_f4_ideal(k), sl2_v4_triple)
 
 
 def reference_f4_generators(k: int) -> list[Polynomial]:
@@ -258,35 +277,17 @@ def adjudicate_f4_generators(k: int) -> dict:
     """
     derived = derive_f4_ideal(k)
     reference = reference_f4_generators(k)
-    rows = [
-        {
-            "source": "reference",
-            "index": i,
-            "generator": str(p),
-            "member": contains(derived, p),
-        }
-        for i, p in enumerate(reference)
-    ]
-    if k == 1:
-        rows += [
-            {
-                "source": "variant",
-                "index": i,
-                "generator": str(p),
-                "member": contains(derived, p),
-            }
-            for i, p in enumerate(variant_f4_generators())
+
+    def rows_for(source: str, polys: list[Polynomial], ideal: Ideal) -> list[dict]:
+        return [
+            {"source": source, "index": i, "generator": str(p), "member": contains(ideal, p)}
+            for i, p in enumerate(polys)
         ]
-    reference_ideal = Ideal(reference)
-    rows += [
-        {
-            "source": "derived",
-            "index": i,
-            "generator": str(p),
-            "member": contains(reference_ideal, p),
-        }
-        for i, p in enumerate(derived.generators)
-    ]
+
+    rows = rows_for("reference", reference, derived)
+    if k == 1:
+        rows += rows_for("variant", variant_f4_generators(), derived)
+    rows += rows_for("derived", derived.generators, Ideal(reference))
     matched = all(r["member"] for r in rows if r["source"] in ("reference", "derived"))
     return {"twist": k, "matched": matched, "rows": rows}
 
@@ -297,34 +298,21 @@ def adjudicate_f4_generators(k: int) -> dict:
 def gluing_map(family: str, k: int, l: int) -> SubstitutionMap:
     """Chart transition: l -> l^-1 and the marked coordinate twisted by l.
 
-    Quadric family: w -> w l^((k+l)/2), requiring both twists odd.
-    F4 family: g -> g l^(k+l), any nonnegative twists.
+    The marked coordinate goes to itself times l^(degree (k+l)/2): w -> w
+    l^((k+l)/2) on the quadric family, g -> g l^(k+l) on the F4 family.
     """
-    if family == "quadric":
-        if k % 2 == 0 or l % 2 == 0 or k <= 0 or l <= 0:
-            raise ConstructionError(
-                f"quadric gluing requires odd positive twists, got ({k}, {l})"
-            )
-        ring = QUADRIC_CHART_RING
-        twisted = {"w": ring.monomial(1, {"w": 1, "l": (k + l) // 2})}
-    elif family == "f4":
-        if k < 0 or l < 0:
-            raise ConstructionError(f"F4 gluing requires nonnegative twists, got ({k}, {l})")
-        ring = F4_CHART_RING
-        twisted = {"g": ring.monomial(1, {"g": 1, "l": k + l})}
-    else:
-        raise ConstructionError(f"unknown family {family!r}")
+    fam = _family(family, k, l)
+    ring = fam.ring
     images = {n: ring.var(n) for n in ring.names}
-    images.update(twisted)
+    images[fam.marked] = ring.monomial(1, {fam.marked: 1, "l": fam.degree * (k + l) // 2})
     images["l"] = ring.monomial(1, {"l": -1})
     return SubstitutionMap(ring, ring, images)
 
 
 def glued_family(family: str, k: int, l: int) -> GluedFamily:
-    chart_fn: Callable[[int, str], ChartModel] = (
-        quadric_chart if family == "quadric" else f4_chart
-    )
-    return GluedFamily(chart_fn(k, ZERO), chart_fn(l, INFINITY), gluing_map(family, k, l))
+    gluing = gluing_map(family, k, l)
+    chart = {"quadric": quadric_chart, "f4": f4_chart}[family]
+    return GluedFamily(chart(k, ZERO), chart(l, INFINITY), gluing)
 
 
 def _transition_denominator(gen: Polynomial, gluing: SubstitutionMap) -> int:

@@ -20,14 +20,17 @@ it is pushed forward through the quadratic embedding
 
     a = x^2, b = 2xy, c = 2xz + y^2, e = 2yz, f = z^2, g = l^-k (4xz - y^2)
 
-by differentiating each coordinate function and re-expressing the result as a
-linear form in (a, .., f, l^k g).
+by differentiating each coordinate function and re-expressing the result in
+the basis (a, .., f, 4xz - y^2) of the quadrics.  The components (a, .., f)
+span an sl2-stable summand, so the coordinate on the invariant 4xz - y^2 is
+zero; it is checked, and the triple is the same for every twist k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from . import ideals
@@ -37,6 +40,7 @@ from .polyring import (
     Polynomial,
     SubstitutionMap,
     VariableContext,
+    derivative,
     weight_of,
 )
 
@@ -65,22 +69,14 @@ class Derivation:
 
 
 def apply(D: Derivation, p: Polynomial) -> Polynomial:
-    """Leibniz extension of D applied to p; valid on Laurent exponents."""
+    """Leibniz extension of D applied to p: the sum over the variables v of
+    dp/dv * D(v); valid on Laurent exponents."""
     if p.ring != D.ring:
         raise PolyError("polynomial does not live in the derivation's ring")
-    ring = D.ring
-    result = ring.zero()
-    for exp, coeff in p.terms.items():
-        for i, name in enumerate(ring.names):
-            e = exp[i]
-            if e == 0:
-                continue
-            img = D.images[name]
-            if img.is_zero():
-                continue
-            lowered = exp[:i] + (e - 1,) + exp[i + 1 :]
-            factor = Polynomial(ring, {lowered: coeff * e})
-            result = result + factor * img
+    result = D.ring.zero()
+    for name, img in D.images.items():
+        if not img.is_zero():
+            result = result + derivative(p, name) * img
     return result
 
 
@@ -126,10 +122,12 @@ def _scale(D: Derivation, c) -> Derivation:
 # -- the concrete triples ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def sl2_v2_triple(ring: VariableContext = QUADRIC_CHART_RING) -> Sl2Triple:
     """The standard triple on (x, y, z), all other ring variables fixed.
 
     E and F annihilate 4xz - y^2, H has weights (-2, 0, 2) on (x, y, z).
+    Built once per ring.
     """
     for needed in ("x", "y", "z"):
         ring.index(needed)
@@ -179,27 +177,29 @@ def _express_in_embedding(q: Polynomial) -> list[Fraction]:
     return [row[6] for row in reduced]
 
 
-def sl2_v4_triple(k: int) -> Sl2Triple:
+@lru_cache(maxsize=None)
+def sl2_v4_triple() -> Sl2Triple:
     """Triple on (a, .., f) obtained by push-forward through the embedding.
 
     Each image is the derivative of the corresponding coordinate function,
-    re-expressed as a linear form in (a, .., f, l^k g); g and l map to 0.
+    re-expressed as a linear form in (a, .., f); g and l map to 0.  The
+    components span the sl2-stable summand V4 of the quadrics, so no image
+    has an invariant coordinate; one that has raises.  Built once per
+    process, on first use, whatever the twist of the chart it serves.
     """
-    if k < 0:
-        raise PolyError("twist must be nonnegative")
     ring = F4_CHART_RING
     source = sl2_v2_triple(_XYZ)
     zero = ring.zero()
-    dressed_g = ring.monomial(1, {"l": k, "g": 1})
 
     def push(D: Derivation) -> Derivation:
         images = {n: zero for n in ring.names}
         for name, component in EMBEDDING_COMPONENTS.items():
-            coords = _express_in_embedding(apply(D, component))
+            *coords, invariant = _express_in_embedding(apply(D, component))
+            if invariant != 0:
+                raise PolyError(f"image of {name!r} leaves the span of (a, .., f)")
             img = ring.zero()
-            for coeff, target in zip(coords, ("a", "b", "c", "e", "f")):
+            for coeff, target in zip(coords, EMBEDDING_COMPONENTS):
                 img = img + ring.var(target) * coeff
-            img = img + dressed_g * coords[5]
             images[name] = img
         return Derivation(ring, images)
 

@@ -254,12 +254,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "Polynomial":
-        c = Fraction(scalar)
-        if c == 0:
-            raise ZeroDivisionError("division of a polynomial by zero")
-        return Polynomial(self.ring, {e: v / c for e, v in self.terms.items()})
-
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int):
             raise PolyError("polynomial powers must be integers")

@@ -8,6 +8,12 @@ Two lattice families carry all the intersection arithmetic used here:
   surface blown up in r <= 2 general points; f1.f2 = 1, fi.fi = 0,
   ei.ei = -1, mixed products 0.
 
+Each :class:`Lattice` carries its data: the Gram matrix on the coordinates,
+the coordinates of -K, and the name and printed sign of each basis class.
+The form, -K and the printing read that data; the box scans evaluate the
+form on coordinate tuples and build a :class:`DivisorClass` only for the
+classes they keep.
+
 On top of the lattices: enumeration of (-1)-classes, the case analysis that
 exhibits a curve meeting a candidate divisor trace nonpositively (the
 homology-lemma contradiction), and a combinatorial model of twisted
@@ -20,8 +26,8 @@ walks these states back to the trivial bundle, one fiber index per step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Literal, Sequence
 
 HIRZEBRUCH = "hirzebruch"
 QUADRIC_BLOWUP = "quadric_blowup"
@@ -33,30 +39,62 @@ class LatticeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Lattice:
+    """An intersection lattice, described by its data.
+
+    ``gram`` is the intersection form on the coordinate basis, ``minus_k``
+    the coordinates of the anticanonical class, and a class prints as the
+    sum of its coordinates times ``signs`` times ``names``.
+    """
+
     kind: str
     param: int  # base index n, or number of blown-up points r
+    gram: tuple[tuple[int, ...], ...]
+    minus_k: tuple[int, ...]
+    names: tuple[str, ...]
+    signs: tuple[int, ...]
+    _entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == HIRZEBRUCH:
-            if self.param < 0:
-                raise ValueError("hirzebruch index must be >= 0")
-        elif self.kind == QUADRIC_BLOWUP:
-            if self.param not in (0, 1, 2):
-                raise ValueError("quadric blow-ups are modeled for r in {0, 1, 2}")
-        else:
-            raise ValueError(f"unknown lattice kind {self.kind!r}")
+        # the form sums over the nonzero Gram entries only: the scans call it
+        # on every class of their box
+        entries = tuple(
+            (i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g
+        )
+        object.__setattr__(self, "_entries", entries)
 
     @property
     def rank(self) -> int:
-        return 2 + (self.param if self.kind == QUADRIC_BLOWUP else 0)
+        return len(self.names)
+
+    def form(self, u: Sequence[int], v: Sequence[int]) -> int:
+        """The intersection form on coordinate tuples."""
+        return sum(g * u[i] * v[j] for i, j, g in self._entries)
 
 
 def hirzebruch(n: int) -> Lattice:
-    return Lattice(HIRZEBRUCH, n)
+    """Classes a C0 + b F with coordinates (a, b)."""
+    if n < 0:
+        raise ValueError("hirzebruch index must be >= 0")
+    return Lattice(HIRZEBRUCH, n, ((-n, 1), (1, 0)), (2, n + 2), ("C0", "F"), (1, 1))
 
 
 def quadric_blowup(r: int) -> Lattice:
-    return Lattice(QUADRIC_BLOWUP, r)
+    """Classes p f1 + q f2 - sum(mi ei) with coordinates (p, q, m1, .., mr)."""
+    if r not in (0, 1, 2):
+        raise ValueError("quadric blow-ups are modeled for r in {0, 1, 2}")
+    rank = 2 + r
+    gram = [[0] * rank for _ in range(rank)]
+    gram[0][1] = gram[1][0] = 1
+    for i in range(2, rank):
+        gram[i][i] = -1
+    return Lattice(
+        QUADRIC_BLOWUP,
+        r,
+        tuple(map(tuple, gram)),
+        (2, 2) + (1,) * r,
+        ("f1", "f2") + tuple(f"e{i + 1}" for i in range(r)),
+        (1, 1) + (-1,) * r,
+    )
 
 
 @dataclass(frozen=True)
@@ -77,14 +115,8 @@ class DivisorClass:
         return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __str__(self):
-        if self.lattice.kind == HIRZEBRUCH:
-            names = ["C0", "F"]
-            signs = [1, 1]
-        else:
-            names = ["f1", "f2"] + [f"e{i + 1}" for i in range(self.lattice.param)]
-            signs = [1, 1] + [-1] * self.lattice.param
         pieces = []
-        for value, name, sign in zip(self.coords, names, signs):
+        for value, name, sign in zip(self.coords, self.lattice.names, self.lattice.signs):
             v = value * sign
             if v == 0:
                 continue
@@ -100,33 +132,20 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     """Value of the lattice intersection form."""
     if d1.lattice != d2.lattice:
         raise LatticeMismatch("classes live in different lattices")
-    lat = d1.lattice
-    if lat.kind == HIRZEBRUCH:
-        (a1, b1), (a2, b2) = d1.coords, d2.coords
-        return a1 * b2 + a2 * b1 - lat.param * a1 * a2
-    p1, q1, *m1 = d1.coords
-    p2, q2, *m2 = d2.coords
-    return p1 * q2 + p2 * q1 - sum(x * y for x, y in zip(m1, m2))
+    return d1.lattice.form(d1.coords, d2.coords)
 
 
 def anticanonical(lat: Lattice) -> DivisorClass:
-    if lat.kind == HIRZEBRUCH:
-        return DivisorClass(lat, (2, lat.param + 2))
-    return DivisorClass(lat, (2, 2) + (1,) * lat.param)
-
-
-def _classes_in_box(lat: Lattice, bound: int) -> Iterable[DivisorClass]:
-    for coords in itertools.product(range(-bound, bound + 1), repeat=lat.rank):
-        yield DivisorClass(lat, coords)
+    return DivisorClass(lat, lat.minus_k)
 
 
 def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     """All classes with self-intersection -1 meeting the anticanonical in 1.
 
-    Brute-force enumeration over coordinates bounded by ``bound``.  On the
-    quadric blow-ups the default bound 3 is exhaustive.  Write
-    D = p f1 + q f2 - sum(mi ei); then D.D = 2pq - sum(mi^2) = -1 and
-    -K.D = 2p + 2q - sum(mi) = 1, so:
+    Brute-force enumeration over coordinates bounded by ``bound``, in
+    coordinate order.  On the quadric blow-ups the default bound 3 is
+    exhaustive.  Write D = p f1 + q f2 - sum(mi ei); then
+    D.D = 2pq - sum(mi^2) = -1 and -K.D = 2p + 2q - sum(mi) = 1, so:
 
     * r = 0: 2pq = -1 has no integer solution;
     * r = 1: m = 2p + 2q - 1 gives t^2 = s (8 - 7s) with s = p + q,
@@ -137,14 +156,12 @@ def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
 
     Acceptance criterion 9 checks that bounds 3 and 6 give the same classes.
     """
-    minus_k = anticanonical(lat)
-    found = [
-        d
-        for d in _classes_in_box(lat, bound)
-        if intersect(d, d) == -1 and intersect(d, minus_k) == 1
+    form, minus_k = lat.form, lat.minus_k
+    return [
+        DivisorClass(lat, d)
+        for d in itertools.product(range(-bound, bound + 1), repeat=lat.rank)
+        if form(d, minus_k) == 1 and form(d, d) == -1
     ]
-    found.sort(key=lambda d: d.coords)
-    return found
 
 
 def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
@@ -152,37 +169,30 @@ def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass
 
     Hirzebruch: C0, F, and a C0 + b F with a >= 1 and b >= n a (b >= 0 when
     n = 0).  Blow-ups of the quadric: the (-1)-classes together with the
-    classes of nonnegative bidegree meeting every (-1)-class and both rulings
+    classes of nonnegative bidegree (p, q) != (0, 0) meeting every (-1)-class
     nonnegatively with square >= 0 (a nef class with positive anticanonical
-    degree moves in an irreducible family on these del Pezzo surfaces).
+    degree moves in an irreducible family on these del Pezzo surfaces).  Such
+    a class meets the rulings f1 and f2 in q and p, so it meets them
+    nonnegatively too.  Classes come in coordinate order.
     """
-    out: list[DivisorClass] = []
+    span = range(bound + 1)
     if lat.kind == HIRZEBRUCH:
         n = lat.param
-        for a, b in itertools.product(range(0, bound + 1), repeat=2):
-            if (a, b) in ((1, 0), (0, 1)):
-                out.append(DivisorClass(lat, (a, b)))  # the section C0 and a fiber
-            elif a >= 1 and b >= n * a:
-                out.append(DivisorClass(lat, (a, b)))
-        out.sort(key=lambda d: d.coords)
-        return out
-    exceptional = minus_one_curves(lat, bound)
-    out.extend(exceptional)
-    fibers = [DivisorClass(lat, (1, 0) + (0,) * lat.param), DivisorClass(lat, (0, 1) + (0,) * lat.param)]
-    for d in _classes_in_box(lat, bound):
-        p, q = d.coords[:2]
-        if p < 0 or q < 0 or (p, q) == (0, 0):
-            continue
-        if intersect(d, d) < 0:
-            continue
-        if any(intersect(d, e) < 0 for e in exceptional):
-            continue
-        if any(intersect(d, f) < 0 for f in fibers):
-            continue
-        if d not in out:
-            out.append(d)
-    out.sort(key=lambda d: d.coords)
-    return out
+        return [
+            DivisorClass(lat, (a, b))
+            for a, b in itertools.product(span, span)
+            if (a, b) in ((1, 0), (0, 1)) or a >= 1 and b >= n * a
+        ]
+    form = lat.form
+    exceptional = [d.coords for d in minus_one_curves(lat, bound)]
+    nef = [
+        d
+        for d in itertools.product(span, span, *[range(-bound, bound + 1)] * lat.param)
+        if d[:2] != (0, 0)
+        and form(d, d) >= 0
+        and all(form(d, e) >= 0 for e in exceptional)
+    ]
+    return [DivisorClass(lat, d) for d in sorted(exceptional + nef)]
 
 
 def homology_lemma_cases(fiber: Literal["sigma1", "blowup1", "blowup2"], bound: int = 3) -> dict:

@@ -115,7 +115,7 @@ def test_criterion_03_sl2_stability():
                 ok = ok and normal_form(apply(D, g), I).is_zero()
     for k in F4_TWISTS:
         I = f4_chart(k).ideal
-        T = sl2_v4_triple(k)
+        T = sl2_v4_triple()
         for D in T.operators():
             for g in I.generators:
                 ok = ok and normal_form(apply(D, g), I).is_zero()
@@ -334,7 +334,7 @@ def test_criterion_11_engine_soundness():
         checked += 1
 
     # Leibniz and bracket relations on monomials
-    v2, v4 = sl2_v2_triple(), sl2_v4_triple(1)
+    v2, v4 = sl2_v2_triple(), sl2_v4_triple()
     ok = ok and brackets_hold_on_monomials(v2, degree=4)
     ok = ok and brackets_hold_on_monomials(v4, degree=4)
     small = monomials_up_to_degree(QUADRIC_CHART_RING, 2)

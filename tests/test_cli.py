@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qhv import cli, degenerations, ideals
+from qhv import cli, degenerations, group_actions, ideals
 
 
 def run_cli(capsys, *argv):
@@ -151,7 +151,8 @@ class TestDeterminism:
             quadric_k=(1, 3), quadric_l=(1,), f4_k=(0, 1), f4_l=(1,), terminal_n_max=12
         )
         caches = (degenerations.quadric_chart, degenerations.f4_chart,
-                  degenerations.derive_f4_ideal, degenerations._twist_free_f4_generators)
+                  degenerations.derive_f4_ideal, degenerations._twist_free_f4_generators,
+                  group_actions.sl2_v2_triple, group_actions.sl2_v4_triple)
 
         def checks():
             for suite in cli.SUITES.values():

@@ -50,6 +50,8 @@ class TestCharts:
         assert all(exp[l] == 0 for g in chart.ideal.generators for exp in g.terms)
         with pytest.raises(ConstructionError):
             f4_chart(-1, ZERO)
+        with pytest.raises(ConstructionError, match="unknown chart id"):
+            f4_chart(1, "middle")
 
     def test_f4_chart_contains_recorded_generators(self):
         gens = set(map(str, f4_chart(1, ZERO).ideal.generators))
@@ -139,7 +141,18 @@ class TestGluing:
         with pytest.raises(ConstructionError):
             gluing_map("quadric", 2, 2)
         with pytest.raises(ConstructionError):
+            gluing_map("quadric", 1, 2)
+        with pytest.raises(ConstructionError):
             gluing_map("f4", -1, 0)
+
+    def test_unknown_family_rejected_before_any_chart(self, monkeypatch):
+        def no_chart(*args):
+            raise AssertionError("a chart was built")
+
+        for name in ("quadric_chart", "f4_chart"):
+            monkeypatch.setattr(degenerations, name, no_chart)
+        with pytest.raises(ConstructionError, match="unknown family"):
+            glued_family("p3", 1, 1)
 
     def test_quadric_gluing_3_1(self):
         fam = glued_family("quadric", 3, 1)

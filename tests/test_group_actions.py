@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qhv import group_actions
 from qhv.group_actions import (
     F4_CHART_RING,
     QUADRIC_CHART_RING,
@@ -93,7 +94,7 @@ class TestSl2Triples:
 
     def test_brackets_on_monomials_degree_4(self):
         assert brackets_hold_on_monomials(sl2_v2_triple(), degree=4)
-        assert brackets_hold_on_monomials(sl2_v4_triple(1), degree=4)
+        assert brackets_hold_on_monomials(sl2_v4_triple(), degree=4)
 
     def test_monomial_enumeration_count(self):
         ring = VariableContext(("x", "y", "z"))
@@ -102,7 +103,7 @@ class TestSl2Triples:
     def test_v4_pushforward_images(self):
         # frozen from the Leibniz push-forward through the embedding:
         # E(a)=E(x^2)=2x y = b, E(b)=2(y^2+2xz)=2c, E(c)=6yz=3e, E(e)=4z^2=4f
-        T = sl2_v4_triple(1)
+        T = sl2_v4_triple()
         F4 = F4_CHART_RING
         assert T.E.images["a"] == F4.parse("b")
         assert T.E.images["b"] == F4.parse("2*c")
@@ -116,16 +117,28 @@ class TestSl2Triples:
         assert T.H.images["a"] == F4.parse("-4*a")
         assert T.H.images["f"] == F4.parse("4*f")
 
-    def test_singular_embedding_basis_rejected(self, monkeypatch):
-        # a basis in which the invariant repeats x^2 spans only five dimensions
-        from qhv import group_actions
+    @pytest.fixture
+    def uncached_v4(self):
+        # the triple is cached per process; a patched embedding must rebuild it
+        sl2_v4_triple.cache_clear()
+        yield
+        sl2_v4_triple.cache_clear()
 
+    def test_singular_embedding_basis_rejected(self, monkeypatch, uncached_v4):
+        # a basis in which the invariant repeats x^2 spans only five dimensions
         monkeypatch.setattr(group_actions, "QUADRIC_INVARIANT", group_actions._XYZ.parse("x^2"))
         with pytest.raises(PolyError, match="singular re-expression system"):
-            sl2_v4_triple(1)
+            sl2_v4_triple()
+
+    def test_invariant_coordinate_rejected(self, monkeypatch, uncached_v4):
+        # with c = y^2 the components no longer span an sl2-stable summand:
+        # E(2xy) = 2y^2 + 4xz = 3c + (4xz - y^2) has invariant coordinate 1
+        monkeypatch.setitem(group_actions.EMBEDDING_COMPONENTS, "c", group_actions._XYZ.parse("y^2"))
+        with pytest.raises(PolyError, match="leaves the span"):
+            sl2_v4_triple()
 
     def test_v4_kills_dressed_coordinate(self):
-        T = sl2_v4_triple(2)
+        T = sl2_v4_triple()
         for D in T.operators():
             assert D.images["g"].is_zero()
             assert D.images["l"].is_zero()
@@ -135,7 +148,7 @@ class TestSl2Triples:
         # defining property of the push-forward: D' then substitute equals
         # substitute then D, for every chart coordinate
         phi = embedding_substitution(k)
-        T4 = sl2_v4_triple(k)
+        T4 = sl2_v4_triple()
         T2 = sl2_v2_triple()
         for D4, D2 in zip(T4.operators(), T2.operators()):
             for name in F4_CHART_RING.names:
@@ -158,7 +171,7 @@ class TestInvarianceChecks:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_derived_f4_ideal_invariant(self, k):
-        assert check_ideal_invariance(derive_f4_ideal(k), sl2_v4_triple(k))
+        assert check_ideal_invariance(derive_f4_ideal(k), sl2_v4_triple())
 
     def test_quadric_semi_invariance(self):
         I = Ideal([quadric_generator(3)])

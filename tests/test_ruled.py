@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -49,9 +50,22 @@ class TestIntersectionForm:
 
     def test_symmetry_and_integrality_exhaustive(self):
         # exhaustive over [-3, 3] coordinates on the rank-2 and rank-3
-        # lattices; the rank-4 box is exhausted on [-2, 2] plus a random
-        # [-3, 3] sample to keep the run fast
-        for lat in (hirzebruch(0), hirzebruch(3), quadric_blowup(1)):
+        # lattices, against the written-out forms a1 b2 + a2 b1 - n a1 a2
+        # and p1 q2 + p2 q1 - sum(mi mi'); the rank-4 box is exhausted on
+        # [-2, 2] plus a random [-3, 3] sample to keep the run fast
+        def hirzebruch_form(n, u, v):
+            (a1, b1), (a2, b2) = u, v
+            return a1 * b2 + a2 * b1 - n * a1 * a2
+
+        def blowup_form(u, v):
+            (p1, q1, *m1), (p2, q2, *m2) = u, v
+            return p1 * q2 + p2 * q1 - sum(x * y for x, y in zip(m1, m2))
+
+        for lat, written in (
+            (hirzebruch(0), partial(hirzebruch_form, 0)),
+            (hirzebruch(3), partial(hirzebruch_form, 3)),
+            (quadric_blowup(1), blowup_form),
+        ):
             box = [
                 DivisorClass(lat, c)
                 for c in itertools.product(range(-3, 4), repeat=lat.rank)
@@ -61,6 +75,7 @@ class TestIntersectionForm:
                     v = intersect(d1, d2)
                     assert isinstance(v, int)
                     assert v == intersect(d2, d1)
+                    assert v == written(d1.coords, d2.coords)
         lat = quadric_blowup(2)
         inner = [
             DivisorClass(lat, c)
@@ -74,6 +89,7 @@ class TestIntersectionForm:
         for d1 in inner:
             for d2 in outer:
                 assert intersect(d1, d2) == intersect(d2, d1)
+                assert intersect(d1, d2) == blowup_form(d1.coords, d2.coords)
 
     def test_lattice_mismatch(self):
         with pytest.raises(LatticeMismatch):
