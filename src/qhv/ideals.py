@@ -39,6 +39,7 @@ from .polyring import (
     VariableContext,
     derivative,
     elimination_order,
+    map_exponents,
     strip_unit_content,
 )
 
@@ -326,22 +327,17 @@ def equal_up_to_units(I: Ideal, J: Ideal) -> bool:
 
 
 def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:
-    """Rewrite p in a context that contains all variables in its support."""
-    positions = []
-    for i, name in enumerate(p.ring.names):
-        if any(exp[i] for exp in p.terms):
-            positions.append((i, target.index(name)))
-        else:
-            positions.append((i, target.index(name) if name in target.names else -1))
-    width = len(target.names)
-    out = {}
-    for exp, c in p.terms.items():
-        nexp = [0] * width
-        for i, j in positions:
-            if exp[i]:
-                nexp[j] = exp[i]
-        out[tuple(nexp)] = c
-    return Polynomial(target, out)
+    """Rewrite p in a context that contains all variables in its support.
+
+    The renaming is the monomial map sending each variable to its namesake,
+    applied on exponents.
+    """
+    images = [
+        (i, None, ((target.index(name), 1),))  # index raises for a missing variable
+        for i, name in enumerate(p.ring.names)
+        if name in target.names or any(exp[i] for exp in p.terms)
+    ]
+    return Polynomial(target, map_exponents(p.terms, images, len(target.names)))
 
 
 def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -383,6 +383,38 @@ def weight_of(p: Polynomial, weights: Mapping[str, int]) -> int:
 
 # -- substitution -----------------------------------------------------------
 
+#: Where a monomial map sends one source variable: the variable's index, the
+#: image's coefficient (``None`` for 1) and the image's exponent as sparse
+#: ``(target index, power)`` pairs.
+MonomialImage = tuple[int, Fraction | None, tuple[tuple[int, int], ...]]
+
+
+def map_exponents(
+    terms: Mapping[Exponent, Fraction], images: Sequence[MonomialImage], width: int
+) -> dict[Exponent, Fraction]:
+    """Terms under a monomial map, computed on exponents.
+
+    A term ``c x^e`` goes to ``c prod(c_i^e_i)`` at the exponent
+    ``sum(e_i exp_i)``, where ``c_i x^exp_i`` is the image of the i-th
+    variable; ``width`` is the number of target variables.  A variable with
+    no entry in ``images`` must not occur.  Terms that land on one exponent
+    are added, so the result may hold zero coefficients, which
+    :class:`Polynomial` drops.
+    """
+    out: dict[Exponent, Fraction] = {}
+    for exp, c in terms.items():
+        nexp = [0] * width
+        for i, ci, image in images:
+            e = exp[i]
+            if e:
+                if ci is not None:
+                    c = c * ci ** e
+                for j, v in image:
+                    nexp[j] += e * v
+        key = tuple(nexp)
+        out[key] = out[key] + c if key in out else c
+    return out
+
 
 @dataclass(frozen=True)
 class SubstitutionMap:
@@ -396,6 +428,10 @@ class SubstitutionMap:
     source: VariableContext
     target: VariableContext
     assignments: Mapping[str, Polynomial] = field(hash=False)
+    #: the map on exponents when every image is a single term, else None
+    _monomial: tuple[MonomialImage, ...] | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "assignments", dict(self.assignments))
@@ -416,13 +452,36 @@ class SubstitutionMap:
                     f"invertible variable {name!r} must map to a unit monomial, got "
                     f"{format_polynomial(img)}"
                 )
+        if all(len(img.terms) == 1 for img in self.assignments.values()):
+            monomial = []
+            for i, name in enumerate(self.source.names):
+                ((exp, coeff),) = self.assignments[name].terms.items()
+                image = tuple((j, v) for j, v in enumerate(exp) if v)
+                monomial.append((i, None if coeff == 1 else coeff, image))
+            object.__setattr__(self, "_monomial", tuple(monomial))
 
     def __call__(self, name: str) -> Polynomial:
         return self.assignments[name]
 
     def apply(self, p: Polynomial) -> Polynomial:
+        """The image of p under the substitution.
+
+        When every image is a single term, the map is applied on exponents
+        by :func:`map_exponents` and no polynomial is multiplied.  Otherwise
+        each term is expanded as a product of powers of the images.  Either
+        way a negative exponent that lands on a non-invertible target
+        variable raises :class:`PolyError`.
+        """
         if p.ring != self.source:
             raise ContextMismatch("polynomial does not live in the substitution source")
+        if self._monomial is not None:
+            return Polynomial(
+                self.target, map_exponents(p.terms, self._monomial, len(self.target.names))
+            )
+        return self._expand(p)
+
+    def _expand(self, p: Polynomial) -> Polynomial:
+        """The generic route: every term as a product of powers of the images."""
         powers: dict[str, dict[int, Polynomial]] = {n: {} for n in self.source.names}
 
         def power(name: str, e: int) -> Polynomial:

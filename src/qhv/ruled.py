@@ -135,10 +135,6 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     return d1.lattice.form(d1.coords, d2.coords)
 
 
-def anticanonical(lat: Lattice) -> DivisorClass:
-    return DivisorClass(lat, lat.minus_k)
-
-
 def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     """All classes with self-intersection -1 meeting the anticanonical in 1.
 

@@ -39,7 +39,6 @@ from qhv.ruled import (
     E0,
     EINF,
     DivisorClass,
-    anticanonical,
     construct_twisted,
     figure1_normalize,
     homology_lemma_cases,
@@ -228,7 +227,7 @@ def test_criterion_09_lattice_analysis():
     conic = DivisorClass(lat2, (1, 1, 1, 1))
     conic_ok = (
         intersect(conic, conic) == 0
-        and intersect(conic, anticanonical(lat2)) == 2
+        and intersect(conic, DivisorClass(lat2, lat2.minus_k)) == 2
         and conic not in minus_one_curves(lat2)
     )
     lat = quadric_blowup(1)

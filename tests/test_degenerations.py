@@ -1,5 +1,7 @@
 """Chart construction, gluing, adjudication, quotient and singular loci."""
 
+import dataclasses
+
 import pytest
 
 from qhv import degenerations
@@ -176,6 +178,61 @@ class TestGluing:
     @pytest.mark.parametrize("pair", [(1, 3), (5, 1), (3, 3)])
     def test_quadric_gluing_range(self, pair):
         assert verify_gluing(glued_family("quadric", *pair))["passed"]
+
+
+def _counting_fallback(monkeypatch) -> list:
+    calls = []
+
+    def counting(I, J):
+        calls.append((I, J))
+        return equal_up_to_units(I, J)
+
+    monkeypatch.setattr(degenerations, "equal_up_to_units", counting)
+    return calls
+
+
+def _with_infinity_generators(fam, generators):
+    chart_inf = dataclasses.replace(fam.chart_inf, ideal=Ideal(generators))
+    return dataclasses.replace(fam, chart_inf=chart_inf)
+
+
+class TestGluingCertificate:
+    """The ``equal_up_to_units`` fallback; the literal match is tested on
+    every gluing of ``qhv all`` in test_cli."""
+
+    def test_permuted_presentation_passes_through_the_fallback(self, monkeypatch):
+        fam = glued_family("f4", 2, 3)
+        permuted = _with_infinity_generators(fam, fam.chart_inf.ideal.generators[::-1])
+        calls = _counting_fallback(monkeypatch)
+        assert verify_gluing(permuted)["passed"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family, k, l", [("quadric", 3, 5), ("f4", 1, 2)])
+    def test_rescaled_presentation_passes_through_the_fallback(self, monkeypatch, family, k, l):
+        fam = glued_family(family, k, l)
+        ring = fam.chart_inf.ideal.ring
+        rescaled = [
+            ring.monomial(1, {"l": m + 1}) * g for m, g in enumerate(fam.chart_inf.ideal.generators)
+        ]
+        calls = _counting_fallback(monkeypatch)
+        assert verify_gluing(_with_infinity_generators(fam, rescaled))["passed"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family, k, l", [("quadric", 3, 1), ("f4", 1, 2)])
+    def test_wrong_twist_exponent_fails(self, monkeypatch, family, k, l):
+        # the marked coordinate twisted by l^(degree (k+l+2)/2) instead of
+        # l^(degree (k+l)/2)
+        fam = glued_family(family, k, l)
+        spec = degenerations.FAMILIES[family]
+        ring = spec.ring
+        images = dict(fam.gluing.assignments)
+        images[spec.marked] = ring.monomial(
+            1, {spec.marked: 1, "l": spec.degree * (k + l + 2) // 2}
+        )
+        wrong = dataclasses.replace(fam, gluing=SubstitutionMap(ring, ring, images))
+        calls = _counting_fallback(monkeypatch)
+        assert verify_gluing(wrong)["passed"] is False
+        assert len(calls) == 1
 
 
 class TestEquivariance:

@@ -241,6 +241,26 @@ class TestEliminate:
             eliminate(Ideal([C.parse("a - t")]), {"q"})
 
 
+class TestConvertContext:
+    def test_renaming_round_trip(self):
+        # reordered, with an extra variable; variables absent from p may be dropped
+        wide = VariableContext(("l", "v", "w", "z", "y", "x"), invertible={"l"})
+        p = P("3*x^2*l^-2 - 1/2*y*z + w")
+        q = ideals.convert_context(p, wide)
+        assert q == wide.parse("3*x^2*l^-2 - 1/2*y*z + w")
+        assert ideals.convert_context(q, R) == p
+        narrow = VariableContext(("z", "x"))
+        assert ideals.convert_context(P("x*z - 2"), narrow) == narrow.parse("x*z - 2")
+
+    def test_missing_support_variable_raises(self):
+        with pytest.raises(PolyError, match="unknown variable 'y'"):
+            ideals.convert_context(P("x + y"), VariableContext(("x", "z")))
+
+    def test_laurent_exponent_needs_an_invertible_target(self):
+        with pytest.raises(PolyError, match="non-invertible"):
+            ideals.convert_context(P("x*l^-1"), VariableContext(("x", "l")))
+
+
 class TestJacobian:
     def test_smooth_chart_contains_one(self):
         # twist-1 chart equation on the w = 1 chart: the l-partial is a unit

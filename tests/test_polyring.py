@@ -181,6 +181,94 @@ class TestSubstitution:
             assert inv.apply(fwd.apply(p)) == p
 
 
+#: Target ring of the random monomial maps: two plain and two Laurent variables.
+T = VariableContext(("u", "v", "m", "n"), invertible={"m", "n"})
+
+COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 3), Fraction(5, 2))
+
+
+def random_monomial_map(rng: random.Random, source: VariableContext, target: VariableContext):
+    """Each source variable to a coefficient times a target monomial.
+
+    Laurent exponents go on invertible target variables only, and an
+    invertible source variable is sent to invertible target variables only,
+    so every source polynomial has an image.
+    """
+    images = {}
+    for name in source.names:
+        powers = {}
+        for t in target.names:
+            if t in target.invertible:
+                powers[t] = rng.randint(-2, 2)
+            elif name not in source.invertible:
+                powers[t] = rng.randint(0, 2)
+        images[name] = target.monomial(rng.choice(COEFFS), powers)
+    return SubstitutionMap(source, target, images)
+
+
+class TestExponentPath:
+    """``apply`` on exponents against the generic expansion ``_expand``."""
+
+    @pytest.mark.parametrize("target", [R, T], ids=["same-ring", "other-ring"])
+    def test_agrees_with_expansion_on_random_maps(self, target):
+        rng = random.Random(41)
+        for _ in range(60):
+            sub = random_monomial_map(rng, R, target)
+            assert sub._monomial is not None
+            for _ in range(5):
+                p = random_polynomial(rng, R, max_degree=4, max_terms=6, allow_laurent=True)
+                assert sub.apply(p) == sub._expand(p)
+
+    def test_collisions_into_a_small_ring(self):
+        # three source variables onto one Laurent variable: terms collide
+        small = VariableContext(("m",), invertible={"m"})
+        rng = random.Random(5)
+        cancelled = 0
+        for _ in range(200):
+            sub = random_monomial_map(rng, R, small)
+            p = random_polynomial(rng, R, max_degree=3, max_terms=6, allow_laurent=True)
+            image = sub.apply(p)
+            assert image == sub._expand(p)
+            cancelled += len(image.terms) < len(p.terms)
+        assert cancelled > 0
+
+    def test_terms_cancel(self):
+        sub = SubstitutionMap(
+            R, T, {"x": T.parse("u*m^-1"), "y": T.parse("-u"), "z": T.parse("v"),
+                   "w": T.parse("-1"), "l": T.parse("m")}
+        )
+        p = P("x*l + y - w*z - z")
+        assert sub.apply(p).is_zero()
+        assert sub._expand(p).is_zero()
+        assert sub.apply(P("w^3 + 1")).is_zero()
+
+    def test_coefficient_minus_one_and_laurent_powers(self):
+        sub = SubstitutionMap(
+            R, R, {"x": P("-x"), "y": P("-1/2*y*l^-1"), "z": P("z"), "w": P("-w*l^2"),
+                   "l": P("-l^-1")}
+        )
+        p = P("x^3*l^-2 + y^2*w - 3*z*l^5")
+        assert sub.apply(p) == P("-x^3*l^2 - 1/4*y^2*w + 3*z*l^-5")
+        assert sub.apply(p) == sub._expand(p)
+
+    def test_negative_power_on_a_plain_variable_raises(self):
+        # l is invertible in the source, its image u is not in the target
+        images = {n: T.var("v") for n in R.names}
+        images["l"] = T.var("u")
+        sub = SubstitutionMap(R, T, images)
+        assert sub.apply(P("x*l^2")) == T.parse("u^2*v")
+        for route in (sub.apply, sub._expand):
+            with pytest.raises(PolyError):
+                route(P("x*l^-1"))
+
+    def test_non_monomial_image_takes_the_expansion(self):
+        images = {n: R.var(n) for n in R.names}
+        images["x"] = P("x + y")
+        sub = SubstitutionMap(R, R, images)
+        assert sub._monomial is None
+        assert sub.apply(P("x^2*l^-1")) == P("x^2*l^-1 + 2*x*y*l^-1 + y^2*l^-1")
+
+
 class TestWeights:
     def test_quadric_weight_zero(self):
         assert weight_of(P("4*x*z - y^2"), {"x": -2, "y": 0, "z": 2}) == 0
