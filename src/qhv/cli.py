@@ -94,7 +94,7 @@ def _adjudication(k: int):
 
 def _equivariance(family: str, k: int, l: int):
     rep = dg.verify_equivariance(dg.glued_family(family, k, l))
-    return rep["passed"], rep["torus"] + rep["sl2_mismatches"]
+    return rep["passed"], rep["torus"]
 
 
 def _singular_locus(k: int):

@@ -178,16 +178,15 @@ def _express_in_embedding(q: Polynomial) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def sl2_v4_triple() -> Sl2Triple:
+def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
     """Triple on (a, .., f) obtained by push-forward through the embedding.
 
     Each image is the derivative of the corresponding coordinate function,
-    re-expressed as a linear form in (a, .., f); g and l map to 0.  The
-    components span the sl2-stable summand V4 of the quadrics, so no image
-    has an invariant coordinate; one that has raises.  Built once per
-    process, on first use, whatever the twist of the chart it serves.
+    re-expressed as a linear form in (a, .., f); every other ring variable
+    (g and l on the chart ring) maps to 0.  The components span the
+    sl2-stable summand V4 of the quadrics, so no image has an invariant
+    coordinate; one that has raises.  Built once per ring, on first use.
     """
-    ring = F4_CHART_RING
     source = sl2_v2_triple(_XYZ)
     zero = ring.zero()
 

@@ -164,7 +164,8 @@ class TestDeterminism:
         )
         caches = (degenerations.quadric_chart, degenerations.f4_chart,
                   degenerations.derive_f4_ideal, degenerations._twist_free_f4_generators,
-                  group_actions.sl2_v2_triple, group_actions.sl2_v4_triple)
+                  degenerations._check_sl2, group_actions.sl2_v2_triple,
+                  group_actions.sl2_v4_triple)
 
         def checks():
             for suite in cli.SUITES.values():

@@ -1,11 +1,13 @@
 """Chart construction, gluing, adjudication, quotient and singular loci."""
 
 import dataclasses
+import json
 
 import pytest
 
-from qhv import degenerations
+from qhv import cli, degenerations
 from qhv.degenerations import (
+    FAMILIES,
     ConstructionError,
     INFINITY,
     ZERO,
@@ -25,8 +27,8 @@ from qhv.degenerations import (
     verify_gluing,
     verify_quotient,
 )
-from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING
-from qhv.ideals import Ideal, contains, eliminate, equal_up_to_units
+from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING, apply, sl2_v2_triple, sl2_v4_triple
+from qhv.ideals import Ideal, contains, convert_context, eliminate, equal_up_to_units
 from qhv.polyring import SubstitutionMap, VariableContext
 from linalg_oracle import is_member_up_to
 
@@ -253,10 +255,77 @@ class TestEquivariance:
         assert report["passed"]
 
     def test_sl2_commutes_by_disjoint_support(self):
-        fam = glued_family("f4", 2, 1)
-        report = verify_equivariance(fam)
-        assert report["passed"]
-        assert report["sl2_mismatches"] == []
+        # the per-pair reference for the once-per-family sl2 check: each
+        # chart-ring operator commutes with every gluing, variable by variable
+        for family, twists, triple in (
+            ("quadric", (1, 3, 5, 7), sl2_v2_triple()),
+            ("f4", (0, 1, 2, 3, 4), sl2_v4_triple()),
+        ):
+            for k in twists:
+                for l in twists:
+                    gluing = gluing_map(family, k, l)
+                    for D in triple.operators():
+                        for n in D.ring.names:
+                            assert gluing.apply(D.images[n]) == apply(D, gluing(n)), (k, l, n)
+
+
+class TestSl2OncePerFamily:
+    @pytest.fixture(autouse=True)
+    def cold_charts(self):
+        caches = (quadric_chart, f4_chart, degenerations._check_sl2)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    @pytest.mark.parametrize(
+        "name,chart_triple", [("quadric", sl2_v2_triple), ("f4", sl2_v4_triple)]
+    )
+    def test_chart_triple_is_twist_free_triple_extended_by_zero(self, name, chart_triple):
+        family = FAMILIES[name]
+        free_ring = family.twist_free()[0].ring
+        ring = family.ring
+        dressed = (ring.index(family.marked), ring.index("l"))
+        for D, free in zip(chart_triple().operators(), family.sl2(free_ring).operators()):
+            assert free.images["t"].is_zero()
+            for n in free_ring.names:
+                if n != "t":
+                    assert D.images[n] == convert_context(free.images[n], ring)
+            assert D.images[family.marked].is_zero() and D.images["l"].is_zero()
+            for img in D.images.values():
+                assert not any(exp[i] for exp in img.terms for i in dressed)
+
+    def test_all_checks_invariance_once_per_family(self, monkeypatch, capsys):
+        calls = []
+        check = degenerations.check_ideal_invariance
+
+        def counting(I, T):
+            calls.append(I)
+            return check(I, T)
+
+        monkeypatch.setattr(degenerations, "check_ideal_invariance", counting)
+        assert cli.main(["all"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
+
+    def test_noninvariant_presentation_fails_every_chart(self, monkeypatch, capsys):
+        quadric = FAMILIES["quadric"]
+        ring = quadric.twist_free()[0].ring
+        bad = ring.var("x") - ring.var("t")
+        monkeypatch.setitem(
+            FAMILIES, "quadric", dataclasses.replace(quadric, twist_free=lambda: (bad,))
+        )
+        for k in (1, 3, 5):
+            for chart_id in (ZERO, INFINITY):
+                with pytest.raises(ConstructionError, match="not sl2 invariant"):
+                    quadric_chart(k, chart_id)
+        assert f4_chart(1, ZERO).family == "f4"
+        assert cli.main(["verify", "quadric", "--k", "1", "--l", "1"]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        report = json.loads(line)
+        assert report["status"] == "error"
+        assert "not sl2 invariant" in report["witnesses"][0]["error"]
 
 
 class TestQuotient:
