@@ -467,7 +467,7 @@ def verify_embedding(k: int) -> dict:
 
 def quotient_substitution() -> SubstitutionMap:
     """The double-cover pullback a -> x^2, .., f -> z^2, g -> w^2."""
-    return _embedding_map(QUADRIC_CHART_RING.parse("w^2"))
+    return _embedding_map(QUADRIC_CHART_RING.monomial(1, {"w": 2}))
 
 
 def verify_quotient(k: int) -> dict:

@@ -148,19 +148,20 @@ def sl2_v2_triple(ring: VariableContext = QUADRIC_CHART_RING) -> Sl2Triple:
 
 
 _XYZ = VariableContext(("x", "y", "z"))
+_x, _y, _z = (_XYZ.var(n) for n in "xyz")
 
 #: Coordinate functions of the quadratic embedding, indexed like (a, b, c, e, f)
 #: plus the invariant quadric that l^k g pulls back to.
 EMBEDDING_COMPONENTS: dict[str, Polynomial] = {
-    "a": _XYZ.parse("x^2"),
-    "b": _XYZ.parse("2*x*y"),
-    "c": _XYZ.parse("2*x*z + y^2"),
-    "e": _XYZ.parse("2*y*z"),
-    "f": _XYZ.parse("z^2"),
+    "a": _x * _x,
+    "b": 2 * _x * _y,
+    "c": 2 * _x * _z + _y * _y,
+    "e": 2 * _y * _z,
+    "f": _z * _z,
 }
 
 #: 4xz - y^2, the quadric invariant; the image of l^k g under the embedding.
-QUADRIC_INVARIANT: Polynomial = _XYZ.parse("4*x*z - y^2")
+QUADRIC_INVARIANT: Polynomial = 4 * _x * _z - _y * _y
 
 
 def _express_in_embedding(q: Polynomial) -> list[Fraction]:

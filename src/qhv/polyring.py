@@ -9,14 +9,13 @@ floating point anywhere in this package.
 
 The module also provides simultaneous substitution maps whose images may be
 Laurent monomial multiples (:class:`SubstitutionMap`), weighted-degree
-computation (:func:`weight_of`), partial derivatives, and a small text format
-for polynomials (``4*x*z - y^2 - l^3*w^2``) that round-trips bit-exactly
-through :func:`VariableContext.parse` / ``str``.
+computation (:func:`weight_of`) and partial derivatives.  There is no text
+reader: ``str`` (:func:`format_polynomial`, e.g. ``4*x*z - y^2 - l^3*w^2``)
+is the canonical form that reports carry.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -48,10 +47,6 @@ class ContextMismatch(PolyError):
 
 class NotHomogeneous(PolyError):
     """Signal raised when a polynomial has terms of distinct weighted degree."""
-
-
-class ParseError(PolyError):
-    """Malformed polynomial text."""
 
 
 def _grevlex_key(exp: Exponent):
@@ -144,9 +139,6 @@ class VariableContext:
     def from_terms(self, terms: Mapping[Exponent, Fraction]) -> "Polynomial":
         return Polynomial(self, dict(terms))
 
-    def parse(self, text: str) -> "Polynomial":
-        return _parse(self, text)
-
 
 class Polynomial:
     """Immutable sparse polynomial over Q attached to a VariableContext.
@@ -182,15 +174,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_unit_monomial(self) -> bool:
-        """True for a single term supported only on invertible variables."""
-        if len(self.terms) != 1:
-            return False
-        (exp,) = self.terms
-        return all(
-            e == 0 or name in self.ring.invertible for name, e in zip(self.ring.names, exp)
-        )
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -258,12 +241,11 @@ class Polynomial:
         if not isinstance(power, int):
             raise PolyError("polynomial powers must be integers")
         if power < 0:
-            if not self.is_unit_monomial():
-                raise PolyError("negative power of a non-unit polynomial")
-            (exp,), (coeff,) = zip(*self.terms.items())
-            return Polynomial(
-                self.ring, {tuple(e * power for e in exp): Fraction(1) / coeff ** (-power)}
-            )
+            # the constructor rejects a negative exponent on a plain variable
+            if len(self.terms) != 1:
+                raise PolyError("negative power of a polynomial that is not one term")
+            ((exp, coeff),) = self.terms.items()
+            return Polynomial(self.ring, {tuple(e * power for e in exp): coeff**power})
         result = self.ring.one()
         base = self
         n = power
@@ -502,126 +484,13 @@ class SubstitutionMap:
 
 # -- text format -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos:]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, ring: VariableContext, tokens: list[tuple[str, str]]):
-        self.ring = ring
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expr(self) -> Polynomial:
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            sign = -1 if val == "-" else 1
-        result = self.term() * sign
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                nxt = self.term()
-                result = result + (nxt if val == "+" else -nxt)
-            else:
-                return result
-
-    def term(self) -> Polynomial:
-        result = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                result = result * self.factor()
-            elif kind in ("name",) or (kind == "op" and val == "("):
-                result = result * self.factor()  # juxtaposition
-            else:
-                return result
-
-    def factor(self) -> Polynomial:
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            base = base ** self.exponent()
-        return base
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            sign = -1
-        kind, val = self.take()
-        if kind != "int":
-            raise ParseError(f"expected integer exponent, got {val!r}")
-        return sign * int(val)
-
-    def atom(self) -> Polynomial:
-        kind, val = self.take()
-        if kind == "int":
-            num = int(val)
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.take()
-                k3, v3 = self.take()
-                if k3 != "int":
-                    raise ParseError("expected denominator after '/'")
-                return self.ring.const(Fraction(num, int(v3)))
-            return self.ring.const(num)
-        if kind == "name":
-            return self.ring.var(val)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            k2, v2 = self.take()
-            if not (k2 == "op" and v2 == ")"):
-                raise ParseError("missing closing parenthesis")
-            return inner
-        raise ParseError(f"unexpected token {val!r}")
-
-
-def _parse(ring: VariableContext, text: str) -> Polynomial:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    parser = _Parser(ring, tokens)
-    result = parser.expr()
-    if parser.pos != len(tokens):
-        raise ParseError(f"trailing input near {tokens[parser.pos][1]!r}")
-    return result
-
 
 def _format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical text form: terms in descending monomial order.
-
-    The output re-parses to an equal polynomial in the same context.
-    """
+    """Canonical text form: terms in descending monomial order."""
     if not p.terms:
         return "0"
     pieces = []

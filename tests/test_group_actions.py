@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qhv import group_actions
+from qhv import degenerations, group_actions
 from qhv.group_actions import (
     F4_CHART_RING,
     QUADRIC_CHART_RING,
@@ -26,13 +26,14 @@ from oracles import (
     monomials_up_to_degree,
     scaling_identity_holds,
 )
+from polytext import parse
 from randpoly import random_polynomial
 
 R = QUADRIC_CHART_RING
 
 
 def P(text):
-    return R.parse(text)
+    return parse(R, text)
 
 
 def zero_images(ring):
@@ -100,22 +101,37 @@ class TestSl2Triples:
         ring = VariableContext(("x", "y", "z"))
         assert len(monomials_up_to_degree(ring, 4)) == 35  # C(3+4,4)
 
+    def test_embedding_constants_are_the_written_quadrics(self):
+        XYZ = group_actions._XYZ
+        assert list(group_actions.EMBEDDING_COMPONENTS) == list("abcef")
+        constants = [
+            *group_actions.EMBEDDING_COMPONENTS.values(),
+            group_actions.QUADRIC_INVARIANT,
+            degenerations.quotient_substitution()("g"),
+        ]
+        written = ["x^2", "2*x*y", "2*x*z + y^2", "2*y*z", "z^2", "4*x*z - y^2"]
+        expected = [parse(XYZ, t) for t in written] + [parse(R, "w^2")]
+        assert constants == expected
+        assert [str(c) for c in constants] == [
+            "x^2", "2*x*y", "y^2 + 2*x*z", "2*y*z", "z^2", "-y^2 + 4*x*z", "w^2"
+        ]
+
     def test_v4_pushforward_images(self):
         # frozen from the Leibniz push-forward through the embedding:
         # E(a)=E(x^2)=2x y = b, E(b)=2(y^2+2xz)=2c, E(c)=6yz=3e, E(e)=4z^2=4f
         T = sl2_v4_triple()
         F4 = F4_CHART_RING
-        assert T.E.images["a"] == F4.parse("b")
-        assert T.E.images["b"] == F4.parse("2*c")
-        assert T.E.images["c"] == F4.parse("3*e")
-        assert T.E.images["e"] == F4.parse("4*f")
+        assert T.E.images["a"] == parse(F4, "b")
+        assert T.E.images["b"] == parse(F4, "2*c")
+        assert T.E.images["c"] == parse(F4, "3*e")
+        assert T.E.images["e"] == parse(F4, "4*f")
         assert T.E.images["f"].is_zero()
-        assert T.F.images["b"] == F4.parse("4*a")
-        assert T.F.images["c"] == F4.parse("3*b")
-        assert T.F.images["e"] == F4.parse("2*c")
-        assert T.F.images["f"] == F4.parse("e")
-        assert T.H.images["a"] == F4.parse("-4*a")
-        assert T.H.images["f"] == F4.parse("4*f")
+        assert T.F.images["b"] == parse(F4, "4*a")
+        assert T.F.images["c"] == parse(F4, "3*b")
+        assert T.F.images["e"] == parse(F4, "2*c")
+        assert T.F.images["f"] == parse(F4, "e")
+        assert T.H.images["a"] == parse(F4, "-4*a")
+        assert T.H.images["f"] == parse(F4, "4*f")
 
     @pytest.fixture
     def uncached_v4(self):
@@ -126,14 +142,14 @@ class TestSl2Triples:
 
     def test_singular_embedding_basis_rejected(self, monkeypatch, uncached_v4):
         # a basis in which the invariant repeats x^2 spans only five dimensions
-        monkeypatch.setattr(group_actions, "QUADRIC_INVARIANT", group_actions._XYZ.parse("x^2"))
+        monkeypatch.setattr(group_actions, "QUADRIC_INVARIANT", parse(group_actions._XYZ, "x^2"))
         with pytest.raises(PolyError, match="singular re-expression system"):
             sl2_v4_triple()
 
     def test_invariant_coordinate_rejected(self, monkeypatch, uncached_v4):
         # with c = y^2 the components no longer span an sl2-stable summand:
         # E(2xy) = 2y^2 + 4xz = 3c + (4xz - y^2) has invariant coordinate 1
-        monkeypatch.setitem(group_actions.EMBEDDING_COMPONENTS, "c", group_actions._XYZ.parse("y^2"))
+        monkeypatch.setitem(group_actions.EMBEDDING_COMPONENTS, "c", parse(group_actions._XYZ, "y^2"))
         with pytest.raises(PolyError, match="leaves the span"):
             sl2_v4_triple()
 
