@@ -54,13 +54,13 @@ from .ideals import (
     gauss_jordan,
     jacobian_ideal,
     minimal_generators,
+    primitive_integer_form,
 )
 from .polyring import (
     PolyError,
     Polynomial,
     SubstitutionMap,
     VariableContext,
-    primitive_integer_form,
     strip_unit_content,
 )
 
@@ -396,14 +396,11 @@ def verify_equivariance(fam: GluedFamily) -> dict:
     ring = fam.chart0.ideal.ring
     xi = "xi"
     ext = ring.extend((xi,), invertible=(xi,))
-    lift = SubstitutionMap(
-        ring, ext, {n: ext.var(n) for n in ring.names}
-    )
     glue_ext = SubstitutionMap(
         ext,
         ext,
         {
-            **{n: lift.apply(fam.gluing(n)) for n in ring.names},
+            **{n: convert_context(fam.gluing(n), ext) for n in ring.names},
             xi: ext.var(xi),
         },
     )

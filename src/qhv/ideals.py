@@ -309,6 +309,14 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     return Polynomial(I.ring, {e: Fraction(c, scale) for e, c in rem.items()})
 
 
+def primitive_integer_form(p: Polynomial) -> Polynomial:
+    """Rescale to integer coefficients with content 1 and positive leading sign."""
+    if p.is_zero():
+        return p
+    _, _, terms = _primitive(p.leading_term()[0], _integer_terms(p.terms)[0])
+    return Polynomial(p.ring, terms)
+
+
 def contains(I: Ideal, p: Polynomial) -> bool:
     return normal_form(p, I).is_zero()
 

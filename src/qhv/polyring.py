@@ -257,8 +257,6 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
@@ -328,20 +326,6 @@ def derivative(p: Polynomial, name: str) -> Polynomial:
         else:
             out[nexp] = v
     return Polynomial(p.ring, out)
-
-
-def primitive_integer_form(p: Polynomial) -> Polynomial:
-    """Rescale to integer coefficients with content 1 and positive leading sign."""
-    if not p.terms:
-        return p
-    from math import gcd, lcm
-
-    denom = lcm(*(c.denominator for c in p.terms.values()))
-    numer = gcd(*(abs(c.numerator) for c in p.terms.values()))
-    scale = Fraction(denom, numer)
-    if p.leading_term()[1] < 0:
-        scale = -scale
-    return p * scale
 
 
 def weight_of(p: Polynomial, weights: Mapping[str, int]) -> int:

@@ -18,15 +18,16 @@ On top of the lattices: enumeration of (-1)-classes, the case analysis that
 exhibits a curve meeting a candidate divisor trace nonpositively (the
 homology-lemma contradiction), and a combinatorial model of twisted
 P1-bundles over a Hirzebruch base.  A bundle state records the base index,
-the two twist counters, the fiber index (always their sum) and which
-boundary divisor carries two invariant curves; the normal-form algorithm
+the two twist counters and the transcript of steps taken; the fiber index
+(their sum) and which boundary divisors carry two invariant curves (those
+with a positive counter) are derived from them.  The normal-form algorithm
 walks these states back to the trivial bundle, one fiber index per step.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 HIRZEBRUCH = "hirzebruch"
@@ -249,32 +250,28 @@ EINF = "Einf"
 A0 = "A0"
 AINF = "Ainf"
 
+#: Change of the twist counters (k0, k_inf) made by each step: a construction
+#: step centered on a section of the invariant divisor raises one counter, the
+#: algorithm-direction step at the matching boundary divisor lowers it again.
+_STEPS = {E0: (1, 0), EINF: (0, 1), A0: (-1, 0), AINF: (0, -1)}
+
 #: Algorithm-direction step at a boundary divisor undoes the construction
 #: step centered on the matching section of the invariant divisor.
 _UNDOES = {A0: E0, AINF: EINF}
-
-
-class StopB(RuntimeError):
-    """The normal-form walk found no fiber-index-zero state and no boundary
-    divisor with two invariant curves: a model-consistency failure."""
 
 
 @dataclass(frozen=True)
 class BundleState:
     """Combinatorial record of a twisted P1-bundle over a Hirzebruch base.
 
-    ``fiber_m`` is the index of the strict transform of the generic
-    half-fiber surface and always equals k0 + k_inf; a boundary divisor
-    carries two invariant curves exactly while its twist counter is positive
-    (the construction adds a second invariant section there).
+    The fiber index and the boundary flags are derived from the counters.
+    These are nonnegative, so a positive fiber index means a positive
+    counter: the normal-form walk always has a step to take.
     """
 
     base_n: int
     k0: int
     k_inf: int
-    fiber_m: int
-    a0_two_curves: bool
-    ainf_two_curves: bool
     transcript: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -282,36 +279,38 @@ class BundleState:
             raise ValueError("the construction needs a base index >= 1")
         if self.k0 < 0 or self.k_inf < 0:
             raise ValueError("twist counters must be nonnegative")
-        if self.fiber_m != self.k0 + self.k_inf:
-            raise ValueError(
-                f"fiber index {self.fiber_m} must equal k0 + k_inf = {self.k0 + self.k_inf}"
-            )
+
+    @property
+    def fiber_m(self) -> int:
+        """Index of the strict transform of the generic half-fiber surface."""
+        return self.k0 + self.k_inf
+
+    # A boundary divisor carries two invariant curves exactly while its twist
+    # counter is positive (the construction adds a second invariant section).
+    @property
+    def a0_two_curves(self) -> bool:
+        return self.k0 > 0
+
+    @property
+    def ainf_two_curves(self) -> bool:
+        return self.k_inf > 0
 
 
 def trivial_bundle(n: int) -> BundleState:
-    return BundleState(n, 0, 0, 0, False, False, ())
+    return BundleState(n, 0, 0)
+
+
+def _step(state: BundleState, step: str) -> BundleState:
+    d0, d_inf = _STEPS[step]
+    return BundleState(state.base_n, state.k0 + d0, state.k_inf + d_inf, state.transcript + (step,))
 
 
 def apply_construction_step(state: BundleState, center: str) -> BundleState:
     """One elementary transformation centered on a section of the invariant
     divisor; raises the fiber index by one and marks the boundary divisor."""
-    if center == E0:
-        return replace(
-            state,
-            k0=state.k0 + 1,
-            fiber_m=state.fiber_m + 1,
-            a0_two_curves=True,
-            transcript=state.transcript + (E0,),
-        )
-    if center == EINF:
-        return replace(
-            state,
-            k_inf=state.k_inf + 1,
-            fiber_m=state.fiber_m + 1,
-            ainf_two_curves=True,
-            transcript=state.transcript + (EINF,),
-        )
-    raise ValueError(f"unknown construction center {center!r}")
+    if center not in (E0, EINF):
+        raise ValueError(f"unknown construction center {center!r}")
+    return _step(state, center)
 
 
 def construct_twisted(n: int, k0: int, k_inf: int) -> BundleState:
@@ -320,15 +319,11 @@ def construct_twisted(n: int, k0: int, k_inf: int) -> BundleState:
     The infinity-side steps are applied first so that the normal-form walk,
     which drains the 0-side first, reverses the transcript literally.
     """
-    if n < 1:
-        raise ValueError("the twisted construction requires base index >= 1")
-    if k0 < 0 or k_inf < 0:
+    if k0 < 0 or k_inf < 0:  # a negative count would apply no step and pass
         raise ValueError("twist counters must be nonnegative")
     state = trivial_bundle(n)
-    for _ in range(k_inf):
-        state = apply_construction_step(state, EINF)
-    for _ in range(k0):
-        state = apply_construction_step(state, E0)
+    for step in (EINF,) * k_inf + (E0,) * k0:
+        state = _step(state, step)
     return state
 
 
@@ -337,42 +332,13 @@ def figure1_normalize(state: BundleState) -> tuple[BundleState, tuple[str, ...]]
 
     Loop: stop when the fiber index is 0; otherwise transform at the curve
     not contained in the invariant section inside whichever boundary divisor
-    carries two invariant curves (0-side first).  Reaching neither exit is a
-    model-consistency failure (:class:`StopB`).
+    carries two invariant curves (0-side first).
     """
     steps: list[str] = []
-    while True:
-        if state.fiber_m == 0:
-            return state, tuple(steps)
-        if state.a0_two_curves:
-            k0 = state.k0 - 1
-            if k0 < 0:
-                raise StopB("boundary divisor flag inconsistent with twist counter")
-            state = replace(
-                state,
-                k0=k0,
-                fiber_m=state.fiber_m - 1,
-                a0_two_curves=k0 > 0,
-                transcript=state.transcript + (A0,),
-            )
-            steps.append(A0)
-        elif state.ainf_two_curves:
-            k_inf = state.k_inf - 1
-            if k_inf < 0:
-                raise StopB("boundary divisor flag inconsistent with twist counter")
-            state = replace(
-                state,
-                k_inf=k_inf,
-                fiber_m=state.fiber_m - 1,
-                ainf_two_curves=k_inf > 0,
-                transcript=state.transcript + (AINF,),
-            )
-            steps.append(AINF)
-        else:
-            raise StopB(
-                "no boundary divisor carries two invariant curves while the "
-                "fiber index is positive"
-            )
+    while state.fiber_m:
+        steps.append(A0 if state.a0_two_curves else AINF)
+        state = _step(state, steps[-1])
+    return state, tuple(steps)
 
 
 def replay_reversed(n: int, steps: Sequence[str]) -> BundleState:

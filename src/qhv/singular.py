@@ -19,7 +19,6 @@ every orbit, and compares it with the closed form of the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -51,13 +50,6 @@ class CyclicQuotient:
 
     def __str__(self):
         return f"(1/{self.n})({', '.join(str(w) for w in self.weights)})"
-
-
-def age(q: CyclicQuotient, j: int) -> Fraction:
-    """(sum of (j * wi mod n)) / n for 1 <= j <= n-1."""
-    if not 1 <= j <= q.n - 1:
-        raise ValueError(f"group element index {j} out of range 1..{q.n - 1}")
-    return Fraction(sum((j * w) % q.n for w in q.weights), q.n)
 
 
 def is_terminal(q: CyclicQuotient) -> bool:

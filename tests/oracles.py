@@ -48,6 +48,11 @@ def is_groebner_basis(basis: Sequence[Polynomial]) -> bool:
     return True
 
 
+def age(q: CyclicQuotient, j: int) -> Fraction:
+    """Reid-Tai age of the j-th group element: (sum of (j * wi mod n)) / n."""
+    return Fraction(sum((j * w) % q.n for w in q.weights), q.n)
+
+
 def matches_terminal_form_by_unit_scan(q: CyclicQuotient) -> bool:
     """Brute-force equivalence with the pattern (1, a, -a) mod n.
 

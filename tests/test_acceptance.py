@@ -264,7 +264,7 @@ def test_criterion_10_figure1_round_trip():
         k0 = rng.randint(0, 6)
         kinf = rng.randint(0, 6)
         state = construct_twisted(n, k0, kinf)
-        final, steps = figure1_normalize(state)  # StopB would raise
+        final, steps = figure1_normalize(state)
         ok = ok and final.fiber_m == 0
         ok = ok and len(steps) == k0 + kinf
         ok = ok and replay_reversed(n, steps) == state

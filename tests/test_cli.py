@@ -53,6 +53,13 @@ class TestBasics:
         assert report["witnesses"][0]["normalization"] == ["A0", "A0", "Ainf"]
         assert report["witnesses"][0]["steps"] == 3
 
+    def test_bundle_base_index_error(self, capsys):
+        code, lines, _ = run_cli(capsys, "bundle-normalize", "--n", "0")
+        assert code == 1
+        (report,) = payloads(lines)
+        assert report["status"] == "error"
+        assert "base index" in report["witnesses"][0]["error"]
+
     def test_human_mode(self, capsys):
         code, lines, _ = run_cli(capsys, "--human", "wps")
         assert code == 0

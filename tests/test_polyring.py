@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -19,10 +20,10 @@ from qhv.polyring import (
     VariableContext,
     elimination_order,
     format_polynomial,
-    primitive_integer_form,
     strip_unit_content,
     weight_of,
 )
+from qhv.ideals import primitive_integer_form
 from polytext import ParseError, parse
 from randpoly import random_polynomial
 
@@ -88,6 +89,12 @@ class TestArithmetic:
     def test_scalar_coercion(self):
         assert P("x") * 2 - P("2*x") == R.zero()
         assert 1 + P("x") == P("x + 1")
+
+    def test_never_equal_to_a_number(self):
+        # equal objects must hash equal, and a constant polynomial does not
+        # hash like the number it carries
+        assert R.const(1) != 1 and R.zero() != 0
+        assert {R.const(1): "one"}.get(1) is None
 
 
 class TestRingAxioms:
@@ -318,6 +325,19 @@ class TestUnitsAndNormalForms:
     def test_primitive_integer_form(self):
         assert primitive_integer_form(P("1/2*x + 3/4*y")) == P("2*x + 3*y")
         assert primitive_integer_form(P("-2*x^2 - 4*y")) == P("x^2 + 2*y")
+        assert primitive_integer_form(R.zero()) == R.zero()
+
+    def test_primitive_integer_form_on_random_polynomials(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            p = random_polynomial(rng, R, max_degree=4, allow_laurent=True)
+            q = primitive_integer_form(p)
+            coeffs = list(q.terms.values())
+            assert all(c.denominator == 1 for c in coeffs)
+            assert math.gcd(*(c.numerator for c in coeffs)) == 1
+            assert q.leading_term()[1] > 0
+            ratio = q.leading_term()[1] / p.leading_term()[1]
+            assert q == p * ratio
 
 
 class TestMonomialOrder:

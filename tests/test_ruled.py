@@ -14,7 +14,6 @@ from qhv.ruled import (
     E0,
     EINF,
     LatticeMismatch,
-    StopB,
     apply_construction_step,
     construct_twisted,
     figure1_normalize,
@@ -197,7 +196,7 @@ class TestBundleStates:
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            BundleState(1, 1, 0, 2, True, False)
+            BundleState(1, -1, 0)
         with pytest.raises(ValueError):
             construct_twisted(0, 1, 1)
 
@@ -237,11 +236,6 @@ class TestBundleStates:
         for used in range(len(steps) + 1):
             partial = replay_reversed(2, steps[len(steps) - used :])
             assert partial.fiber_m == used
-
-    def test_stop_b_on_inconsistent_state(self):
-        broken = BundleState(1, 1, 0, 1, False, False)
-        with pytest.raises(StopB):
-            figure1_normalize(broken)
 
     def test_construction_step_validation(self):
         state = trivial_bundle(1)

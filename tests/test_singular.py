@@ -11,13 +11,12 @@ from qhv import singular
 from qhv.singular import (
     CyclicQuotient,
     NonIsolatedQuotient,
-    age,
     classify_terminal_types,
     is_terminal,
     matches_terminal_form,
     wps_singularity_report,
 )
-from oracles import matches_terminal_form_by_unit_scan
+from oracles import age, matches_terminal_form_by_unit_scan
 
 
 def units(n):
@@ -36,12 +35,12 @@ class TestAge:
         assert age(CyclicQuotient(3, (1, 1, 2)), 2) == Fraction(5, 3)
         assert age(CyclicQuotient(3, (1, 1, 1)), 1) == 1
 
-    def test_range_validation(self):
-        q = CyclicQuotient(5, (1, 2, 3))
-        with pytest.raises(ValueError):
-            age(q, 0)
-        with pytest.raises(ValueError):
-            age(q, 5)
+    def test_is_terminal_is_the_age_criterion(self):
+        # is_terminal sums the ages inline; compare it with the oracle's ages
+        for n in range(2, 21):
+            for ws in itertools.product(units(n), repeat=3):
+                q = CyclicQuotient(n, ws)
+                assert is_terminal(q) == all(age(q, j) > 1 for j in range(1, n))
 
     def test_age_symmetry_for_isolated_quotients(self):
         # age(j) + age(n-j) counts the nonzero residues among j*wi mod n
