@@ -109,8 +109,7 @@ def _terminal(n_max: int):
 
 def _wps(weights: tuple[int, ...]):
     rows = singular.wps_singularity_report(list(weights))
-    keys = ("vertex", "type", "isolated", "terminal")
-    return all(r["terminal"] for r in rows), [{key: r[key] for key in keys} for r in rows]
+    return all(r["terminal"] for r in rows), rows
 
 
 def _bundle_normalize(n: int, k0: int, kinf: int):

@@ -518,7 +518,7 @@ def _affine_chart(gen: Polynomial, unit_var: str) -> tuple[VariableContext, Poly
 
 
 def _locus_of_chart(chart_ring: VariableContext, equation: Polynomial) -> dict:
-    J = jacobian_ideal(Ideal([equation]), chart_ring.names)
+    J = jacobian_ideal(equation, chart_ring.names)
     if contains_one(J):
         return {"status": "smooth"}
     vanishes_at_origin = all(

@@ -38,7 +38,6 @@ from .polyring import (
     ContextMismatch,
     VariableContext,
     derivative,
-    elimination_order,
     map_exponents,
     strip_unit_content,
 )
@@ -353,7 +352,7 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
 
     Computes a Groebner basis under a block order with the dropped variables
     in the leading block and keeps the elements free of them.  The result
-    lives in the smaller context (same order tag family, grevlex).
+    lives in the smaller context, ordered grevlex.
     """
     drop_set = set(drop)
     unknown = drop_set - set(I.ring.names)
@@ -363,9 +362,7 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
         return I
     block = [n for n in I.ring.names if n in drop_set]
     rest = [n for n in I.ring.names if n not in drop_set]
-    elim_ctx = VariableContext(
-        tuple(block + rest), I.ring.invertible, elimination_order(len(block))
-    )
+    elim_ctx = VariableContext(tuple(block + rest), I.ring.invertible, len(block))
     lifted = Ideal([convert_context(g, elim_ctx) for g in I.generators])
     basis = lifted.groebner_basis()
     nb = len(block)
@@ -380,17 +377,11 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     return Ideal(kept)
 
 
-def jacobian_ideal(I: Ideal, variables: Sequence[str]) -> Ideal:
+def jacobian_ideal(f: Polynomial, variables: Sequence[str]) -> Ideal:
     """Singular-locus ideal of a hypersurface V(f) on an affine chart.
 
-    The ideal is generated by the single equation f and its partials in
-    ``variables``; input with more than one generator is rejected.
+    The ideal is generated by the equation f and its partials in ``variables``.
     """
-    if len(I.generators) != 1:
-        raise PolyError(
-            f"jacobian_ideal takes one hypersurface equation, got {len(I.generators)}"
-        )
-    (f,) = I.generators
     return Ideal([f] + [derivative(f, v) for v in variables])
 
 

@@ -22,20 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
-GREVLEX = ("grevlex",)
-
-
-def elimination_order(block_size: int) -> tuple:
-    """Block order eliminating the first ``block_size`` context variables.
-
-    Monomials are compared grevlex on the leading block first, then grevlex
-    on the tail, so any monomial involving a leading-block variable beats
-    every monomial that avoids the block.
-    """
-    if block_size < 1:
-        raise ValueError("elimination block must contain at least one variable")
-    return ("elim", block_size)
-
 
 class PolyError(ValueError):
     """Base error for polynomial construction and arithmetic."""
@@ -58,13 +44,17 @@ class VariableContext:
     """Ordered variable set with a monomial order and invertibility flags.
 
     Contexts compare by value, so two independently built contexts with the
-    same data are interchangeable.  The order tag is ``GREVLEX`` or
-    ``elimination_order(n)``.
+    same data are interchangeable.  ``elim = 0`` orders monomials grevlex.
+    ``elim = n`` is the block order eliminating the first n variables:
+    monomials are compared grevlex on the leading block first, then grevlex
+    on the tail, so any monomial involving a leading-block variable beats
+    every monomial that avoids the block (Cox, Little and O'Shea, *Ideals,
+    Varieties, and Algorithms*, section 3.1).
     """
 
     names: tuple[str, ...]
     invertible: frozenset[str] = frozenset()
-    order: tuple = GREVLEX
+    elim: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -74,11 +64,8 @@ class VariableContext:
         unknown = self.invertible - set(self.names)
         if unknown:
             raise PolyError(f"invertible variables not in context: {sorted(unknown)}")
-        tag = self.order[0] if self.order else None
-        if tag not in ("grevlex", "elim"):
-            raise PolyError(f"unknown monomial order {self.order!r}")
-        if tag == "elim" and not (1 <= self.order[1] <= len(self.names)):
-            raise PolyError("elimination block size out of range")
+        if not 0 <= self.elim <= len(self.names):
+            raise PolyError(f"elimination block size {self.elim} out of range")
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -90,10 +77,9 @@ class VariableContext:
 
     def monomial_key(self, exp: Exponent):
         """Sort key; larger key means larger monomial under the context order."""
-        tag = self.order[0]
-        if tag == "grevlex":
+        nb = self.elim
+        if not nb:
             return _grevlex_key(exp)
-        nb = self.order[1]
         return (_grevlex_key(exp[:nb]), _grevlex_key(exp[nb:]))
 
     def descending_key(self, exp: Exponent):
@@ -102,15 +88,15 @@ class VariableContext:
         Each part of ``monomial_key`` negated, so a min-heap under it pops
         monomials in descending order.
         """
-        if self.order[0] == "grevlex":
+        nb = self.elim
+        if not nb:
             return (-sum(exp), exp[::-1])
-        nb = self.order[1]
         head, tail = exp[:nb], exp[nb:]
         return (-sum(head), head[::-1], -sum(tail), tail[::-1])
 
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
         return VariableContext(
-            self.names + tuple(names), self.invertible | frozenset(invertible), self.order
+            self.names + tuple(names), self.invertible | frozenset(invertible), self.elim
         )
 
     # -- constructors ------------------------------------------------------
@@ -143,9 +129,10 @@ class VariableContext:
 class Polynomial:
     """Immutable sparse polynomial over Q attached to a VariableContext.
 
-    Stored terms never have zero coefficients; exponents on non-invertible
-    variables are >= 0.  Equality is exact equality of the normalized term
-    maps within one context.
+    The constructor drops zero coefficients, so stored terms never have
+    one; arithmetic only accumulates and leaves cancellation to it.
+    Exponents on non-invertible variables are >= 0.  Equality is exact
+    equality of the normalized term maps within one context.
     """
 
     __slots__ = ("ring", "terms")
@@ -186,9 +173,6 @@ class Polynomial:
         exp = max(self.terms, key=self.ring.monomial_key)
         return exp, self.terms[exp]
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: self.ring.monomial_key(t[0]), reverse=True)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial":
@@ -204,11 +188,7 @@ class Polynomial:
         other = self._coerce(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            v = out.get(exp, Fraction(0)) + c
-            if v == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = v
+            out[exp] = out[exp] + c if exp in out else c
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
@@ -228,11 +208,7 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(exp, Fraction(0)) + c1 * c2
-                if v == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = v
+                out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -277,29 +253,16 @@ class Polynomial:
 # -- unit normalization ----------------------------------------------------
 
 
-def unit_content(p: Polynomial) -> Exponent:
-    """Componentwise minimum exponent of each invertible variable over p.
-
-    Zero on non-invertible variables and for the zero polynomial.
-    """
-    n = len(p.ring.names)
-    if not p.terms:
-        return (0,) * n
-    inv = [name in p.ring.invertible for name in p.ring.names]
-    mins = [0] * n
-    for i in range(n):
-        if inv[i]:
-            mins[i] = min(exp[i] for exp in p.terms)
-    return tuple(mins)
-
-
 def strip_unit_content(p: Polynomial) -> Polynomial:
-    """Divide out the Laurent monomial content on invertible variables.
+    """Divide out the least exponent of each invertible variable over p.
 
     The result has minimum exponent exactly 0 in every invertible variable,
     which is the canonical representative of p up to unit monomials.
     """
-    content = unit_content(p)
+    content = [
+        min((exp[i] for exp in p.terms), default=0) if name in p.ring.invertible else 0
+        for i, name in enumerate(p.ring.names)
+    ]
     if not any(content):
         return p
     return Polynomial(
@@ -312,20 +275,11 @@ def strip_unit_content(p: Polynomial) -> Polynomial:
 
 
 def derivative(p: Polynomial, name: str) -> Polynomial:
-    """Partial derivative; valid for Laurent exponents as well."""
+    """Partial derivative, valid for Laurent exponents; exp -> exp - e_i merges no terms."""
     i = p.ring.index(name)
-    out: dict[Exponent, Fraction] = {}
-    for exp, c in p.terms.items():
-        e = exp[i]
-        if e == 0:
-            continue
-        nexp = exp[:i] + (e - 1,) + exp[i + 1 :]
-        v = out.get(nexp, Fraction(0)) + c * e
-        if v == 0:
-            out.pop(nexp, None)
-        else:
-            out[nexp] = v
-    return Polynomial(p.ring, out)
+    return Polynomial(
+        p.ring, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]}
+    )
 
 
 def weight_of(p: Polynomial, weights: Mapping[str, int]) -> int:
@@ -478,7 +432,8 @@ def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for exp, coeff in p.sorted_terms():
+    for exp in sorted(p.terms, key=p.ring.monomial_key, reverse=True):
+        coeff = p.terms[exp]
         factors = []
         for name, e in zip(p.ring.names, exp):
             if e == 0:

@@ -130,10 +130,8 @@ def wps_singularity_report(weights: list[int]) -> list[dict]:
             continue
         others = tuple(w for j, w in enumerate(ws) if j != i)
         q = CyclicQuotient(m, others)
-        entry: dict = {"vertex": i, "type": str(q), "quotient": q, "isolated": q.isolated}
-        if q.isolated:
-            entry["terminal"] = is_terminal(q)
-        else:
-            entry["terminal"] = None
-        report.append(entry)
+        terminal = is_terminal(q) if q.isolated else None
+        report.append(
+            {"vertex": i, "type": str(q), "isolated": q.isolated, "terminal": terminal}
+        )
     return report

@@ -11,14 +11,13 @@ import pytest
 
 from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING
 from qhv.polyring import (
-    GREVLEX,
     ContextMismatch,
     NotHomogeneous,
     PolyError,
     Polynomial,
     SubstitutionMap,
     VariableContext,
-    elimination_order,
+    derivative,
     format_polynomial,
     strip_unit_content,
     weight_of,
@@ -89,6 +88,29 @@ class TestArithmetic:
     def test_scalar_coercion(self):
         assert P("x") * 2 - P("2*x") == R.zero()
         assert 1 + P("x") == P("x + 1")
+
+    def test_cancellation_leaves_no_term(self):
+        assert len((P("x + y") * P("x - y")).terms) == 2
+        p = P("4*x*z - y^2 - l^3*w^2")
+        assert (p - p).terms == {}
+
+    def test_no_stored_zero_coefficient(self):
+        # two variables and low degrees make terms collide and cancel
+        S = VariableContext(("x", "y"), invertible={"y"})
+        maps = [
+            SubstitutionMap(S, S, {"x": parse(S, "-y"), "y": parse(S, "y^-1")}),
+            SubstitutionMap(S, S, {"x": parse(S, "x + y"), "y": parse(S, "-y")}),
+        ]
+        rng = random.Random(15)
+        cancelled = 0
+        for _ in range(200):
+            p = random_polynomial(rng, S, max_degree=2, allow_laurent=True)
+            q = random_polynomial(rng, S, max_degree=2, allow_laurent=True)
+            results = [p + q, p - q, p * q, derivative(p, "x"), derivative(p, "y")]
+            results += [sub.apply(p) for sub in maps]
+            assert all(c != 0 for r in results for c in r.terms.values())
+            cancelled += any(p.terms.get(e) == -c for e, c in q.terms.items())
+        assert cancelled > 0
 
     def test_never_equal_to_a_number(self):
         # equal objects must hash equal, and a constant polynomial does not
@@ -341,18 +363,22 @@ class TestUnitsAndNormalForms:
 
 
 class TestMonomialOrder:
-    @pytest.mark.parametrize(
-        "order",
-        [GREVLEX, elimination_order(1), elimination_order(2)],
-        ids=["grevlex", "elim1", "elim2"],
-    )
-    def test_descending_key_reverses_monomial_key(self, order):
-        ring = VariableContext(("a", "b", "c", "d"), order=order)
+    @pytest.mark.parametrize("elim", [0, 1, 2], ids=["grevlex", "elim1", "elim2"])
+    def test_descending_key_reverses_monomial_key(self, elim):
+        ring = VariableContext(("a", "b", "c", "d"), elim=elim)
         exps = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
         assert len({ring.descending_key(e) for e in exps}) == len(exps)  # no ties
         assert sorted(exps, key=ring.descending_key) == sorted(
             exps, key=ring.monomial_key, reverse=True
         )
+
+    def test_block_size_in_range(self):
+        names = ("a", "b", "c")
+        for elim in (-1, len(names) + 1):
+            with pytest.raises(PolyError, match="out of range"):
+                VariableContext(names, elim=elim)
+        assert VariableContext(names, elim=0) == VariableContext(names)
+        assert VariableContext(names, elim=2).extend(("d",)).elim == 2
 
 
 class TestTextFormat:

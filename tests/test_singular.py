@@ -164,6 +164,13 @@ class TestWps:
         types = [(r["type"], r["terminal"]) for r in report]
         assert types == [("(1/2)(1, 1, 1)", True), ("(1/3)(1, 1, 2)", True)]
 
+    def test_rows_hold_exactly_the_reported_fields(self):
+        for weights in ([1, 1, 1, 2], [1, 1, 2, 2], [1, 2, 3, 5]):
+            rows = wps_singularity_report(weights)
+            assert rows
+            for row in rows:
+                assert list(row) == ["vertex", "type", "isolated", "terminal"]
+
     def test_smooth_projective_space(self):
         assert wps_singularity_report([1, 1, 1, 1]) == []
 
