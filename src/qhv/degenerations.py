@@ -287,12 +287,14 @@ def variant_f4_generators() -> list[Polynomial]:
     return rows
 
 
-def adjudicate_f4_generators(k: int) -> dict:
+def adjudicate_f4_generators(k: int) -> tuple[bool, list[dict]]:
     """Member-by-member comparison of derived and hand-recorded generators.
 
-    Returns per-row membership flags for the reference list at twist k (and,
-    at twist 1, for the variant list), plus the reverse check that every
-    derived generator lies in the ideal spanned by the reference list.
+    Returns ``(matched, rows)``: one membership row per reference generator
+    at twist k (and, at twist 1, per variant generator) in the derived
+    ideal, then one per derived generator in the ideal the reference list
+    spans.  ``matched`` says the reference and derived rows all hold; the
+    variant rows are reported, not required.
     """
     derived = derive_f4_ideal(k)
     reference = reference_f4_generators(k)
@@ -308,7 +310,7 @@ def adjudicate_f4_generators(k: int) -> dict:
         rows += rows_for("variant", variant_f4_generators(), derived)
     rows += rows_for("derived", derived.generators, Ideal(reference))
     matched = all(r["member"] for r in rows if r["source"] in ("reference", "derived"))
-    return {"twist": k, "matched": matched, "rows": rows}
+    return matched, rows
 
 
 # -- gluing -------------------------------------------------------------------
@@ -350,13 +352,14 @@ def _transition_denominator(gen: Polynomial, gluing: SubstitutionMap) -> int:
     return max((t[i] * -v for t in gen.terms), default=0)
 
 
-def verify_gluing(fam: GluedFamily) -> dict:
+def verify_gluing(fam: GluedFamily) -> tuple[bool, list[dict]]:
     """Substitute the gluing into every zero-chart generator and compare.
 
     The images, after clearing a unit power of ``l``, must generate the
-    infinity-chart ideal; the report carries the cleared power per
-    generator.  When the cleared images are the infinity-chart generators,
-    literally and in order, the two ideals are equal with no basis computed.
+    infinity-chart ideal.  Returns ``(passed, witnesses)`` with one witness
+    per generator carrying its cleared power and image.  When the cleared
+    images are the infinity-chart generators, literally and in order, the
+    two ideals are equal with no basis computed.
     Both families match this way: each generator depends on the marked
     coordinate and ``l`` only through ``t`` (see :func:`_dress`), which the
     gluing sends from ``l^k w^2`` to ``l^l w^2`` (``l^k g`` to ``l^l g``).
@@ -377,19 +380,15 @@ def verify_gluing(fam: GluedFamily) -> dict:
         images.append(cleared)
     target = fam.chart_inf.ideal
     passed = tuple(images) == target.generators or equal_up_to_units(Ideal(images), target)
-    return {
-        "family": fam.chart0.family,
-        "twists": [fam.chart0.twist, fam.chart_inf.twist],
-        "passed": passed,
-        "witnesses": witnesses,
-    }
+    return passed, witnesses
 
 
-def verify_equivariance(fam: GluedFamily) -> dict:
+def verify_equivariance(fam: GluedFamily) -> tuple[bool, list[dict]]:
     """Torus action then gluing equals gluing then torus action.
 
     The comparison adjoins a formal invertible ``xi`` and compares the
-    composite assignment of every variable as exact substitution maps.  The
+    composite assignment of every variable as exact substitution maps.
+    Returns ``(passed, witnesses)`` with one witness per variable.  The
     sl2 triple needs no comparison here: it kills the coordinates the gluing
     moves (see :func:`_check_sl2`).
     """
@@ -407,27 +406,19 @@ def verify_equivariance(fam: GluedFamily) -> dict:
     scale0 = fam.chart0.torus.scaling_map(ring, xi)
     scale_inf = fam.chart_inf.torus.scaling_map(ring, xi)
 
-    torus_rows = []
-    torus_ok = True
+    witnesses = []
     for n in ring.names:
         action_then_glue = glue_ext.apply(scale0(n))
         glue_then_action = scale_inf.apply(glue_ext(n))
-        same = action_then_glue == glue_then_action
-        torus_ok = torus_ok and same
-        torus_rows.append(
+        witnesses.append(
             {
                 "variable": n,
                 "action_then_glue": str(action_then_glue),
                 "glue_then_action": str(glue_then_action),
-                "equal": same,
+                "equal": action_then_glue == glue_then_action,
             }
         )
-    return {
-        "family": fam.chart0.family,
-        "twists": [fam.chart0.twist, fam.chart_inf.twist],
-        "passed": torus_ok,
-        "torus": torus_rows,
-    }
+    return all(w["equal"] for w in witnesses), witnesses
 
 
 # -- embedding and quotient identities ----------------------------------------
@@ -449,17 +440,17 @@ def embedding_substitution(k: int) -> SubstitutionMap:
     )
 
 
-def verify_embedding(k: int) -> dict:
-    """The parametrization annihilates every derived F4 generator."""
+def verify_embedding(k: int) -> tuple[bool, list[dict]]:
+    """The parametrization annihilates every derived F4 generator.
+
+    Returns ``(passed, witnesses)`` with one witness per generator.
+    """
     phi = embedding_substitution(k)
     witnesses = []
-    passed = True
     for gen in derive_f4_ideal(k).generators:
         value = phi.apply(gen)
-        ok = value.is_zero()
-        passed = passed and ok
-        witnesses.append({"generator": str(gen), "image": str(value), "zero": ok})
-    return {"twist": k, "passed": passed, "witnesses": witnesses}
+        witnesses.append({"generator": str(gen), "image": str(value), "zero": value.is_zero()})
+    return all(w["zero"] for w in witnesses), witnesses
 
 
 def quotient_substitution() -> SubstitutionMap:
@@ -467,12 +458,13 @@ def quotient_substitution() -> SubstitutionMap:
     return _embedding_map(QUADRIC_CHART_RING.monomial(1, {"w": 2}))
 
 
-def verify_quotient(k: int) -> dict:
+def verify_quotient(k: int) -> tuple[bool, list[dict]]:
     """The F4 chart is the sign-involution quotient of the quadric chart.
 
     Every derived generator pulls back through g -> w^2 into the quadric
     chart ideal (formed for any twist >= 0 here), and every pullback is fixed
-    by w -> -w.
+    by w -> -w.  Returns ``(passed, witnesses)`` with one witness per
+    generator.
     """
     _check_nonnegative(k)
     ring = QUADRIC_CHART_RING
@@ -484,27 +476,24 @@ def verify_quotient(k: int) -> dict:
         {**{n: ring.var(n) for n in ring.names}, "w": -ring.var("w")},
     )
     witnesses = []
-    passed = True
     for gen in derive_f4_ideal(k).generators:
         pullback = sigma.apply(gen)
-        member = contains(quad, pullback)
-        even = flip.apply(pullback) == pullback
-        passed = passed and member and even
         witnesses.append(
             {
                 "generator": str(gen),
                 "pullback": str(pullback),
-                "in_quadric_ideal": member,
-                "sign_invariant": even,
+                "in_quadric_ideal": contains(quad, pullback),
+                "sign_invariant": flip.apply(pullback) == pullback,
             }
         )
-    return {"twist": k, "passed": passed, "witnesses": witnesses}
+    passed = all(w["in_quadric_ideal"] and w["sign_invariant"] for w in witnesses)
+    return passed, witnesses
 
 
 # -- singular locus certification ----------------------------------------------
 
 
-def _affine_chart(gen: Polynomial, unit_var: str) -> tuple[VariableContext, Polynomial]:
+def _affine_chart(gen: Polynomial, unit_var: str) -> Polynomial:
     """Specialize one projective coordinate to 1; the base parameter becomes
     an ordinary (non-invertible) chart coordinate so the Jacobian ideal sees
     the central fiber."""
@@ -513,11 +502,11 @@ def _affine_chart(gen: Polynomial, unit_var: str) -> tuple[VariableContext, Poly
     chart = VariableContext(keep)
     images = {n: chart.var(n) for n in keep}
     images[unit_var] = chart.one()
-    sub = SubstitutionMap(src, chart, images)
-    return chart, sub.apply(gen)
+    return SubstitutionMap(src, chart, images).apply(gen)
 
 
-def _locus_of_chart(chart_ring: VariableContext, equation: Polynomial) -> dict:
+def _locus_of_chart(equation: Polynomial) -> dict:
+    chart_ring = equation.ring
     J = jacobian_ideal(equation, chart_ring.names)
     if contains_one(J):
         return {"status": "smooth"}
@@ -538,7 +527,7 @@ def _locus_of_chart(chart_ring: VariableContext, equation: Polynomial) -> dict:
     return {"status": "singular", "vanishing_powers": powers}
 
 
-def quadric_singular_loci(k: int) -> dict:
+def quadric_singular_loci(k: int) -> tuple[bool, list[dict]]:
     """Per affine chart: smooth, or singular exactly at the chart origin.
 
     The four standard charts set one projective coordinate to 1; the only
@@ -546,15 +535,11 @@ def quadric_singular_loci(k: int) -> dict:
     point x = y = z = l = 0.  For twist 0 and 1 every chart is smooth: on
     w = 1 the equation 4xz - y^2 - l^k has the partial -1 in l when k = 1,
     and when k = 0 its partials vanish only at x = y = z = 0, off the chart.
+    Returns ``(passed, witnesses)`` with one witness per chart, in x, y, z,
+    w order.
     """
     _check_nonnegative(k)
     gen = quadric_generator(k)
-    charts = {}
-    passed = True
-    for unit_var in ("x", "y", "z", "w"):
-        chart_ring, equation = _affine_chart(gen, unit_var)
-        result = _locus_of_chart(chart_ring, equation)
-        charts[unit_var] = result
-        expected = "single_point_origin" if unit_var == "w" and k >= 2 else "smooth"
-        passed = passed and result["status"] == expected
-    return {"twist": k, "passed": passed, "charts": charts}
+    witnesses = [{"chart": c, **_locus_of_chart(_affine_chart(gen, c))} for c in "xyzw"]
+    expected = ["smooth"] * 3 + ["single_point_origin" if k >= 2 else "smooth"]
+    return [w["status"] for w in witnesses] == expected, witnesses

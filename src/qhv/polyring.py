@@ -132,10 +132,11 @@ class Polynomial:
     The constructor drops zero coefficients, so stored terms never have
     one; arithmetic only accumulates and leaves cancellation to it.
     Exponents on non-invertible variables are >= 0.  Equality is exact
-    equality of the normalized term maps within one context.
+    equality of the normalized term maps within one context.  The printed
+    form is cached on first use; equality and hashing ignore it.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_text")
 
     def __init__(self, ring: VariableContext, terms: Mapping[Exponent, Fraction]):
         n = len(ring.names)
@@ -244,10 +245,14 @@ class Polynomial:
         return bool(self.terms)
 
     def __str__(self) -> str:
-        return format_polynomial(self)
+        try:
+            return self._text
+        except AttributeError:
+            object.__setattr__(self, "_text", format_polynomial(self))
+            return self._text
 
     def __repr__(self) -> str:
-        return f"Polynomial({format_polynomial(self)!r})"
+        return f"Polynomial({str(self)!r})"
 
 
 # -- unit normalization ----------------------------------------------------

@@ -151,6 +151,21 @@ class TestStreaming:
 
 
 class TestDeterminism:
+    # Small ranges that still reach every suite.
+    SMALL = cli.RunConfig(
+        quadric_k=(1, 3), quadric_l=(1,), f4_k=(0, 1), f4_l=(1,), terminal_n_max=12
+    )
+
+    def checks(self):
+        for suite in cli.SUITES.values():
+            yield from suite(self.SMALL)
+
+    def test_every_body_returns_a_verdict_and_witness_list(self):
+        # a two-key dict would unpack into its key strings and read as a pass
+        for name, params, body in self.checks():
+            passed, witnesses = verdict = body()
+            assert (type(verdict), type(passed), type(witnesses)) == (tuple, bool, list), name
+
     def test_byte_identical_without_duration(self, capsys):
         def stripped():
             code, lines, _ = run_cli(capsys, "verify", "quotient", "--k", "0,1")
@@ -164,27 +179,19 @@ class TestDeterminism:
         assert stripped() == stripped()
 
     def test_report_independent_of_earlier_runs(self, capsys):
-        # Small ranges that still reach every suite.  The cold pass empties the
-        # chart caches, and with them every cached basis, before each check.
-        cfg = cli.RunConfig(
-            quadric_k=(1, 3), quadric_l=(1,), f4_k=(0, 1), f4_l=(1,), terminal_n_max=12
-        )
+        # The cold pass empties the chart caches, and with them every cached
+        # basis, before each check.
         caches = (degenerations.quadric_chart, degenerations.f4_chart,
                   degenerations.derive_f4_ideal, degenerations._twist_free_f4_generators,
                   degenerations._check_sl2, group_actions.sl2_v2_triple,
                   group_actions.sl2_v4_triple)
-
-        def checks():
-            for suite in cli.SUITES.values():
-                yield from suite(cfg)
-
         cold = []
-        for check in checks():
+        for check in self.checks():
             for cache in caches:
                 cache.cache_clear()
             cold.append(cli._run_check(*check).payload(with_duration=False))
         assert run_cli(capsys, "all")[0] == 0
-        warm = [cli._run_check(*check).payload(with_duration=False) for check in checks()]
+        warm = [cli._run_check(*check).payload(with_duration=False) for check in self.checks()]
         assert warm == cold
 
 

@@ -71,17 +71,16 @@ class TestDeriveF4:
         phi = embedding_substitution(1)
         for g in gens:
             assert phi.apply(g).is_zero()
-        assert verify_embedding(1)["passed"]
+        assert verify_embedding(1)[0]
 
     def test_adjudication_reference_members(self):
-        adj = adjudicate_f4_generators(1)
-        assert adj["matched"]
-        reference_flags = [r["member"] for r in adj["rows"] if r["source"] == "reference"]
+        matched, rows = adjudicate_f4_generators(1)
+        assert matched
+        reference_flags = [r["member"] for r in rows if r["source"] == "reference"]
         assert reference_flags == [True] * 6
 
     def test_adjudication_flags_variant_discrepancy(self):
-        adj = adjudicate_f4_generators(1)
-        variant_rows = [r for r in adj["rows"] if r["source"] == "variant"]
+        variant_rows = [r for r in adjudicate_f4_generators(1)[1] if r["source"] == "variant"]
         flags = [r["member"] for r in variant_rows]
         # exactly one transcription deviates from the kernel
         assert flags == [True, True, True, True, False, True]
@@ -161,26 +160,26 @@ class TestGluing:
 
     def test_quadric_gluing_3_1(self):
         fam = glued_family("quadric", 3, 1)
-        report = verify_gluing(fam)
-        assert report["passed"]
-        (witness,) = report["witnesses"]
+        passed, witnesses = verify_gluing(fam)
+        assert passed
+        (witness,) = witnesses
         assert witness["cleared_power"] == 3
         # exact equality after clearing: the image is the other chart equation
         assert parse(R, witness["image"]) == quadric_generator(1)
 
     def test_quadric_gluing_1_1(self):
-        report = verify_gluing(glued_family("quadric", 1, 1))
-        assert report["passed"]
-        assert report["witnesses"][0]["cleared_power"] == 1
+        passed, witnesses = verify_gluing(glued_family("quadric", 1, 1))
+        assert passed
+        assert witnesses[0]["cleared_power"] == 1
 
     def test_f4_gluing_1_1(self):
-        report = verify_gluing(glued_family("f4", 1, 1))
-        assert report["passed"]
-        assert len(report["witnesses"]) == 6
+        passed, witnesses = verify_gluing(glued_family("f4", 1, 1))
+        assert passed
+        assert len(witnesses) == 6
 
     @pytest.mark.parametrize("pair", [(1, 3), (5, 1), (3, 3)])
     def test_quadric_gluing_range(self, pair):
-        assert verify_gluing(glued_family("quadric", *pair))["passed"]
+        assert verify_gluing(glued_family("quadric", *pair))[0]
 
 
 def _counting_fallback(monkeypatch) -> list:
@@ -207,7 +206,7 @@ class TestGluingCertificate:
         fam = glued_family("f4", 2, 3)
         permuted = _with_infinity_generators(fam, fam.chart_inf.ideal.generators[::-1])
         calls = _counting_fallback(monkeypatch)
-        assert verify_gluing(permuted)["passed"]
+        assert verify_gluing(permuted)[0]
         assert len(calls) == 1
 
     @pytest.mark.parametrize("family, k, l", [("quadric", 3, 5), ("f4", 1, 2)])
@@ -218,7 +217,7 @@ class TestGluingCertificate:
             ring.monomial(1, {"l": m + 1}) * g for m, g in enumerate(fam.chart_inf.ideal.generators)
         ]
         calls = _counting_fallback(monkeypatch)
-        assert verify_gluing(_with_infinity_generators(fam, rescaled))["passed"]
+        assert verify_gluing(_with_infinity_generators(fam, rescaled))[0]
         assert len(calls) == 1
 
     @pytest.mark.parametrize("family, k, l", [("quadric", 3, 1), ("f4", 1, 2)])
@@ -234,26 +233,25 @@ class TestGluingCertificate:
         )
         wrong = dataclasses.replace(fam, gluing=SubstitutionMap(ring, ring, images))
         calls = _counting_fallback(monkeypatch)
-        assert verify_gluing(wrong)["passed"] is False
+        assert verify_gluing(wrong)[0] is False
         assert len(calls) == 1
 
 
 class TestEquivariance:
     def test_quadric_3_1_composites(self):
         fam = glued_family("quadric", 3, 1)
-        report = verify_equivariance(fam)
-        assert report["passed"]
-        rows = {r["variable"]: r for r in report["torus"]}
+        passed, witnesses = verify_equivariance(fam)
+        assert passed
+        rows = {r["variable"]: r for r in witnesses}
         # the scaling parameter identity and the twisted-coordinate identity
         assert rows["l"]["action_then_glue"] == "l^-1*xi^2"
         assert rows["w"]["action_then_glue"] == "w*l^2*xi^-3"
-        assert all(r["equal"] for r in report["torus"])
+        assert all(r["equal"] for r in witnesses)
 
     def test_identity_scaling_trivial(self):
         fam = glued_family("quadric", 1, 1)
         # scaling by xi^0 is the identity; the roundtrip degenerates
-        report = verify_equivariance(fam)
-        assert report["passed"]
+        assert verify_equivariance(fam)[0]
 
     def test_sl2_commutes_by_disjoint_support(self):
         # the per-pair reference for the once-per-family sl2 check: each
@@ -329,12 +327,29 @@ class TestSl2OncePerFamily:
         assert "not sl2 invariant" in report["witnesses"][0]["error"]
 
 
+CHECKS = {
+    "gluing": lambda: verify_gluing(glued_family("quadric", 3, 1)),
+    "equivariance": lambda: verify_equivariance(glued_family("f4", 1, 2)),
+    "adjudication": lambda: adjudicate_f4_generators(1),
+    "embedding": lambda: verify_embedding(1),
+    "quotient": lambda: verify_quotient(1),
+    "singular-loci": lambda: quadric_singular_loci(3),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_returns_verdict_and_witness_rows(name):
+    passed, witnesses = result = CHECKS[name]()
+    assert (type(result), type(passed), type(witnesses)) == (tuple, bool, list)
+    assert witnesses and all(type(w) is dict for w in witnesses)
+
+
 class TestQuotient:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_quotient_membership_and_sign_invariance(self, k):
-        report = verify_quotient(k)
-        assert report["passed"]
-        for row in report["witnesses"]:
+        passed, witnesses = verify_quotient(k)
+        assert passed
+        for row in witnesses:
             assert row["in_quadric_ideal"] and row["sign_invariant"]
 
     def test_hand_factorization_instance(self):
@@ -353,8 +368,7 @@ class TestQuotient:
         assert pulled == parse(R, "-4*z^2") * quadric_generator(1)
 
     def test_pullbacks_even_in_w(self):
-        report = verify_quotient(2)
-        for row in report["witnesses"]:
+        for row in verify_quotient(2)[1]:
             pullback = parse(R, row["pullback"])
             assert all(
                 exp[R.index("w")] % 2 == 0 for exp in pullback.terms
@@ -363,29 +377,30 @@ class TestQuotient:
 
 class TestSingularLoci:
     def test_twist_one_smooth_everywhere(self):
-        report = quadric_singular_loci(1)
-        assert report["passed"]
-        assert all(r["status"] == "smooth" for r in report["charts"].values())
+        passed, rows = quadric_singular_loci(1)
+        assert passed
+        assert all(r["status"] == "smooth" for r in rows)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_higher_twists_single_point(self, k):
-        report = quadric_singular_loci(k)
-        assert report["passed"]
-        assert report["charts"]["w"]["status"] == "single_point_origin"
-        assert report["charts"]["w"]["vanishing_powers"] == {
+        passed, rows = quadric_singular_loci(k)
+        charts = {r["chart"]: r for r in rows}
+        assert passed
+        assert charts["w"]["status"] == "single_point_origin"
+        assert charts["w"]["vanishing_powers"] == {
             "x": 1,
             "y": 1,
             "z": 1,
             "l": k - 1,
         }
         for chart in ("x", "y", "z"):
-            assert report["charts"][chart]["status"] == "smooth"
+            assert charts[chart]["status"] == "smooth"
 
     def test_twist_zero_smooth_everywhere(self):
         # 4xz - y^2 = w^2 is a smooth quadric; the w-chart point needs k >= 2
-        report = quadric_singular_loci(0)
-        assert report["passed"]
-        assert all(r["status"] == "smooth" for r in report["charts"].values())
+        passed, rows = quadric_singular_loci(0)
+        assert passed
+        assert all(r["status"] == "smooth" for r in rows)
 
     def test_negative_twist_rejected(self):
         with pytest.raises(ConstructionError, match="twist must be nonnegative"):

@@ -433,3 +433,13 @@ class TestTextFormat:
 
     def test_ordering_is_descending(self):
         assert format_polynomial(P("1 + x + x^2")) == "x^2 + x + 1"
+
+    def test_printed_form_is_cached_and_ignored_by_equality(self):
+        p = P("4*x*z - y^2 - l^3*w^2")
+        q = P("4*x*z - l^3*w^2") - P("y^2")  # equal, built separately
+        assert str(p) is str(p)
+        assert not hasattr(q, "_text")  # p is formatted, q not yet
+        assert p == q and hash(p) == hash(q)
+        assert str(q) == str(p)
+        with pytest.raises(AttributeError):
+            p._text = "x"
