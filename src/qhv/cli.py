@@ -223,7 +223,7 @@ class ConfigError(ValueError):
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
     if not values:

@@ -75,11 +75,8 @@ class ConstructionError(PolyError):
 
 @dataclass(frozen=True, eq=False)
 class ChartModel:
-    """One affine-base chart of a degeneration with its group data."""
+    """One affine-base chart of a degeneration: its ideal and its torus."""
 
-    family: str
-    chart_id: str
-    twist: int
     ideal: Ideal
     torus: TorusAction
 
@@ -183,7 +180,7 @@ def _chart(name: str, k: int, chart_id: str, ideal: Callable[[], Ideal]) -> Char
         raise ConstructionError(f"unknown chart id {chart_id!r}")
     sign = -1 if chart_id == ZERO else 1
     torus = TorusAction({family.marked: sign * family.degree * k, "l": -2 * sign})
-    chart = ChartModel(name, chart_id, k, ideal(), torus)
+    chart = ChartModel(ideal(), torus)
     if not check_semi_invariance(chart.ideal, torus):
         raise ConstructionError(f"{name} chart ideal is not torus semi-invariant")
     _check_sl2(name)
@@ -336,35 +333,23 @@ def glued_family(family: str, k: int, l: int) -> GluedFamily:
     return GluedFamily(chart(k, ZERO), chart(l, INFINITY), gluing)
 
 
-def _transition_denominator(gen: Polynomial, gluing: SubstitutionMap) -> int:
-    """Power of ``l`` cleared from the denominator the transition incurs.
-
-    The gluing sends the base parameter to a unit monomial with negative
-    exponent; each generator term of degree d in the parameter passes through
-    a denominator of that power times d.
-    """
-    img = gluing("l")
-    (exp,) = img.terms
-    v = exp[img.ring.index("l")]
-    if v >= 0:
-        return 0
-    i = gen.ring.index("l")
-    return max((t[i] * -v for t in gen.terms), default=0)
-
-
 def verify_gluing(fam: GluedFamily) -> tuple[bool, list[dict]]:
     """Substitute the gluing into every zero-chart generator and compare.
 
     The images, after clearing a unit power of ``l``, must generate the
     infinity-chart ideal.  Returns ``(passed, witnesses)`` with one witness
-    per generator carrying its cleared power and image.  When the cleared
-    images are the infinity-chart generators, literally and in order, the
-    two ideals are equal with no basis computed.
-    Both families match this way: each generator depends on the marked
-    coordinate and ``l`` only through ``t`` (see :func:`_dress`), which the
-    gluing sends from ``l^k w^2`` to ``l^l w^2`` (``l^k g`` to ``l^l g``).
-    Any other presentation is compared by :func:`equal_up_to_units`.
+    per generator carrying its cleared power and image.  Every gluing sends
+    ``l -> l^-1`` (see :func:`gluing_map`), so a term of degree d in ``l``
+    picks up the denominator ``l^d``: the cleared power is the generator's
+    degree in ``l``.  When the cleared images are the infinity-chart
+    generators, literally and in order, the two ideals are equal with no
+    basis computed.  Both families match this way: each generator depends
+    on the marked coordinate and ``l`` only through ``t`` (see
+    :func:`_dress`), which the gluing sends from ``l^k w^2`` to ``l^l w^2``
+    (``l^k g`` to ``l^l g``).  Any other presentation is compared by
+    :func:`equal_up_to_units`.
     """
+    i = fam.chart0.ideal.ring.index("l")
     images = []
     witnesses = []
     for gen in fam.chart0.ideal.generators:
@@ -373,7 +358,7 @@ def verify_gluing(fam: GluedFamily) -> tuple[bool, list[dict]]:
         witnesses.append(
             {
                 "generator": str(gen),
-                "cleared_power": _transition_denominator(gen, fam.gluing),
+                "cleared_power": max(exp[i] for exp in gen.terms),
                 "image": str(cleared),
             }
         )
@@ -393,18 +378,14 @@ def verify_equivariance(fam: GluedFamily) -> tuple[bool, list[dict]]:
     moves (see :func:`_check_sl2`).
     """
     ring = fam.chart0.ideal.ring
-    xi = "xi"
-    ext = ring.extend((xi,), invertible=(xi,))
+    scale0 = fam.chart0.torus.scaling_map(ring)
+    scale_inf = fam.chart_inf.torus.scaling_map(ring)
+    ext = scale0.source
     glue_ext = SubstitutionMap(
         ext,
         ext,
-        {
-            **{n: convert_context(fam.gluing(n), ext) for n in ring.names},
-            xi: ext.var(xi),
-        },
+        {**{n: convert_context(fam.gluing(n), ext) for n in ring.names}, "xi": ext.var("xi")},
     )
-    scale0 = fam.chart0.torus.scaling_map(ring, xi)
-    scale_inf = fam.chart_inf.torus.scaling_map(ring, xi)
 
     witnesses = []
     for n in ring.names:
@@ -466,7 +447,7 @@ def verify_quotient(k: int) -> tuple[bool, list[dict]]:
     by w -> -w.  Returns ``(passed, witnesses)`` with one witness per
     generator.
     """
-    _check_nonnegative(k)
+    generators = derive_f4_ideal(k).generators  # raises on a negative twist
     ring = QUADRIC_CHART_RING
     quad = Ideal([quadric_generator(k)])
     sigma = quotient_substitution()
@@ -476,7 +457,7 @@ def verify_quotient(k: int) -> tuple[bool, list[dict]]:
         {**{n: ring.var(n) for n in ring.names}, "w": -ring.var("w")},
     )
     witnesses = []
-    for gen in derive_f4_ideal(k).generators:
+    for gen in generators:
         pullback = sigma.apply(gen)
         witnesses.append(
             {

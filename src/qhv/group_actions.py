@@ -30,19 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from . import ideals
-from .polyring import (
-    NotHomogeneous,
-    PolyError,
-    Polynomial,
-    SubstitutionMap,
-    VariableContext,
-    derivative,
-    weight_of,
-)
+from .polyring import PolyError, Polynomial, SubstitutionMap, VariableContext, derivative
 
 #: Chart ring of the quadric degenerations ([x:y:z:w] and the base parameter l).
 QUADRIC_CHART_RING = VariableContext(("x", "y", "z", "w", "l"), invertible={"l"})
@@ -122,12 +113,10 @@ def _scale(D: Derivation, c) -> Derivation:
 # -- the concrete triples ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def sl2_v2_triple(ring: VariableContext = QUADRIC_CHART_RING) -> Sl2Triple:
     """The standard triple on (x, y, z), all other ring variables fixed.
 
     E and F annihilate 4xz - y^2, H has weights (-2, 0, 2) on (x, y, z).
-    Built once per ring.
     """
     for needed in ("x", "y", "z"):
         ring.index(needed)
@@ -178,7 +167,6 @@ def _express_in_embedding(q: Polynomial) -> list[Fraction]:
     return [row[6] for row in reduced]
 
 
-@lru_cache(maxsize=None)
 def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
     """Triple on (a, .., f) obtained by push-forward through the embedding.
 
@@ -186,7 +174,7 @@ def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
     re-expressed as a linear form in (a, .., f); every other ring variable
     (g and l on the chart ring) maps to 0.  The components span the
     sl2-stable summand V4 of the quadrics, so no image has an invariant
-    coordinate; one that has raises.  Built once per ring, on first use.
+    coordinate; one that has raises.
     """
     source = sl2_v2_triple(_XYZ)
     zero = ring.zero()
@@ -226,24 +214,24 @@ class TorusAction:
     def __post_init__(self):
         object.__setattr__(self, "weights", dict(self.weights))
 
-    def weight(self, p: Polynomial) -> int:
-        return weight_of(p, self.weights)
+    def weight(self, p: Polynomial) -> int | None:
+        """The common weight of p's terms, or None when two terms disagree.
 
-    def is_semi_invariant(self, p: Polynomial) -> bool:
-        try:
-            self.weight(p)
-            return True
-        except NotHomogeneous:
-            return False
+        Variables the action does not name weigh 0; the zero polynomial has
+        weight 0.
+        """
+        wvec = [self.weights.get(name, 0) for name in p.ring.names]
+        found = {sum(e * w for e, w in zip(exp, wvec)) for exp in p.terms} or {0}
+        return found.pop() if len(found) == 1 else None
 
-    def scaling_map(self, ring: VariableContext, xi: str = "xi") -> SubstitutionMap:
+    def scaling_map(self, ring: VariableContext) -> SubstitutionMap:
         """v -> xi^w(v) * v on the ring extended by invertible xi, fixing xi."""
-        ext = ring.extend((xi,), invertible=(xi,))
-        images = {n: ext.monomial(1, {xi: self.weights.get(n, 0), n: 1}) for n in ring.names}
-        images[xi] = ext.var(xi)
+        ext = ring.extend(("xi",), invertible=("xi",))
+        images = {n: ext.monomial(1, {"xi": self.weights.get(n, 0), n: 1}) for n in ring.names}
+        images["xi"] = ext.var("xi")
         return SubstitutionMap(ext, ext, images)
 
 
 def check_semi_invariance(I: ideals.Ideal, A: TorusAction) -> bool:
     """True iff every generator is weight-homogeneous for A."""
-    return all(A.is_semi_invariant(g) for g in I.generators)
+    return all(A.weight(g) is not None for g in I.generators)

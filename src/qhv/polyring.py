@@ -8,10 +8,9 @@ restricted to exponents >= 0.  Everything is immutable and exact: there is no
 floating point anywhere in this package.
 
 The module also provides simultaneous substitution maps whose images may be
-Laurent monomial multiples (:class:`SubstitutionMap`), weighted-degree
-computation (:func:`weight_of`) and partial derivatives.  There is no text
-reader: ``str`` (:func:`format_polynomial`, e.g. ``4*x*z - y^2 - l^3*w^2``)
-is the canonical form that reports carry.
+Laurent monomial multiples (:class:`SubstitutionMap`) and partial
+derivatives.  There is no text reader: ``str`` (:func:`format_polynomial`,
+e.g. ``4*x*z - y^2 - l^3*w^2``) is the canonical form that reports carry.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ class PolyError(ValueError):
 
 class ContextMismatch(PolyError):
     """Operands live in different variable contexts."""
-
-
-class NotHomogeneous(PolyError):
-    """Signal raised when a polynomial has terms of distinct weighted degree."""
 
 
 def _grevlex_key(exp: Exponent):
@@ -285,25 +280,6 @@ def derivative(p: Polynomial, name: str) -> Polynomial:
     return Polynomial(
         p.ring, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.terms.items() if e[i]}
     )
-
-
-def weight_of(p: Polynomial, weights: Mapping[str, int]) -> int:
-    """Common weighted degree of all terms of p.
-
-    Raises :class:`NotHomogeneous` when terms disagree.  Missing variables
-    weigh 0; the zero polynomial has weight 0.
-    """
-    wvec = [weights.get(name, 0) for name in p.ring.names]
-    seen: int | None = None
-    for exp in p.terms:
-        d = sum(e * w for e, w in zip(exp, wvec))
-        if seen is None:
-            seen = d
-        elif d != seen:
-            raise NotHomogeneous(
-                f"terms of weight {seen} and {d} in {format_polynomial(p)}"
-            )
-    return 0 if seen is None else seen
 
 
 # -- substitution -----------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Sequence
 
 from qhv import ideals
 from qhv.group_actions import Derivation, Sl2Triple, TorusAction, _scale, apply
-from qhv.polyring import NotHomogeneous, Polynomial, VariableContext
+from qhv.polyring import Polynomial, VariableContext
 from qhv.singular import CyclicQuotient
 
 
@@ -105,12 +105,11 @@ def leibniz_holds(D: Derivation, p: Polynomial, q: Polynomial) -> bool:
     return apply(D, p * q) == apply(D, p) * q + p * apply(D, q)
 
 
-def scaling_identity_holds(p: Polynomial, A: TorusAction, xi: str = "xi") -> bool:
+def scaling_identity_holds(p: Polynomial, A: TorusAction) -> bool:
     """Literal identity: substituting the scaling yields xi^d times p."""
-    try:
-        d = A.weight(p)
-    except NotHomogeneous:
+    d = A.weight(p)
+    if d is None:
         return False
-    scale = A.scaling_map(p.ring, xi)
+    scale = A.scaling_map(p.ring)
     lifted = ideals.convert_context(p, scale.source)
-    return scale.apply(lifted) == scale.source.monomial(1, {xi: d}) * lifted
+    return scale.apply(lifted) == scale.source.monomial(1, {"xi": d}) * lifted

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qhv import cli, degenerations, group_actions, ideals
+from qhv import cli, degenerations, group_actions, ideals, polyring, ruled, singular
 
 
 def run_cli(capsys, *argv):
@@ -179,12 +179,17 @@ class TestDeterminism:
         assert stripped() == stripped()
 
     def test_report_independent_of_earlier_runs(self, capsys):
-        # The cold pass empties the chart caches, and with them every cached
-        # basis, before each check.
-        caches = (degenerations.quadric_chart, degenerations.f4_chart,
-                  degenerations.derive_f4_ideal, degenerations._twist_free_f4_generators,
-                  degenerations._check_sl2, group_actions.sl2_v2_triple,
-                  group_actions.sl2_v4_triple)
+        # The cold pass empties every cache in the package, and with the
+        # charts every cached basis, before each check.  The caches are
+        # found, not listed, so a new one fails the name check until it is
+        # added there, and never escapes the cold pass.
+        modules = (polyring, ideals, group_actions, degenerations, singular, ruled, cli)
+        caches = {id(obj): obj for module in modules for obj in vars(module).values()
+                  if hasattr(obj, "cache_clear")}.values()
+        assert sorted(cache.__name__ for cache in caches) == [
+            "_check_sl2", "_twist_free_f4_generators", "derive_f4_ideal", "f4_chart",
+            "quadric_chart",
+        ]
         cold = []
         for check in self.checks():
             for cache in caches:
@@ -303,6 +308,21 @@ class TestConfigFile:
     def test_empty_integer_list_exit_2(self, capsys, argv):
         code, lines, err = run_cli(capsys, *argv)
         assert code == 2 and lines == [] and "at least one integer" in err
+
+    def test_blank_separated_twists_exit_2(self, capsys):
+        # blanks inside an entry must not join its digits into twist 13
+        code, lines, err = run_cli(capsys, "verify", "quadric", "--k", "1 3", "--l", "1")
+        assert code == 2 and lines == [] and "'1 3'" in err
+
+    def test_blank_separated_config_list_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "blank.cfg"
+        cfg.write_text("quadric-k = 1 3\n")
+        code, lines, err = run_cli(capsys, "verify", "quadric", "--config", str(cfg))
+        assert code == 2 and lines == []
+        assert "quadric-k" in err and "'1 3'" in err
+
+    def test_blanks_around_entries_allowed(self):
+        assert cli._parse_int_list(" 1, 3 ") == (1, 3)
 
     def test_empty_config_list_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "empty.cfg"

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qhv import cli, degenerations
+from qhv import cli, degenerations, group_actions
 from qhv.degenerations import (
     FAMILIES,
     ConstructionError,
@@ -308,6 +308,24 @@ class TestSl2OncePerFamily:
         capsys.readouterr()
         assert len(calls) == 2
 
+    def test_all_builds_each_triple_once_per_ring(self, monkeypatch, capsys):
+        # the triples are not cached: one build per family check, and one
+        # (x, y, z) triple that the five-variable triple is pushed forward from
+        rings = {"sl2_v2_triple": [], "sl2_v4_triple": []}
+        for name, seen in rings.items():
+            build = getattr(group_actions, name)
+
+            def counting(ring, build=build, seen=seen):
+                seen.append(ring.names)
+                return build(ring)
+
+            for module in (group_actions, degenerations):
+                monkeypatch.setattr(module, name, counting)
+        assert cli.main(["all"]) == 0
+        capsys.readouterr()
+        assert sorted(rings["sl2_v2_triple"]) == [("x", "y", "z"), ("x", "y", "z", "t")]
+        assert rings["sl2_v4_triple"] == [("a", "b", "c", "e", "f", "t")]
+
     def test_noninvariant_presentation_fails_every_chart(self, monkeypatch, capsys):
         quadric = FAMILIES["quadric"]
         ring = quadric.twist_free()[0].ring
@@ -319,7 +337,7 @@ class TestSl2OncePerFamily:
             for chart_id in (ZERO, INFINITY):
                 with pytest.raises(ConstructionError, match="not sl2 invariant"):
                     quadric_chart(k, chart_id)
-        assert f4_chart(1, ZERO).family == "f4"
+        assert f4_chart(1, ZERO).ideal.generators == derive_f4_ideal(1).generators
         assert cli.main(["verify", "quadric", "--k", "1", "--l", "1"]) == 1
         (line,) = capsys.readouterr().out.splitlines()
         report = json.loads(line)

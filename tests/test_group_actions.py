@@ -133,20 +133,13 @@ class TestSl2Triples:
         assert T.H.images["a"] == parse(F4, "-4*a")
         assert T.H.images["f"] == parse(F4, "4*f")
 
-    @pytest.fixture
-    def uncached_v4(self):
-        # the triple is cached per process; a patched embedding must rebuild it
-        sl2_v4_triple.cache_clear()
-        yield
-        sl2_v4_triple.cache_clear()
-
-    def test_singular_embedding_basis_rejected(self, monkeypatch, uncached_v4):
+    def test_singular_embedding_basis_rejected(self, monkeypatch):
         # a basis in which the invariant repeats x^2 spans only five dimensions
         monkeypatch.setattr(group_actions, "QUADRIC_INVARIANT", parse(group_actions._XYZ, "x^2"))
         with pytest.raises(PolyError, match="singular re-expression system"):
             sl2_v4_triple()
 
-    def test_invariant_coordinate_rejected(self, monkeypatch, uncached_v4):
+    def test_invariant_coordinate_rejected(self, monkeypatch):
         # with c = y^2 the components no longer span an sl2-stable summand:
         # E(2xy) = 2y^2 + 4xz = 3c + (4xz - y^2) has invariant coordinate 1
         monkeypatch.setitem(group_actions.EMBEDDING_COMPONENTS, "c", parse(group_actions._XYZ, "y^2"))
@@ -206,6 +199,34 @@ class TestInvarianceChecks:
         assert not check_semi_invariance(
             Ideal([P("x + w")]), TorusAction({"x": 0, "w": -1})
         )
+
+
+class TestWeights:
+    def test_quadric_weight_zero(self):
+        A = TorusAction({"x": -2, "y": 0, "z": 2})
+        assert A.weight(P("4*x*z - y^2")) == 0
+        assert A.weight(R.zero()) == 0
+
+    def test_mixed_weights_signal(self):
+        assert TorusAction({"x": -2, "y": 0, "z": 2}).weight(P("x + z")) is None
+
+    def test_single_variable_weight(self):
+        assert TorusAction({"w": -3}).weight(P("w")) == -3
+
+    def test_weight_multiplicativity(self):
+        rng = random.Random(11)
+        ring = VariableContext(("x", "y", "z"))
+        A = TorusAction({"x": -2, "y": 0, "z": 2})
+
+        def homogeneous(weight_target):
+            # build a weight-homogeneous polynomial by rejection
+            while True:
+                p = random_polynomial(rng, ring, max_degree=3, max_terms=2)
+                if A.weight(p) == weight_target:
+                    return p
+
+        for target in (-2, 0, 2):
+            assert A.weight(homogeneous(target) * homogeneous(-target)) == 0
 
 
 class TestWeightBasis:

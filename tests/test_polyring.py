@@ -12,7 +12,6 @@ import pytest
 from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING
 from qhv.polyring import (
     ContextMismatch,
-    NotHomogeneous,
     PolyError,
     Polynomial,
     SubstitutionMap,
@@ -20,7 +19,6 @@ from qhv.polyring import (
     derivative,
     format_polynomial,
     strip_unit_content,
-    weight_of,
 )
 from qhv.ideals import primitive_integer_form
 from polytext import ParseError, parse
@@ -304,38 +302,6 @@ class TestExponentPath:
         sub = SubstitutionMap(R, R, images)
         assert sub._monomial is None
         assert sub.apply(P("x^2*l^-1")) == P("x^2*l^-1 + 2*x*y*l^-1 + y^2*l^-1")
-
-
-class TestWeights:
-    def test_quadric_weight_zero(self):
-        assert weight_of(P("4*x*z - y^2"), {"x": -2, "y": 0, "z": 2}) == 0
-
-    def test_mixed_weights_signal(self):
-        with pytest.raises(NotHomogeneous):
-            weight_of(P("x + z"), {"x": -2, "y": 0, "z": 2})
-
-    def test_single_variable_weight(self):
-        assert weight_of(P("w"), {"w": -3}) == -3
-
-    def test_weight_multiplicativity(self):
-        rng = random.Random(11)
-        ring = VariableContext(("x", "y", "z"))
-        weights = {"x": -2, "y": 0, "z": 2}
-
-        def homogeneous(weight_target):
-            # build a weight-homogeneous polynomial by rejection
-            while True:
-                p = random_polynomial(rng, ring, max_degree=3, max_terms=2)
-                try:
-                    if weight_of(p, weights) == weight_target:
-                        return p
-                except NotHomogeneous:
-                    continue
-
-        for target in (-2, 0, 2):
-            p = homogeneous(target)
-            q = homogeneous(-target)
-            assert weight_of(p * q, weights) == 0
 
 
 class TestUnitsAndNormalForms:
