@@ -97,14 +97,14 @@ def _wps(weights: tuple[int, ...]):
 def _bundle_normalize(n: int, k0: int, kinf: int):
     state = ruled.construct_twisted(n, k0, kinf)
     final, steps = ruled.figure1_normalize(state)
-    replayed = ruled.replay_reversed(n, steps)
-    ok = final.fiber_m == 0 and len(steps) == k0 + kinf and replayed == state
+    round_trip = ruled.replay_reversed(n, steps) == state
+    ok = final.fiber_m == 0 and len(steps) == k0 + kinf and round_trip
     witness = {
         "construction": list(state.transcript),
         "normalization": list(steps),
         "steps": len(steps),
         "final_fiber": final.fiber_m,
-        "round_trip": replayed == state,
+        "round_trip": round_trip,
     }
     return ok, [witness]
 

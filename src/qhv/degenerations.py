@@ -106,7 +106,7 @@ class ChartFamily:
     ring: VariableContext
     marked: str
     degree: int
-    odd_twists: bool  # twists odd and positive, else any nonnegative twist
+    odd_twists: bool  # twists must also be odd
     twist_free: Callable[[], tuple[Polynomial, ...]]
     sl2: Callable[[VariableContext], Sl2Triple]
 
@@ -134,16 +134,17 @@ def _family(name: str, *twists: int) -> ChartFamily:
     if name not in FAMILIES:
         raise ConstructionError(f"unknown family {name!r}")
     family = FAMILIES[name]
-    if any(k < 0 or family.odd_twists and k % 2 == 0 for k in twists):
-        rule = "odd and positive" if family.odd_twists else "nonnegative"
-        raise ConstructionError(f"{name} twists must be {rule}, got {list(twists)}")
+    _check_nonnegative(*twists)
+    if family.odd_twists and any(k % 2 == 0 for k in twists):
+        raise ConstructionError(f"{name} twists must be odd, got {list(twists)}")
     return family
 
 
-def _check_nonnegative(k: int) -> None:
-    """Reject a negative twist in the checks that also take even quadric twists."""
-    if k < 0:
-        raise ConstructionError(f"twist must be nonnegative, got {k}")
+def _check_nonnegative(*twists: int) -> None:
+    """Reject a negative twist: the one rule every family and check shares."""
+    for k in twists:
+        if k < 0:
+            raise ConstructionError(f"twist must be nonnegative, got {k}")
 
 
 def _dress(name: str, p: Polynomial, k: int) -> Polynomial:

@@ -18,16 +18,16 @@ On top of the lattices: enumeration of (-1)-classes, the case analysis that
 exhibits a curve meeting a candidate divisor trace nonpositively (the
 homology-lemma contradiction), and a combinatorial model of twisted
 P1-bundles over a Hirzebruch base.  A bundle state records the base index,
-the two twist counters and the transcript of steps taken; the fiber index
-(their sum) and which boundary divisors carry two invariant curves (those
-with a positive counter) are derived from them.  The normal-form algorithm
-walks these states back to the trivial bundle, one fiber index per step.
+the two twist counters and the transcript of steps taken; the fiber index is
+the counters' sum.  The normal-form algorithm walks these states back to the
+trivial bundle, one fiber index per step.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Literal, Sequence
 
 HIRZEBRUCH = "hirzebruch"
@@ -110,11 +110,6 @@ class DivisorClass:
                 f"expected {self.lattice.rank} coordinates, got {self.coords}"
             )
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if other.lattice != self.lattice:
-            raise LatticeMismatch("cannot add classes from different lattices")
-        return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __str__(self):
         pieces = []
         for value, name, sign in zip(self.coords, self.lattice.names, self.lattice.signs):
@@ -164,31 +159,39 @@ def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
 def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     """Classes of irreducible curves with coordinates bounded by ``bound``.
 
-    Hirzebruch: C0, F, and a C0 + b F with a >= 1 and b >= n a (b >= 0 when
-    n = 0).  Blow-ups of the quadric: the (-1)-classes together with the
-    classes of nonnegative bidegree (p, q) != (0, 0) meeting every (-1)-class
-    nonnegatively with square >= 0 (a nef class with positive anticanonical
-    degree moves in an irreducible family on these del Pezzo surfaces).  Such
-    a class meets the rulings f1 and f2 in q and p, so it meets them
-    nonnegatively too.  Classes come in coordinate order.
+    A nef class moves in an irreducible family when its square is positive
+    (Bertini), or when its square is 0 and it is primitive: such a class is m
+    times a conic class, and only m = 1 has an irreducible member (Manin,
+    *Cubic Forms*, ch. IV).  Hirzebruch: C0, F, and those a C0 + b F with
+    a >= 1 and b >= n a.  Blow-ups of the quadric: the (-1)-classes together
+    with those classes of nonnegative bidegree (p, q) meeting every
+    (-1)-class nonnegatively.  Such a class meets the rulings f1 and f2 in q
+    and p, so it meets them nonnegatively too.  One scan of the p, q >= 0 box
+    finds both kinds, since every (-1)-class has p, q >= 0 (see
+    :func:`minus_one_curves`).  Classes come in coordinate order.
     """
-    span = range(bound + 1)
+    form, span = lat.form, range(bound + 1)
+
+    def moves(d, square):
+        return square > 0 or square == 0 and gcd(*d) == 1
+
     if lat.kind == HIRZEBRUCH:
         n = lat.param
         return [
-            DivisorClass(lat, (a, b))
-            for a, b in itertools.product(span, span)
-            if (a, b) in ((1, 0), (0, 1)) or a >= 1 and b >= n * a
+            DivisorClass(lat, d)
+            for d in itertools.product(span, span)
+            if d in ((1, 0), (0, 1)) or d[0] >= 1 and d[1] >= n * d[0] and moves(d, form(d, d))
         ]
-    form = lat.form
-    exceptional = [d.coords for d in minus_one_curves(lat, bound)]
-    nef = [
-        d
-        for d in itertools.product(span, span, *[range(-bound, bound + 1)] * lat.param)
-        if d[:2] != (0, 0)
-        and form(d, d) >= 0
-        and all(form(d, e) >= 0 for e in exceptional)
-    ]
+    # a class met negatively by a (-1)-class found so far is dropped at once,
+    # which keeps the list short; the last line checks the later ones
+    exceptional, movable = [], []
+    for d in itertools.product(span, span, *[range(-bound, bound + 1)] * lat.param):
+        square = form(d, d)
+        if square == -1 and form(d, lat.minus_k) == 1:
+            exceptional.append(d)
+        elif moves(d, square) and all(form(d, e) >= 0 for e in exceptional):
+            movable.append(d)
+    nef = [d for d in movable if all(form(d, e) >= 0 for e in exceptional)]
     return [DivisorClass(lat, d) for d in sorted(exceptional + nef)]
 
 
@@ -200,31 +203,26 @@ def homology_lemma_cases(fiber: Literal["sigma1", "blowup1", "blowup2"], bound: 
     the bounded class box for an irreducible class whose product with the
     trace is <= 0 (preferring product exactly 0, then small coordinates).
     """
-    if fiber == "sigma1":
-        lat = hirzebruch(1)
-        traces = [tuple(minus_one_curves(lat, bound))]  # the unique (-1)-section
-    elif fiber == "blowup1":
-        lat = quadric_blowup(1)
+    lattices = {"sigma1": hirzebruch(1), "blowup1": quadric_blowup(1),
+                "blowup2": quadric_blowup(2)}
+    if fiber not in lattices:
+        raise ValueError(f"unknown fiber model {fiber!r}")
+    lat = lattices[fiber]
+    candidates = irreducible_curve_classes(lat, bound)
+    if fiber == "blowup1":
         e1 = DivisorClass(lat, (0, 0, -1))
         c1 = DivisorClass(lat, (1, 0, 1))
         c3 = DivisorClass(lat, (0, 1, 1))
         traces = [(c1, e1), (e1, c3), (e1,)]
-    elif fiber == "blowup2":
-        lat = quadric_blowup(2)
-        traces = [(d,) for d in minus_one_curves(lat, bound)]
-    else:
-        raise ValueError(f"unknown fiber model {fiber!r}")
+    else:  # each (-1)-class; on sigma1 that is the (-1)-section alone
+        traces = [(d,) for d in candidates if intersect(d, d) == -1]
 
-    candidates = irreducible_curve_classes(lat, bound)
     cases = []
     passed = True
     for trace in traces:
-        total = trace[0]
-        for extra in trace[1:]:
-            total = total + extra
         best = None
         for cand in candidates:
-            value = intersect(total, cand)
+            value = sum(intersect(t, cand) for t in trace)
             if value > 0:
                 continue
             key = (-value, cand.coords)  # prefer product 0, then small coords
@@ -264,9 +262,11 @@ _UNDOES = {A0: E0, AINF: EINF}
 class BundleState:
     """Combinatorial record of a twisted P1-bundle over a Hirzebruch base.
 
-    The fiber index and the boundary flags are derived from the counters.
-    These are nonnegative, so a positive fiber index means a positive
-    counter: the normal-form walk always has a step to take.
+    The fiber index is derived from the counters.  A boundary divisor carries
+    two invariant curves exactly while its twist counter is positive (the
+    construction adds a second invariant section).  The counters are
+    nonnegative, so a positive fiber index means a positive counter: the
+    normal-form walk always has a step to take.
     """
 
     base_n: int
@@ -275,42 +275,20 @@ class BundleState:
     transcript: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.base_n < 1:
-            raise ValueError("the construction needs a base index >= 1")
         if self.k0 < 0 or self.k_inf < 0:
             raise ValueError("twist counters must be nonnegative")
+        if self.base_n < 1:
+            raise ValueError("the construction needs a base index >= 1")
 
     @property
     def fiber_m(self) -> int:
         """Index of the strict transform of the generic half-fiber surface."""
         return self.k0 + self.k_inf
 
-    # A boundary divisor carries two invariant curves exactly while its twist
-    # counter is positive (the construction adds a second invariant section).
-    @property
-    def a0_two_curves(self) -> bool:
-        return self.k0 > 0
-
-    @property
-    def ainf_two_curves(self) -> bool:
-        return self.k_inf > 0
-
-
-def trivial_bundle(n: int) -> BundleState:
-    return BundleState(n, 0, 0)
-
 
 def _step(state: BundleState, step: str) -> BundleState:
     d0, d_inf = _STEPS[step]
     return BundleState(state.base_n, state.k0 + d0, state.k_inf + d_inf, state.transcript + (step,))
-
-
-def apply_construction_step(state: BundleState, center: str) -> BundleState:
-    """One elementary transformation centered on a section of the invariant
-    divisor; raises the fiber index by one and marks the boundary divisor."""
-    if center not in (E0, EINF):
-        raise ValueError(f"unknown construction center {center!r}")
-    return _step(state, center)
 
 
 def construct_twisted(n: int, k0: int, k_inf: int) -> BundleState:
@@ -319,12 +297,7 @@ def construct_twisted(n: int, k0: int, k_inf: int) -> BundleState:
     The infinity-side steps are applied first so that the normal-form walk,
     which drains the 0-side first, reverses the transcript literally.
     """
-    if k0 < 0 or k_inf < 0:  # a negative count would apply no step and pass
-        raise ValueError("twist counters must be nonnegative")
-    state = trivial_bundle(n)
-    for step in (EINF,) * k_inf + (E0,) * k0:
-        state = _step(state, step)
-    return state
+    return BundleState(n, k0, k_inf, (EINF,) * k_inf + (E0,) * k0)
 
 
 def figure1_normalize(state: BundleState) -> tuple[BundleState, tuple[str, ...]]:
@@ -336,14 +309,14 @@ def figure1_normalize(state: BundleState) -> tuple[BundleState, tuple[str, ...]]
     """
     steps: list[str] = []
     while state.fiber_m:
-        steps.append(A0 if state.a0_two_curves else AINF)
+        steps.append(A0 if state.k0 else AINF)
         state = _step(state, steps[-1])
     return state, tuple(steps)
 
 
 def replay_reversed(n: int, steps: Sequence[str]) -> BundleState:
     """Rebuild a bundle state by running a normal-form transcript backwards."""
-    state = trivial_bundle(n)
+    state = BundleState(n, 0, 0)
     for step in reversed(steps):
-        state = apply_construction_step(state, _UNDOES[step])
+        state = _step(state, _UNDOES[step])
     return state

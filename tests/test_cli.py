@@ -38,6 +38,20 @@ class TestBasics:
         assert report["status"] == "error"
         assert "odd" in report["witnesses"][0]["error"]
 
+    def test_negative_twist_one_error_text(self, capsys):
+        code, lines, _ = run_cli(capsys, "verify", "f4", "--k", "-1", "--l", "1")
+        errors = {r["witnesses"][0]["error"] for r in payloads(lines)}
+        assert code == 1 and len(lines) == 3
+        assert errors == {"ConstructionError: twist must be nonnegative, got -1"}
+
+    def test_dp_homology_enumerates_each_lattice_once(self, capsys, monkeypatch):
+        calls, original = [], ruled.minus_one_curves
+        monkeypatch.setattr(
+            ruled, "minus_one_curves", lambda lat, *a: calls.append(lat) or original(lat, *a)
+        )
+        assert run_cli(capsys, "dp-homology")[0] == 0
+        assert calls == [ruled.quadric_blowup(r) for r in range(3)]
+
     def test_terminal_small(self, capsys):
         code, lines, _ = run_cli(capsys, "terminal", "--n-max", "12")
         assert code == 0

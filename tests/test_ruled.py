@@ -3,6 +3,7 @@
 import itertools
 import random
 from functools import partial
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,6 @@ from qhv.ruled import (
     E0,
     EINF,
     LatticeMismatch,
-    apply_construction_step,
     construct_twisted,
     figure1_normalize,
     hirzebruch,
@@ -24,7 +24,6 @@ from qhv.ruled import (
     minus_one_curves,
     quadric_blowup,
     replay_reversed,
-    trivial_bundle,
 )
 
 
@@ -133,6 +132,23 @@ class TestMinusOneCurves:
         with pytest.raises(ValueError):
             quadric_blowup(3)
 
+    def test_scan_finds_every_minus_one_class(self):
+        # the single box scan of irreducible_curve_classes rests on every
+        # (-1)-class having p, q >= 0
+        for r, bound in itertools.product((0, 1, 2), range(1, 8)):
+            lat = quadric_blowup(r)
+            scanned = [
+                d for d in irreducible_curve_classes(lat, bound) if intersect(d, d) == -1
+            ]
+            assert scanned == minus_one_curves(lat, bound)
+
+    def test_square_zero_classes_are_primitive(self):
+        # m times a conic class has an irreducible member only for m = 1
+        lattices = [hirzebruch(n) for n in range(6)] + [quadric_blowup(r) for r in range(3)]
+        for lat in lattices:
+            for d in irreducible_curve_classes(lat):
+                assert intersect(d, d) != 0 or gcd(*d.coords) == 1, str(d)
+
     def test_general_position_no_minus_two_classes(self):
         # genericity of the blown-up points, encoded in the lattice model:
         # no irreducible class has self-intersection below -1
@@ -183,7 +199,7 @@ class TestBundleStates:
     def test_trivial_state(self):
         s = construct_twisted(1, 0, 0)
         assert s.fiber_m == 0 and s.transcript == ()
-        assert not s.a0_two_curves and not s.ainf_two_curves
+        assert s.k0 == 0 and s.k_inf == 0
 
     def test_fiber_index_is_twist_sum(self):
         s = construct_twisted(1, 2, 1)
@@ -192,13 +208,14 @@ class TestBundleStates:
     def test_flags_follow_counters(self):
         s = construct_twisted(3, 0, 5)
         assert s.fiber_m == 5
-        assert not s.a0_two_curves and s.ainf_two_curves
+        assert s.k0 == 0 and s.k_inf > 0
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             BundleState(1, -1, 0)
-        with pytest.raises(ValueError):
-            construct_twisted(0, 1, 1)
+        for args in ((0, 1, 1), (1, -1, 0), (1, 0, -2)):
+            with pytest.raises(ValueError):
+                construct_twisted(*args)
 
     def test_normalize_3_steps(self):
         s = construct_twisted(1, 2, 1)
@@ -236,8 +253,3 @@ class TestBundleStates:
         for used in range(len(steps) + 1):
             partial = replay_reversed(2, steps[len(steps) - used :])
             assert partial.fiber_m == used
-
-    def test_construction_step_validation(self):
-        state = trivial_bundle(1)
-        with pytest.raises(ValueError):
-            apply_construction_step(state, "X0")
