@@ -12,14 +12,30 @@ by the accumulated multiplier.
 Generators carrying Laurent monomial content on invertible variables are
 unit-normalized before the computation; "equality up to units" of ideals is
 decided by comparing the two reduced bases, which the same normalization
-makes those of the unit-stripped generators.
+makes those of the unit-stripped generators.  A term of negative degree in
+an invertible variable, given to :func:`normal_form`, is divisible by no
+reducer and passes to the remainder as it is.
+
+Inside the engine a monomial is one integer, its code (:class:`_Packing`):
+the exponents sit in fixed fields of ``FIELD_BITS`` bits, so a monomial
+product is an integer sum, comparing codes compares monomials under the
+ring's order, and a divisor test is one subtraction and one mask (Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Exponent tuples return only at the
+boundary: the monic basis, the normal form, and the pair update, whose lcm
+is not linear in the exponents.  Within one Buchberger run the reduction
+remembers, for each monomial it has reduced, the index below which no basis
+element divides it; the basis only grows by appending, so the scan resumes
+there and picks the same reducer as a scan from the start.
 
 Each engine call (one basis computation or one normal form) counts its
 reduction steps against the fixed limit :data:`STEP_BUDGET` and raises
 :class:`ResourceLimitExceeded` instead of truncating silently.  The limit is
 a constant, so a call's step count alone decides whether it succeeds: a
 cached basis always comes from a call that succeeded under the same limit,
-and no result depends on what ran earlier in the process.
+and no result depends on what ran earlier in the process.  An exponent of
+``2**31`` or more, given or reached, raises the same error, naming the
+field width, instead of wrapping into the next field.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, sub
+from operator import itemgetter, le, lshift
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -48,7 +64,7 @@ STEP_BUDGET = 2_000_000
 
 
 class ResourceLimitExceeded(RuntimeError):
-    """A Groebner computation exceeded its step budget."""
+    """A Groebner computation exceeded its step budget or the exponent field width."""
 
 
 class _Counter:
@@ -68,12 +84,86 @@ class _Counter:
             )
 
 
+# -- monomial codes -----------------------------------------------------------
+
+#: Bits of one exponent field in a monomial code.  The top bit of each field
+#: is the guard of the divisor test, so every exponent stays below
+#: ``2**(FIELD_BITS - 1)``.
+FIELD_BITS = 32
+_EXP_LIMIT = 1 << (FIELD_BITS - 1)
+
+
+class _Packing:
+    """The monomial codes of one ring: each exponent vector as one integer.
+
+    With B = FIELD_BITS and P(e) = sum of e_i·2^(B·i), the grevlex code of e on
+    n variables is deg(e)·2^(B·n) − P(e).  For the block order ``elim = nb``
+    the grevlex code of the leading block is shifted above that of the tail,
+    far enough that the tail code of a sum of two admissible monomials stays
+    below it.  A code is linear in e, so a monomial product is an integer
+    sum; it is injective, and integer order is ``ring.monomial_key`` order.
+    ``bits(code)`` recovers P with the head block's fields above the tail's,
+    and a monomial d divides m exactly when ``(bits(m) − bits(d)) & guard``
+    is 0, ``guard`` holding the top bit of each field: a field of m below
+    that of d borrows into its own guard bit.
+    """
+
+    __slots__ = ("names", "nb", "pos", "guard", "split", "tail_bits", "tail_mask", "head_mask")
+
+    def __init__(self, ring: VariableContext):
+        n = len(ring.names)
+        nb = ring.elim if ring.elim < n else 0  # one block orders grevlex either way
+        nt = n - nb
+        self.names = ring.names
+        self.nb = nb
+        self.tail_bits = FIELD_BITS * nt
+        # the tail degree of a sum of two admissible monomials, below nt·2^B,
+        # fits between the tail fields and the head code
+        self.split = self.tail_bits + FIELD_BITS + nt.bit_length() if nb else 0
+        self.tail_mask = (1 << self.tail_bits) - 1
+        self.head_mask = (1 << FIELD_BITS * nb) - 1
+        self.pos = [FIELD_BITS * ((i - nb) % n) for i in range(n)]
+        self.guard = sum(1 << (p + FIELD_BITS - 1) for p in self.pos)
+
+    def _too_wide(self, name: str, e: int) -> ResourceLimitExceeded:
+        return ResourceLimitExceeded(
+            f"exponent {e} of {name} does not fit the {FIELD_BITS}-bit exponent field "
+            f"(at most {_EXP_LIMIT - 1})"
+        )
+
+    def encode(self, exp: Exponent) -> int:
+        if max(exp, default=0) >= _EXP_LIMIT:
+            raise self._too_wide(*max(zip(self.names, exp), key=itemgetter(1)))
+        nb, tail_bits = self.nb, self.tail_bits
+        p = sum(map(lshift, exp, self.pos))
+        head = (sum(exp[:nb]) << (FIELD_BITS * nb)) - (p >> tail_bits)
+        tail = (sum(exp[nb:]) << tail_bits) - (p & self.tail_mask)
+        return (head << self.split) + tail
+
+    def bits(self, code: int) -> int:
+        """P of the monomial with this code, its fields in divisor-test layout."""
+        return (-(code >> self.split) & self.head_mask) << self.tail_bits | -code & self.tail_mask
+
+    def check(self, bits: int):
+        """Raise when a field of ``bits`` holds an exponent that does not fit."""
+        if bits & self.guard:
+            field = (bits & self.guard).bit_length() - FIELD_BITS
+            name = self.names[self.pos.index(field)]
+            raise self._too_wide(name, (bits >> field) & ((1 << FIELD_BITS) - 1))
+
+    def decode(self, code: int) -> Exponent:
+        bits = self.bits(code)
+        self.check(bits)
+        return tuple((bits >> pos) & (_EXP_LIMIT - 1) for pos in self.pos)
+
+
 class Ideal:
     """Finite generator list with a write-once cached reduced Groebner basis.
 
     ``_basis`` is the reduced basis as monic polynomials over Q, ``None``
-    until computed; ``_reducers`` holds the same elements as primitive
-    integer reducers, in the same order, for :func:`normal_form`.
+    until computed; ``_reducers`` holds the same elements, in the same
+    order, as the engine's primitive integer reducers on monomial codes
+    (``_Reducer``), for :func:`normal_form`.
     """
 
     __slots__ = ("ring", "generators", "_basis", "_reducers")
@@ -91,10 +181,14 @@ class Ideal:
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._reducers = _buchberger(self.generators, self.ring, _Counter(self.ring))
+            pk = _Packing(self.ring)
+            self._reducers = _buchberger(self.generators, pk, _Counter(self.ring))
             self._basis = tuple(
-                Polynomial(self.ring, {e: Fraction(c, lc) for e, c in terms.items()})
-                for _, lc, terms in self._reducers
+                Polynomial(
+                    self.ring,
+                    {pk.decode(m): Fraction(c, lc) for m, c in ((lead, lc), *tail)},
+                )
+                for lead, _, lc, tail in self._reducers
             )
         return self._basis
 
@@ -104,9 +198,11 @@ class Ideal:
 
 # -- division ---------------------------------------------------------------
 
-#: A basis element as the engine holds it: leading monomial, leading
-#: coefficient and term map, with coprime integer coefficients and lc > 0.
-_Reducer = tuple[Exponent, int, dict[Exponent, int]]
+#: A basis element as the engine holds it: the code of its leading monomial,
+#: that monomial's divisor-test bits, its leading coefficient and its other
+#: terms as (code, coefficient) pairs, with coprime integer coefficients and
+#: a positive leading coefficient.
+_Reducer = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
 def _divides(d: Exponent, m: Exponent) -> bool:
@@ -119,105 +215,120 @@ def _integer_terms(terms: dict[Exponent, Fraction]) -> tuple[dict[Exponent, int]
     return {e: c.numerator * (denom // c.denominator) for e, c in terms.items()}, denom
 
 
-def _primitive(lead: Exponent, terms: dict[Exponent, int]) -> _Reducer:
-    """The reducer of a nonzero integer term map with leading monomial ``lead``."""
+def _primitive(lead, terms: dict) -> dict:
+    """A nonzero integer term map divided by its content, signed so that the
+    coefficient of ``lead`` is positive."""
     content = gcd(*terms.values())
     if terms[lead] < 0:
         content = -content
     if content != 1:
         terms = {e: c // content for e, c in terms.items()}
-    return lead, terms[lead], terms
+    return terms
+
+
+def _reducer(lead: int, terms: dict[int, int], pk: _Packing) -> _Reducer:
+    """The reducer of a nonzero integer term map on codes led by ``lead``."""
+    terms = _primitive(lead, terms)
+    return lead, pk.bits(lead), terms[lead], tuple(t for t in terms.items() if t[0] != lead)
 
 
 def _reduce_terms(
-    terms: dict[Exponent, int],
+    terms: dict[int, int],
     basis: Sequence[_Reducer],
-    ring: VariableContext,
+    pk: _Packing,
     counter: _Counter,
-) -> tuple[dict[Exponent, int], int]:
-    """Canonical remainder of an integer term map modulo integer reducers.
+    memo: dict[int, int],
+) -> tuple[dict[int, int], int]:
+    """Canonical remainder of an integer term map on codes modulo reducers.
 
     Returns ``(remainder, scale)``: the remainder of ``scale * terms``, with
     integer coefficients, so the remainder over Q is ``remainder / scale``.
     The largest pending monomial is reduced first, by the first reducer whose
-    leading monomial divides it.  To remove ``c*m`` with a reducer of leading
-    coefficient ``lc``, the pending terms are multiplied by ``lc/d``, where
-    ``d = gcd(c, lc)``, and ``(c/d)`` times the shifted reducer is
-    subtracted; ``scale`` accumulates these factors.  A remainder term keeps
-    the scale at which it was emitted and is brought to the final scale at
-    the end.  Pending monomials sit in a min-heap under
-    ``ring.descending_key``, each pushed when it enters ``work``; an entry
-    whose monomial has cancelled is skipped when popped.  A reduction only
-    adds monomials below the one it removes, so the remainder's terms come
-    out in descending order.
+    leading monomial divides it; the scan for it starts at ``memo[m]``, an
+    index below which no reducer divides m, and records where it stopped.
+    To remove ``c*m`` with a reducer of leading coefficient ``lc``, the
+    pending terms are multiplied by ``lc/d``, where ``d = gcd(c, lc)``, and
+    ``(c/d)`` times the shifted reducer is subtracted; ``scale`` accumulates
+    these factors.  A remainder term keeps the scale at which it was emitted
+    and is brought to the final scale at the end.  Pending codes sit negated
+    in a min-heap, each pushed when it enters ``work``; an entry whose
+    monomial has cancelled is skipped when popped.  A reduction only adds
+    monomials below the one it removes, so the remainder's terms come out in
+    descending order.
     """
-    dkey = ring.descending_key
+    bits, guard = pk.bits, pk.guard
     work = dict(terms)
-    heap = [(dkey(e), e) for e in work]
+    heap = [-m for m in work]
     heapify(heap)
     scale = 1
-    emitted: list[tuple[Exponent, int, int]] = []
+    emitted: list[tuple[int, int, int]] = []
     while heap:
-        lead = heappop(heap)[1]
+        lead = -heappop(heap)
         coeff = work.pop(lead, None)
         if coeff is None:
             continue
-        for lt, lc, gterms in basis:
-            if _divides(lt, lead):
-                shift = tuple(map(sub, lead, lt))
-                counter.tick(len(gterms))
-                d = gcd(coeff, lc)
-                if d != lc:
-                    factor = lc // d
-                    work = {e: c * factor for e, c in work.items()}
-                    scale *= factor
-                coeff //= d
-                for gexp, gc in gterms.items():
-                    if gexp == lt:
-                        continue
-                    target = tuple(map(add, shift, gexp))
-                    v = work.get(target)
-                    if v is None:
-                        work[target] = -coeff * gc
-                        heappush(heap, (dkey(target), target))
-                    else:
-                        v -= coeff * gc
-                        if v == 0:
-                            del work[target]
-                        else:
-                            work[target] = v
+        lead_bits = bits(lead)
+        if lead_bits & guard:
+            pk.check(lead_bits)
+        for i in range(memo.get(lead, 0), len(basis)):
+            lt, lt_bits, lc, tail = basis[i]
+            if not (lead_bits - lt_bits) & guard:
                 break
         else:
+            memo[lead] = len(basis)
             emitted.append((lead, coeff, scale))
-    return {e: c * (scale // s) for e, c, s in emitted}, scale
+            continue
+        memo[lead] = i
+        shift = lead - lt
+        counter.tick(len(tail) + 1)
+        d = gcd(coeff, lc)
+        if d != lc:
+            factor = lc // d
+            work = {m: c * factor for m, c in work.items()}
+            scale *= factor
+        coeff //= d
+        for m, gc in tail:
+            target = shift + m
+            v = work.get(target)
+            if v is None:
+                work[target] = -coeff * gc
+                heappush(heap, -target)
+            else:
+                v -= coeff * gc
+                if v == 0:
+                    del work[target]
+                else:
+                    work[target] = v
+    return {m: c * (scale // s) for m, c, s in emitted}, scale
 
 
-def _prepare(polys: Iterable[Polynomial]) -> list[_Reducer]:
+def _prepare(polys: Iterable[Polynomial], pk: _Packing) -> list[_Reducer]:
     out = []
     for p in polys:
         if p.is_zero():
             continue
-        q = strip_unit_content(p)
-        lt, _ = q.leading_term()
-        out.append(_primitive(lt, _integer_terms(q.terms)[0]))
+        terms = _integer_terms(strip_unit_content(p).terms)[0]
+        codes = {pk.encode(e): c for e, c in terms.items()}
+        out.append(_reducer(max(codes), codes, pk))
     return out
 
 
-def _spoly_terms(f: _Reducer, g: _Reducer, lcm: Exponent) -> dict[Exponent, int]:
-    """Integer S-polynomial of two reducers whose leading monomials have ``lcm``.
+def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int) -> dict[int, int]:
+    """Integer S-polynomial of two reducers whose leading monomials have
+    the code ``lcm``.
 
     With ``d = gcd(lc_f, lc_g)`` it is ``(lc_g/d)·(lcm/lt_f)·f −
-    (lc_f/d)·(lcm/lt_g)·g``, a positive multiple of the monic S-polynomial.
+    (lc_f/d)·(lcm/lt_g)·g``, a positive multiple of the monic S-polynomial;
+    the leading terms cancel, so only the tails are shifted.
     """
-    lf, cf, ft = f
-    lg, cg, gt = g
+    lf, _, cf, ft = f
+    lg, _, cg, gt = g
     d = gcd(cf, cg)
     mf, mg = cg // d, cf // d
-    sf = tuple(map(sub, lcm, lf))
-    sg = tuple(map(sub, lcm, lg))
-    out = {tuple(map(add, exp, sf)): mf * c for exp, c in ft.items()}
-    for exp, c in gt.items():
-        target = tuple(map(add, exp, sg))
+    sf, sg = lcm - lf, lcm - lg
+    out = {m + sf: mf * c for m, c in ft}
+    for m, c in gt:
+        target = m + sg
         v = out.get(target, 0) - mg * c
         if v == 0:
             out.pop(target, None)
@@ -227,70 +338,77 @@ def _spoly_terms(f: _Reducer, g: _Reducer, lcm: Exponent) -> dict[Exponent, int]
 
 
 def _buchberger(
-    generators: Sequence[Polynomial], ring: VariableContext, counter: _Counter
+    generators: Sequence[Polynomial], pk: _Packing, counter: _Counter
 ) -> list[_Reducer]:
     """Reducers of the reduced Groebner basis, sorted by leading monomial."""
-    key = ring.monomial_key
-    basis = _prepare(generators)
+    basis = _prepare(generators, pk)
     if not basis:
         return []
+    leads = [pk.decode(r[0]) for r in basis]  # exponent tuples for the pair update
 
     # Gebauer-Moeller style pair update: drop pairs by the product and chain
     # criteria as each new element enters the basis.  Live pairs map to their
-    # lcm; the queue holds (key(lcm), pair) once per pair, and an entry whose
-    # pair was dropped since is skipped when popped.
+    # lcm; the queue holds (code of lcm, pair) once per pair, and an entry
+    # whose pair was dropped since is skipped when popped.  The lcm is not
+    # linear in the exponents, so this bookkeeping stays on exponent tuples.
     pairs: dict[tuple[int, int], Exponent] = {}
-    queue: list[tuple[tuple, tuple[int, int]]] = []
+    queue: list[tuple[int, tuple[int, int]]] = []
 
     def update(new_index: int):
-        lm_new = basis[new_index][0]
-        new_lcms = [tuple(map(max, basis[i][0], lm_new)) for i in range(new_index)]
+        lm_new = leads[new_index]
+        new_lcms = [tuple(map(max, leads[i], lm_new)) for i in range(new_index)]
         for (i, j), l_ij in list(pairs.items()):
             if _divides(lm_new, l_ij) and new_lcms[i] != l_ij and new_lcms[j] != l_ij:
                 del pairs[i, j]
         fresh: dict[Exponent, list[int]] = {}
         for i, l in enumerate(new_lcms):
             fresh.setdefault(l, []).append(i)
+        codes = {l: pk.encode(l) for l in fresh}
         minimal: list[Exponent] = []
-        for l in sorted(fresh, key=key):
+        for l in sorted(fresh, key=codes.__getitem__):
             if all(not _divides(m, l) for m in minimal):
                 minimal.append(l)
+        product = basis[new_index][0]
         for l in minimal:
-            if any(l == tuple(map(add, basis[i][0], lm_new)) for i in fresh[l]):
+            if any(codes[l] == basis[i][0] + product for i in fresh[l]):
                 continue  # product criterion
             pair = (min(fresh[l]), new_index)
             pairs[pair] = l
-            heappush(queue, (key(l), pair))
+            heappush(queue, (codes[l], pair))
 
     for idx in range(len(basis)):
         update(idx)
 
+    # memo[m] = i: no element of basis[:i] divides the monomial of code m.
+    # The pair loop only appends to basis, so a recorded index stays exact.
+    memo: dict[int, int] = {}
     while queue:
-        pair = heappop(queue)[1]
-        lcm = pairs.pop(pair, None)
-        if lcm is None:
+        lcm, pair = heappop(queue)
+        if pairs.pop(pair, None) is None:
             continue
         counter.tick()
         i, j = pair
         s = _spoly_terms(basis[i], basis[j], lcm)
-        rem = _reduce_terms(s, basis, ring, counter)[0]
+        rem = _reduce_terms(s, basis, pk, counter, memo)[0]
         if rem:
-            basis.append(_primitive(next(iter(rem)), rem))
+            lead = next(iter(rem))
+            basis.append(_reducer(lead, rem, pk))
+            leads.append(pk.decode(lead))
             update(len(basis) - 1)
 
     # minimalize: keep elements whose leading monomial no other kept one divides
-    basis.sort(key=lambda item: key(item[0]))
+    basis.sort(key=itemgetter(0))
     minimal_basis: list[_Reducer] = []
     for item in basis:
-        if all(not _divides(k[0], item[0]) for k in minimal_basis):
+        if all((item[1] - k[1]) & pk.guard for k in minimal_basis):
             minimal_basis.append(item)
 
     # interreduce tails for the unique reduced basis
     reduced: list[_Reducer] = []
-    for idx, (lt, _, terms) in enumerate(minimal_basis):
+    for idx, (lt, _, lc, tail) in enumerate(minimal_basis):
         others = minimal_basis[:idx] + minimal_basis[idx + 1 :]
-        reduced.append(_primitive(lt, _reduce_terms(terms, others, ring, counter)[0]))
-    reduced.sort(key=lambda item: key(item[0]))
+        rem, scale = _reduce_terms(dict(tail), others, pk, counter, {})
+        reduced.append(_reducer(lt, {lt: lc * scale, **rem}, pk))
     return reduced
 
 
@@ -302,18 +420,23 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     if p.ring != I.ring:
         raise ContextMismatch("polynomial and ideal contexts differ")
     I.groebner_basis()
+    pk = _Packing(I.ring)
     terms, denom = _integer_terms(p.terms)
-    rem, scale = _reduce_terms(terms, I._reducers, I.ring, _Counter(I.ring))
+    # every reducer term has nonnegative exponents, so no reducer divides a
+    # term with a negative exponent: such terms are part of the remainder
+    laurent = {e: Fraction(c, denom) for e, c in terms.items() if min(e, default=0) < 0}
+    codes = {pk.encode(e): c for e, c in terms.items() if e not in laurent}
+    rem, scale = _reduce_terms(codes, I._reducers, pk, _Counter(I.ring), {})
     scale *= denom
-    return Polynomial(I.ring, {e: Fraction(c, scale) for e, c in rem.items()})
+    rem = {pk.decode(m): Fraction(c, scale) for m, c in rem.items()}
+    return Polynomial(I.ring, rem | laurent)
 
 
 def primitive_integer_form(p: Polynomial) -> Polynomial:
     """Rescale to integer coefficients with content 1 and positive leading sign."""
     if p.is_zero():
         return p
-    _, _, terms = _primitive(p.leading_term()[0], _integer_terms(p.terms)[0])
-    return Polynomial(p.ring, terms)
+    return Polynomial(p.ring, _primitive(p.leading_term()[0], _integer_terms(p.terms)[0]))
 
 
 def contains(I: Ideal, p: Polynomial) -> bool:

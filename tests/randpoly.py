@@ -35,3 +35,9 @@ def random_polynomial(
 def random_ring(rng: random.Random, max_vars: int = 4) -> VariableContext:
     names = ("x", "y", "z", "w")[: rng.randint(2, max_vars)]
     return VariableContext(names)
+
+
+def random_block_ring(rng: random.Random, max_vars: int = 4) -> VariableContext:
+    """A ring under a block order (elim >= 1) with one invertible variable."""
+    names = ("x", "y", "z", "w")[: rng.randint(2, max_vars)]
+    return VariableContext(names, {rng.choice(names)}, rng.randint(1, len(names) - 1))

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from qhv.polyring import PolyError, VariableContext
 from linalg_oracle import is_member_bounded, is_member_up_to
 from oracles import _remainder, is_groebner_basis
 from polytext import parse
-from randpoly import random_polynomial, random_ring
+from randpoly import random_block_ring, random_polynomial, random_ring
 
 R = VariableContext(("x", "y", "z", "w", "l"), invertible={"l"})
 
@@ -152,6 +153,88 @@ class TestNormalForm:
                 p = random_polynomial(rng, ring, max_degree=4, max_terms=6)
                 assert normal_form(p, I) == _remainder(p, I.groebner_basis())
 
+    def test_matches_oracle_division_on_block_order_laurent_rings(self):
+        # the elim > 0 codes, and input terms of negative degree in the
+        # invertible variable, which no reducer divides
+        rng = random.Random(9090)
+        for _ in range(40):
+            ring = random_block_ring(rng)
+            I = Ideal(
+                [
+                    random_polynomial(rng, ring, max_degree=3, max_terms=3, allow_laurent=True)
+                    for _ in range(rng.randint(1, 3))
+                ]
+            )
+            basis = I.groebner_basis()
+            assert is_groebner_basis(basis)
+            for _ in range(3):
+                p = random_polynomial(rng, ring, max_degree=4, max_terms=6, allow_laurent=True)
+                assert normal_form(p, I) == _remainder(p, basis)
+
+
+class TestMonomialCodes:
+    """The engine's packed codes against exponent vectors and the ring order."""
+
+    TOP = 2 ** (ideals.FIELD_BITS - 1) - 1  # the largest exponent a field holds
+
+    @staticmethod
+    def rings():
+        for n in range(1, 8):
+            names = tuple(f"v{i}" for i in range(n))
+            yield VariableContext(names)
+            for nb in range(1, n):
+                yield VariableContext(names, elim=nb)
+
+    def draw(self, rng, n):
+        # small exponents tie degrees and divide often; large ones fill the field
+        top = rng.choice((3, self.TOP))
+        return tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(n))
+
+    def test_codes_against_exponent_vectors(self):
+        rng = random.Random(3232)
+        for ring in self.rings():
+            pk = ideals._Packing(ring)
+            n, key = len(ring.names), ring.monomial_key
+            for _ in range(200):
+                a, b = self.draw(rng, n), self.draw(rng, n)
+                ca, cb = pk.encode(a), pk.encode(b)
+                assert pk.decode(ca) == a
+                assert (ca < cb) == (key(a) < key(b)) and (ca == cb) == (a == b)
+                # a sum that still fits, and b as a divisor candidate of a
+                c = tuple(rng.randint(0, self.TOP - e) for e in a)
+                s = tuple(map(sum, zip(a, c)))
+                assert pk.encode(s) == ca + pk.encode(c)
+                for d, m in ((a, s), (b, a)):
+                    divides = not (pk.bits(pk.encode(m)) - pk.bits(pk.encode(d))) & pk.guard
+                    assert divides == all(map(le, d, m))
+
+    def test_exponent_beyond_the_field_raises(self):
+        S = VariableContext(("x", "y"))
+        x, y = S.var("x"), S.var("y")
+        big = S.monomial(1, {"x": 2**32})
+        width = f"{ideals.FIELD_BITS}-bit"
+        with pytest.raises(ResourceLimitExceeded, match=width):
+            Ideal([big - y]).groebner_basis()
+        with pytest.raises(ResourceLimitExceeded, match=width):
+            normal_form(big, Ideal([x - y]))
+
+    def test_reduction_past_the_field_raises(self):
+        # x - y^TOP and y^2*z - 1 fit, but reducing x*y*z passes through
+        # y^(TOP + 1)*z, although y^2*z - 1 would bring it back into the field
+        S = VariableContext(("x", "y", "z"), elim=1)
+        x, y, z = (S.var(v) for v in S.names)
+        I = Ideal([x - S.monomial(1, {"y": self.TOP}), y * y * z - 1])
+        assert normal_form(x, I) == S.monomial(1, {"y": self.TOP})
+        with pytest.raises(ResourceLimitExceeded, match=f"{ideals.FIELD_BITS}-bit"):
+            normal_form(x * y * z, I)
+
+    def test_large_exponent_within_the_field(self):
+        S = VariableContext(("x", "y"))
+        f = S.monomial(1, {"x": 2**30}) - S.var("y")
+        I = Ideal([f])
+        assert I.groebner_basis() == (f,)
+        assert normal_form(S.monomial(1, {"x": 2**30 + 1}), I) == S.var("x") * S.var("y")
+
 
 class TestEqualUpToUnits:
     def test_unit_multiple(self):
@@ -201,16 +284,28 @@ class TestKnownAnswers:
         assert term_maps(E.generators) == self.expected_term_maps(expected["basis"])
 
     # The engine's step counts for these bases, pinned so that any change to
-    # the work the engine does shows here.  Cyclic-5, unlike katsura-4, has
-    # queued pairs that a later element drops by the chain criterion.
-    @pytest.mark.parametrize("system, n, steps", [(katsura, 4, 7502), (cyclic, 5, 17534)])
-    def test_step_count_pinned(self, monkeypatch, system, n, steps):
-        gens = system(n)
+    # the work the engine does, or to the reducer it picks, shows here.
+    # Cyclic-5, unlike katsura-4, has queued pairs that a later element drops
+    # by the chain criterion.
+    @staticmethod
+    def assert_steps(monkeypatch, compute, steps):
         monkeypatch.setattr(ideals, "STEP_BUDGET", steps)
-        Ideal(gens).groebner_basis()
+        compute()
         monkeypatch.setattr(ideals, "STEP_BUDGET", steps - 1)
         with pytest.raises(ResourceLimitExceeded):
-            Ideal(gens).groebner_basis()
+            compute()
+
+    @pytest.mark.parametrize(
+        "system, n, steps", [(katsura, 4, 7502), (cyclic, 5, 17534), (katsura, 5, 64879)]
+    )
+    def test_step_count_pinned(self, monkeypatch, system, n, steps):
+        gens = system(n)
+        self.assert_steps(monkeypatch, lambda: Ideal(gens).groebner_basis(), steps)
+
+    def test_elimination_step_count_pinned(self, monkeypatch):
+        # the block order (elim = 1): the only pin on that code path
+        gens = katsura(4)
+        self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), ["u0"]), 8030)
 
 
 class TestEliminate:
