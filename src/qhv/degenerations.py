@@ -27,7 +27,6 @@ asserts is an exact polynomial identity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -51,7 +50,6 @@ from .ideals import (
     convert_context,
     eliminate,
     equal_up_to_units,
-    gauss_jordan,
     jacobian_ideal,
     minimal_generators,
     primitive_integer_form,
@@ -205,38 +203,25 @@ def quadric_chart(k: int, chart_id: str = ZERO) -> ChartModel:
 _F4_FREE = VariableContext(("a", "b", "c", "e", "f", "t"))
 
 
-def _row_echelon_polynomials(
-    polys: list[Polynomial], ring: VariableContext
-) -> list[Polynomial]:
-    """Canonical basis of the linear span: exact Gauss-Jordan over the
-    monomials occurring, columns in descending monomial order."""
-    monoms = sorted({m for p in polys for m in p.terms}, key=ring.monomial_key, reverse=True)
-    rows = [[p.terms.get(m, Fraction(0)) for m in monoms] for p in polys]
-    out = []
-    for row in gauss_jordan(rows):
-        terms = {m: v for m, v in zip(monoms, row) if v != 0}
-        if terms:
-            out.append(Polynomial(ring, terms))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _twist_free_f4_generators() -> tuple[Polynomial, ...]:
     """Kernel of a -> x^2, .., f -> z^2, t -> 4xz - y^2, derived by elimination.
 
-    Eliminates (x, y, z) from the graph relations, extracts the minimal
-    generators by total degree and canonicalizes them by row reduction: six
-    quadrics in (a, .., f, t) with primitive integer coefficients, the ideal
-    of the Veronese surface in this basis of the quadrics.
+    Eliminating (x, y, z) from the graph relations gives the kernel's reduced
+    Groebner basis: six monic quadrics in (a, .., f, t), the ideal of the
+    Veronese surface.  No term of one is divisible by, so none equals,
+    another's leading monomial.  By descending leading monomial they are thus
+    the reduced row echelon form of their span, which is unique (Cox, Little
+    and O'Shea, *Ideals, Varieties, and Algorithms*, section 2.7).  They are
+    returned in that order, with primitive integer coefficients.
     """
     R = VariableContext(("x", "y", "z") + _F4_FREE.names)
     graph = [R.var(n) - convert_context(p, R) for n, p in EMBEDDING_COMPONENTS.items()]
     graph.append(-convert_context(_TWIST_FREE_QUADRIC, R))
     kernel = eliminate(Ideal(graph), {"x", "y", "z"})
-    echelon = _row_echelon_polynomials(
-        minimal_generators(kernel.generators), _F4_FREE
-    )
-    return tuple(primitive_integer_form(g) for g in echelon)
+    quadrics = minimal_generators(kernel.generators)
+    quadrics.sort(key=lambda g: _F4_FREE.monomial_key(g.leading_term()[0]), reverse=True)
+    return tuple(primitive_integer_form(g) for g in quadrics)
 
 
 @lru_cache(maxsize=None)
@@ -488,13 +473,15 @@ def _affine_chart(gen: Polynomial, unit_var: str) -> Polynomial:
 
 
 def _locus_of_chart(equation: Polynomial) -> dict:
+    """Smooth when 1 is in the Jacobian ideal J; else singular exactly at the
+    origin when J holds a power v^m_v of each variable v.  Then J holds every
+    monomial of degree M = sum(m_v - 1) + 1, so for f in J with constant term
+    c it holds (f - c)^M, and expanding c^M = (f - (f - c))^M puts c^M in J:
+    c = 0, as 1 is not in J.  So V(J) is the origin and nothing else."""
     chart_ring = equation.ring
     J = jacobian_ideal(equation, chart_ring.names)
     if contains_one(J):
         return {"status": "smooth"}
-    vanishes_at_origin = all(
-        any(exp) for g in J.generators for exp in g.terms
-    )
     powers = {}
     bound = max(2, equation.total_degree())
     for name in chart_ring.names:
@@ -504,7 +491,7 @@ def _locus_of_chart(equation: Polynomial) -> dict:
                 found = m
                 break
         powers[name] = found
-    if vanishes_at_origin and all(v is not None for v in powers.values()):
+    if all(v is not None for v in powers.values()):
         return {"status": "single_point_origin", "vanishing_powers": powers}
     return {"status": "singular", "vanishing_powers": powers}
 

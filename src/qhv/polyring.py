@@ -77,18 +77,6 @@ class VariableContext:
             return _grevlex_key(exp)
         return (_grevlex_key(exp[:nb]), _grevlex_key(exp[nb:]))
 
-    def descending_key(self, exp: Exponent):
-        """Sort key in the opposite direction: smaller key means larger monomial.
-
-        Each part of ``monomial_key`` negated, so a min-heap under it pops
-        monomials in descending order.
-        """
-        nb = self.elim
-        if not nb:
-            return (-sum(exp), exp[::-1])
-        head, tail = exp[:nb], exp[nb:]
-        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
-
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
         return VariableContext(
             self.names + tuple(names), self.invertible | frozenset(invertible), self.elim
@@ -383,20 +371,12 @@ class SubstitutionMap:
 
     def _expand(self, p: Polynomial) -> Polynomial:
         """The generic route: every term as a product of powers of the images."""
-        powers: dict[str, dict[int, Polynomial]] = {n: {} for n in self.source.names}
-
-        def power(name: str, e: int) -> Polynomial:
-            cache = powers[name]
-            if e not in cache:
-                cache[e] = self.assignments[name] ** e
-            return cache[e]
-
         result = self.target.zero()
         for exp, coeff in p.terms.items():
             term = self.target.const(coeff)
             for name, e in zip(self.source.names, exp):
                 if e:
-                    term = term * power(name, e)
+                    term = term * self.assignments[name] ** e
             result = result + term
         return result
 

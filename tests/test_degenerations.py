@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -28,8 +30,16 @@ from qhv.degenerations import (
     verify_quotient,
 )
 from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING, apply, sl2_v2_triple, sl2_v4_triple
-from qhv.ideals import Ideal, contains, convert_context, eliminate, equal_up_to_units
-from qhv.polyring import SubstitutionMap, VariableContext
+from qhv.ideals import (
+    Ideal,
+    contains,
+    convert_context,
+    eliminate,
+    equal_up_to_units,
+    gauss_jordan,
+    primitive_integer_form,
+)
+from qhv.polyring import Polynomial, SubstitutionMap, VariableContext
 from linalg_oracle import is_member_up_to
 from polytext import parse
 
@@ -72,6 +82,27 @@ class TestDeriveF4:
         for g in gens:
             assert phi.apply(g).is_zero()
         assert verify_embedding(1)[0]
+
+    def test_twist_free_quadrics_are_the_reduced_echelon_form(self):
+        gens = degenerations._twist_free_f4_generators()
+        ring = gens[0].ring
+        assert len(gens) == 6
+        assert all(sum(exp) == 2 for g in gens for exp in g.terms)
+        for g in gens:
+            coeffs = list(g.terms.values())
+            assert all(c.denominator == 1 for c in coeffs)
+            assert math.gcd(*(c.numerator for c in coeffs)) == 1
+            assert g.leading_term()[1] > 0
+        leads = [g.leading_term()[0] for g in gens]
+        keys = [ring.monomial_key(m) for m in leads]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        for i, g in enumerate(gens):
+            assert not any(m in g.terms for j, m in enumerate(leads) if j != i)
+        # the reference route: Gauss-Jordan over the coefficient rows
+        monoms = sorted({m for g in gens for m in g.terms}, key=ring.monomial_key, reverse=True)
+        rows = gauss_jordan([[g.terms.get(m, Fraction(0)) for m in monoms] for g in gens])
+        echelon = [primitive_integer_form(Polynomial(ring, dict(zip(monoms, row)))) for row in rows]
+        assert tuple(echelon) == gens
 
     def test_adjudication_reference_members(self):
         matched, rows = adjudicate_f4_generators(1)
