@@ -10,7 +10,8 @@ rule, the twist-free generators and the sl2 triple.  Everything this module
 asserts is an exact polynomial identity:
 
 * the twist-free ideal is sl2 invariant, checked once per family;
-* the gluing carries one chart ideal to the other up to a unit power of ``l``;
+* the gluing carries each zero-chart generator to the infinity-chart
+  generator of the same index;
 * the torus scaling commutes with the gluing once the scaling parameter ``xi``
   is adjoined as a formal invertible variable;
 * the six-generator chart ideal of the F4 family is derived once, as the
@@ -49,7 +50,6 @@ from .ideals import (
     contains_one,
     convert_context,
     eliminate,
-    equal_up_to_units,
     jacobian_ideal,
     minimal_generators,
     primitive_integer_form,
@@ -59,7 +59,6 @@ from .polyring import (
     Polynomial,
     SubstitutionMap,
     VariableContext,
-    strip_unit_content,
 )
 
 ZERO = "zero"
@@ -322,36 +321,27 @@ def glued_family(family: str, k: int, l: int) -> GluedFamily:
 def verify_gluing(fam: GluedFamily) -> tuple[bool, list[dict]]:
     """Substitute the gluing into every zero-chart generator and compare.
 
-    The images, after clearing a unit power of ``l``, must generate the
-    infinity-chart ideal.  Returns ``(passed, witnesses)`` with one witness
-    per generator carrying its cleared power and image.  Every gluing sends
-    ``l -> l^-1`` (see :func:`gluing_map`), so a term of degree d in ``l``
-    picks up the denominator ``l^d``: the cleared power is the generator's
-    degree in ``l``.  When the cleared images are the infinity-chart
-    generators, literally and in order, the two ideals are equal with no
-    basis computed.  Both families match this way: each generator depends
-    on the marked coordinate and ``l`` only through ``t`` (see
-    :func:`_dress`), which the gluing sends from ``l^k w^2`` to ``l^l w^2``
-    (``l^k g`` to ``l^l g``).  Any other presentation is compared by
-    :func:`equal_up_to_units`.
+    The images must be the infinity-chart generators, literally and in
+    order; equal generator lists generate equal ideals, so no basis is
+    computed, and any other presentation of the infinity-chart ideal fails.
+    Returns ``(passed, witnesses)`` with one witness per generator carrying
+    its cleared power and image.  Each generator depends on the marked
+    coordinate and ``l`` only through ``t`` (see :func:`_dress`).  The
+    gluing sends ``l -> l^-1``, which puts the denominator ``l^k`` on
+    ``t = l^k w^2`` (``l^k g``), and twists the marked coordinate so that
+    ``w^2`` (``g``) picks up ``l^(k+l)``, which clears it: t goes to
+    ``l^l w^2`` (``l^l g``), and no image has a negative exponent.  The
+    cleared power, the generator's degree in ``l``, is the power the twist
+    absorbs.
     """
     i = fam.chart0.ideal.ring.index("l")
-    images = []
-    witnesses = []
-    for gen in fam.chart0.ideal.generators:
-        image = fam.gluing.apply(gen)
-        cleared = strip_unit_content(image)
-        witnesses.append(
-            {
-                "generator": str(gen),
-                "cleared_power": max(exp[i] for exp in gen.terms),
-                "image": str(cleared),
-            }
-        )
-        images.append(cleared)
-    target = fam.chart_inf.ideal
-    passed = tuple(images) == target.generators or equal_up_to_units(Ideal(images), target)
-    return passed, witnesses
+    gens = fam.chart0.ideal.generators
+    images = tuple(fam.gluing.apply(g) for g in gens)
+    witnesses = [
+        {"generator": str(g), "cleared_power": max(e[i] for e in g.terms), "image": str(im)}
+        for g, im in zip(gens, images)
+    ]
+    return images == fam.chart_inf.ideal.generators, witnesses
 
 
 def verify_equivariance(fam: GluedFamily) -> tuple[bool, list[dict]]:

@@ -9,12 +9,15 @@ instead of dividing, so no ``Fraction`` arithmetic runs in the reduction
 loop.  ``Fraction`` appears only at the boundary, when the reduced basis is
 made monic over Q and when :func:`normal_form` divides its integer remainder
 by the accumulated multiplier.
-Generators carrying Laurent monomial content on invertible variables are
-unit-normalized before the computation; "equality up to units" of ideals is
-decided by comparing the two reduced bases, which the same normalization
-makes those of the unit-stripped generators.  A term of negative degree in
-an invertible variable, given to :func:`normal_form`, is divisible by no
-reducer and passes to the remainder as it is.
+The engine computes in the polynomial ring: an invertible variable counts
+as an ordinary one, and a negative exponent in a generator or a
+:func:`normal_form` input raises :class:`PolyError`.  Over a ring with an
+invertible ``l``, an answer about the polynomial ideal I is the answer about
+the Laurent ideal I·Q[l^±1] exactly when ``I : l^∞ = I`` (Cox, Little and
+O'Shea, section 4.4).  The chart ideals of :mod:`qhv.degenerations` are so
+saturated: a quadric chart ideal is principal and ``l`` does not divide its
+generator, and ``tests/test_degenerations.py`` checks both families at the
+twists of the benchmark's charts workload.
 
 Inside the engine a monomial is one integer, its code (:class:`_Packing`):
 the exponents sit in fixed fields of ``FIELD_BITS`` bits, so a monomial
@@ -55,7 +58,6 @@ from .polyring import (
     VariableContext,
     derivative,
     map_exponents,
-    strip_unit_content,
 )
 
 #: Reduction steps one engine call may take.  The largest call of ``qhv all``
@@ -302,12 +304,19 @@ def _reduce_terms(
     return {m: c * (scale // s) for m, c, s in emitted}, scale
 
 
+def _engine_terms(p: Polynomial) -> tuple[dict[Exponent, int], int]:
+    """``_integer_terms`` of p; the engine computes in the polynomial ring."""
+    if any(min(e, default=0) < 0 for e in p.terms):
+        raise PolyError(f"the Groebner engine takes no negative exponent, got {p}")
+    return _integer_terms(p.terms)
+
+
 def _prepare(polys: Iterable[Polynomial], pk: _Packing) -> list[_Reducer]:
     out = []
     for p in polys:
         if p.is_zero():
             continue
-        terms = _integer_terms(strip_unit_content(p).terms)[0]
+        terms = _engine_terms(p)[0]
         codes = {pk.encode(e): c for e, c in terms.items()}
         out.append(_reducer(max(codes), codes, pk))
     return out
@@ -419,17 +428,13 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     """Unique remainder of p modulo the reduced basis of I."""
     if p.ring != I.ring:
         raise ContextMismatch("polynomial and ideal contexts differ")
+    terms, denom = _engine_terms(p)
     I.groebner_basis()
     pk = _Packing(I.ring)
-    terms, denom = _integer_terms(p.terms)
-    # every reducer term has nonnegative exponents, so no reducer divides a
-    # term with a negative exponent: such terms are part of the remainder
-    laurent = {e: Fraction(c, denom) for e, c in terms.items() if min(e, default=0) < 0}
-    codes = {pk.encode(e): c for e, c in terms.items() if e not in laurent}
+    codes = {pk.encode(e): c for e, c in terms.items()}
     rem, scale = _reduce_terms(codes, I._reducers, pk, _Counter(I.ring), {})
     scale *= denom
-    rem = {pk.decode(m): Fraction(c, scale) for m, c in rem.items()}
-    return Polynomial(I.ring, rem | laurent)
+    return Polynomial(I.ring, {pk.decode(m): Fraction(c, scale) for m, c in rem.items()})
 
 
 def primitive_integer_form(p: Polynomial) -> Polynomial:
@@ -441,19 +446,6 @@ def primitive_integer_form(p: Polynomial) -> Polynomial:
 
 def contains(I: Ideal, p: Polynomial) -> bool:
     return normal_form(p, I).is_zero()
-
-
-def equal_up_to_units(I: Ideal, J: Ideal) -> bool:
-    """Ideal equality after clearing unit monomials from the generators.
-
-    The engine divides each generator by its Laurent monomial content in the
-    invertible variables before computing, and the reduced Groebner basis of
-    an ideal is unique, so the two ideals are equal exactly when their
-    reduced bases are.
-    """
-    if I.ring != J.ring:
-        raise ContextMismatch("ideals live in different contexts")
-    return I.groebner_basis() == J.groebner_basis()
 
 
 def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:

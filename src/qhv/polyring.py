@@ -5,7 +5,9 @@ coefficients, attached to a :class:`VariableContext` that fixes the variable
 set, the monomial order and which variables are invertible.  Invertible
 (Laurent) variables may carry negative exponents; all other variables are
 restricted to exponents >= 0.  Everything is immutable and exact: there is no
-floating point anywhere in this package.
+floating point anywhere in this package.  The Groebner engine of
+:mod:`qhv.ideals` computes in the polynomial ring and refuses negative
+exponents.
 
 The module also provides simultaneous substitution maps whose images may be
 Laurent monomial multiples (:class:`SubstitutionMap`) and partial
@@ -236,27 +238,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
-
-
-# -- unit normalization ----------------------------------------------------
-
-
-def strip_unit_content(p: Polynomial) -> Polynomial:
-    """Divide out the least exponent of each invertible variable over p.
-
-    The result has minimum exponent exactly 0 in every invertible variable,
-    which is the canonical representative of p up to unit monomials.
-    """
-    content = [
-        min((exp[i] for exp in p.terms), default=0) if name in p.ring.invertible else 0
-        for i, name in enumerate(p.ring.names)
-    ]
-    if not any(content):
-        return p
-    return Polynomial(
-        p.ring,
-        {tuple(e - c for e, c in zip(exp, content)): v for exp, v in p.terms.items()},
-    )
 
 
 # -- derivations of the ring structure --------------------------------------

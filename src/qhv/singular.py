@@ -117,18 +117,14 @@ def wps_singularity_report(weights: list[int]) -> list[dict]:
     ws = list(weights)
     if len(ws) != 4 or any(w <= 0 for w in ws):
         raise ValueError(f"need four positive weights (a threefold), got {ws}")
-    for i in range(len(ws)):
-        others = [w for j, w in enumerate(ws) if j != i]
-        g = 0
-        for w in others:
-            g = gcd(g, w)
-        if g != 1:
-            raise ValueError(f"ill-formed weights {ws}: dropping index {i} leaves gcd {g}")
     report = []
     for i, m in enumerate(ws):
+        others = tuple(w for j, w in enumerate(ws) if j != i)
+        g = gcd(*others)
+        if g != 1:
+            raise ValueError(f"ill-formed weights {ws}: dropping index {i} leaves gcd {g}")
         if m <= 1:
             continue
-        others = tuple(w for j, w in enumerate(ws) if j != i)
         q = CyclicQuotient(m, others)
         terminal = is_terminal(q) if q.isolated else None
         report.append(

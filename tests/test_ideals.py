@@ -15,7 +15,6 @@ from qhv.ideals import (
     contains,
     contains_one,
     eliminate,
-    equal_up_to_units,
     gauss_jordan,
     jacobian_ideal,
     minimal_generators,
@@ -131,11 +130,15 @@ class TestNormalForm:
         assert normal_form(P("1/3*x^2 + 1/2*w^3"), I) == P("5/4*z + 1/2*w^3")
 
     def test_laurent_generator_and_input(self):
-        # the unit l^-2 is stripped from the generator; the term of negative
-        # l-degree is not divisible by x and stays in the remainder
-        I = Ideal([P("l^-2") * P("2*x - 3*y")])
-        assert normal_form(P("1/3*x^2*l + 1/5*x*l^-1"), I) == P("3/4*y^2*l + 1/5*x*l^-1")
-        assert normal_form(P("2*x*l^3 - 3*y*l^3"), I).is_zero()
+        # both raise: the engine computes in the polynomial ring, invertible
+        # l included
+        f = P("2*x - 3*y")
+        with pytest.raises(PolyError, match="negative exponent"):
+            Ideal([P("l^-2") * f]).groebner_basis()
+        with pytest.raises(PolyError, match="negative exponent"):
+            Ideal([f, P("x*l^-1 + y")]).groebner_basis()
+        with pytest.raises(PolyError, match="negative exponent"):
+            normal_form(P("1/3*x^2*l + 1/5*x*l^-1"), Ideal([f]))
 
     def test_matches_oracle_division_on_random_ideals(self):
         # the remainder modulo a Groebner basis is unique, so any correct
@@ -153,22 +156,22 @@ class TestNormalForm:
                 p = random_polynomial(rng, ring, max_degree=4, max_terms=6)
                 assert normal_form(p, I) == _remainder(p, I.groebner_basis())
 
-    def test_matches_oracle_division_on_block_order_laurent_rings(self):
-        # the elim > 0 codes, and input terms of negative degree in the
-        # invertible variable, which no reducer divides
+    def test_matches_oracle_division_on_block_order_rings(self):
+        # the elim > 0 codes; the ring's invertible variable counts as an
+        # ordinary one
         rng = random.Random(9090)
         for _ in range(40):
             ring = random_block_ring(rng)
             I = Ideal(
                 [
-                    random_polynomial(rng, ring, max_degree=3, max_terms=3, allow_laurent=True)
+                    random_polynomial(rng, ring, max_degree=3, max_terms=3)
                     for _ in range(rng.randint(1, 3))
                 ]
             )
             basis = I.groebner_basis()
             assert is_groebner_basis(basis)
             for _ in range(3):
-                p = random_polynomial(rng, ring, max_degree=4, max_terms=6, allow_laurent=True)
+                p = random_polynomial(rng, ring, max_degree=4, max_terms=6)
                 assert normal_form(p, I) == _remainder(p, basis)
 
 
@@ -237,29 +240,36 @@ class TestMonomialCodes:
 
 
 class TestEqualUpToUnits:
+    """Ideals are equal exactly when their reduced bases are; the engine
+    clears no unit, and a Laurent generator raises."""
+
     def test_unit_multiple(self):
+        # l^2*f and f generate different polynomial ideals
         f = P("4*x*z - y^2 - l*w^2")
-        assert equal_up_to_units(Ideal([P("l^2") * f]), Ideal([f]))
+        I = Ideal([P("l^2") * f])
+        assert I.groebner_basis() == (P("w^2*l^3 + y^2*l^2 - 4*x*z*l^2"),)
+        assert I.groebner_basis() != Ideal([f]).groebner_basis()
+        assert not contains(I, f)
 
     def test_distinct_principal_ideals(self):
-        assert not equal_up_to_units(Ideal([P("x")]), Ideal([P("y")]))
+        assert Ideal([P("x")]).groebner_basis() != Ideal([P("y")]).groebner_basis()
 
     def test_laurent_content(self):
         f, g = P("4*x*z - y^2 - l*w^2"), P("w*x - y")
-        assert equal_up_to_units(Ideal([P("l^-3") * f]), Ideal([f]))
-        assert equal_up_to_units(Ideal([P("l^-3") * f, P("l^2") * g]), Ideal([f, g]))
-        # w is not invertible, so its content is not cleared
-        assert not equal_up_to_units(Ideal([P("w") * f, g]), Ideal([f, g]))
+        for gens in ([P("l^-3") * f], [P("l^-3") * f, P("l^2") * g]):
+            with pytest.raises(PolyError, match="negative exponent"):
+                Ideal(gens).groebner_basis()
+        # w is not invertible either, so its content stays
+        assert Ideal([P("w") * f, g]).groebner_basis() != Ideal([f, g]).groebner_basis()
 
     def test_strict_containment_either_order(self):
         small = Ideal([P("x^2"), P("y")])
         large = Ideal([P("x"), P("y")])
-        assert not equal_up_to_units(small, large)
-        assert not equal_up_to_units(large, small)
+        assert small.groebner_basis() != large.groebner_basis()
 
     def test_different_generators_of_one_ideal(self):
         f, g = P("4*x*z - y^2 - l*w^2"), P("w*x - y")
-        assert equal_up_to_units(Ideal([f, g]), Ideal([2 * f - P("x") * g, 3 * g]))
+        assert Ideal([f, g]).groebner_basis() == Ideal([2 * f - P("x") * g, 3 * g]).groebner_basis()
 
 
 class TestKnownAnswers:

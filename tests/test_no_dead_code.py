@@ -1,10 +1,13 @@
-"""Every function, method and class of the package has a use.
+"""Every function, method, class and import of the package has a use.
 
 A definition in ``src/qhv`` counts as used when its name occurs as a name or
 an attribute in the package's code outside the definition itself (docstrings
 and comments do not count), anywhere in the text of ``perfbench/*.py``, or as
 the console-script entry point in ``pyproject.toml``.  Dunder names are
-called by the interpreter and are exempt.
+called by the interpreter and are exempt.  A module-level import counts as
+used when the name it binds occurs as a name in its module, is listed in the
+module's ``__all__``, or its binding site ``qhv.<module>.<name>`` appears in
+``perfbench/*.py``; ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -53,3 +56,32 @@ def test_every_definition_is_used():
                 continue
             unused.append(f"{module}:{node.lineno} {name}")
     assert not unused, f"definitions nothing uses: {unused}"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The strings of the module's ``__all__`` list, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_import_is_used():
+    perfbench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    unused = []
+    for path in sorted((ROOT / "src" / "qhv").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound in names or f"qhv.{path.stem}.{bound}" in perfbench:
+                    continue
+                unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, f"imports nothing uses: {unused}"

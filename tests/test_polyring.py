@@ -17,7 +17,6 @@ from qhv.polyring import (
     VariableContext,
     derivative,
     format_polynomial,
-    strip_unit_content,
 )
 from qhv.ideals import primitive_integer_form
 from polytext import ParseError, parse
@@ -304,11 +303,6 @@ class TestExponentPath:
 
 
 class TestUnitsAndNormalForms:
-    def test_strip_unit_content(self):
-        assert strip_unit_content(P("l^2*x + l^3*y")) == P("x + l*y")
-        assert strip_unit_content(P("l^-2*x + y")) == P("x + l^2*y")
-        assert strip_unit_content(P("x*w^2")) == P("x*w^2")  # w not invertible
-
     def test_primitive_integer_form(self):
         assert primitive_integer_form(P("1/2*x + 3/4*y")) == P("2*x + 3*y")
         assert primitive_integer_form(P("-2*x^2 - 4*y")) == P("x^2 + 2*y")
