@@ -224,7 +224,7 @@ class TestGluing:
         assert passed
         (witness,) = witnesses
         assert witness["cleared_power"] == 3
-        # exact equality after clearing: the image is the other chart equation
+        # exact equality: the image is the other chart equation
         assert parse(R, witness["image"]) == quadric_generator(1)
 
     def test_quadric_gluing_1_1(self):
