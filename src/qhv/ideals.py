@@ -98,33 +98,29 @@ _EXP_LIMIT = 1 << (FIELD_BITS - 1)
 class _Packing:
     """The monomial codes of one ring: each exponent vector as one integer.
 
-    With B = FIELD_BITS and P(e) = sum of e_i·2^(B·i), the grevlex code of e on
-    n variables is deg(e)·2^(B·n) − P(e).  For the block order ``elim = nb``
-    the grevlex code of the leading block is shifted above that of the tail,
-    far enough that the tail code of a sum of two admissible monomials stays
-    below it.  A code is linear in e, so a monomial product is an integer
-    sum; it is injective, and integer order is ``ring.monomial_key`` order.
-    ``bits(code)`` recovers P with the head block's fields above the tail's,
-    and a monomial d divides m exactly when ``(bits(m) − bits(d)) & guard``
-    is 0, ``guard`` holding the top bit of each field: a field of m below
-    that of d borrows into its own guard bit.
+    With B = FIELD_BITS and P(e) = sum of e_i·2^(B·i), the code of e on n
+    variables under the elimination order ``elim = nb`` is
+    w(e)·2^S + deg(e)·2^(B·n) − P(e), where w(e) is the degree of e in the
+    first nb variables.  The grevlex part deg(e)·2^(B·n) − P(e) of a sum of
+    two admissible monomials lies in [0, n·2^(B·(n+1))), so with
+    S = B·(n+1) + bitlen(n) the weight w decides first; a grevlex code
+    (nb = 0) is the grevlex part alone.  A code is linear in e, so a
+    monomial product is an integer sum; it is injective, and integer order
+    is ``ring.monomial_key`` order.  ``bits(code)`` is ``-code & mask``,
+    which is P(e), and a monomial d divides m exactly when
+    ``(bits(m) − bits(d)) & guard`` is 0, ``guard`` holding the top bit of
+    each field: a field of m below that of d borrows into its own guard bit.
     """
 
-    __slots__ = ("names", "nb", "pos", "guard", "split", "tail_bits", "tail_mask", "head_mask")
+    __slots__ = ("names", "nb", "pos", "shift", "mask", "guard")
 
     def __init__(self, ring: VariableContext):
         n = len(ring.names)
-        nb = ring.elim if ring.elim < n else 0  # one block orders grevlex either way
-        nt = n - nb
         self.names = ring.names
-        self.nb = nb
-        self.tail_bits = FIELD_BITS * nt
-        # the tail degree of a sum of two admissible monomials, below nt·2^B,
-        # fits between the tail fields and the head code
-        self.split = self.tail_bits + FIELD_BITS + nt.bit_length() if nb else 0
-        self.tail_mask = (1 << self.tail_bits) - 1
-        self.head_mask = (1 << FIELD_BITS * nb) - 1
-        self.pos = [FIELD_BITS * ((i - nb) % n) for i in range(n)]
+        self.nb = ring.elim
+        self.pos = [FIELD_BITS * i for i in range(n)]
+        self.shift = FIELD_BITS * (n + 1) + n.bit_length()
+        self.mask = (1 << FIELD_BITS * n) - 1
         self.guard = sum(1 << (p + FIELD_BITS - 1) for p in self.pos)
 
     def _too_wide(self, name: str, e: int) -> ResourceLimitExceeded:
@@ -136,15 +132,12 @@ class _Packing:
     def encode(self, exp: Exponent) -> int:
         if max(exp, default=0) >= _EXP_LIMIT:
             raise self._too_wide(*max(zip(self.names, exp), key=itemgetter(1)))
-        nb, tail_bits = self.nb, self.tail_bits
-        p = sum(map(lshift, exp, self.pos))
-        head = (sum(exp[:nb]) << (FIELD_BITS * nb)) - (p >> tail_bits)
-        tail = (sum(exp[nb:]) << tail_bits) - (p & self.tail_mask)
-        return (head << self.split) + tail
+        grevlex = (sum(exp) << FIELD_BITS * len(exp)) - sum(map(lshift, exp, self.pos))
+        return (sum(exp[: self.nb]) << self.shift) + grevlex
 
     def bits(self, code: int) -> int:
-        """P of the monomial with this code, its fields in divisor-test layout."""
-        return (-(code >> self.split) & self.head_mask) << self.tail_bits | -code & self.tail_mask
+        """P of the monomial with this code, the fields of the divisor test."""
+        return -code & self.mask
 
     def check(self, bits: int):
         """Raise when a field of ``bits`` holds an exponent that does not fit."""
@@ -465,9 +458,11 @@ def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:
 def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """Generators of the contraction of I to the subring without ``drop``.
 
-    Computes a Groebner basis under a block order with the dropped variables
-    in the leading block and keeps the elements free of them.  The result
-    lives in the smaller context, ordered grevlex.
+    Computes a Groebner basis under the elimination order of the dropped
+    variables (see :class:`~qhv.polyring.VariableContext`) and keeps the
+    elements free of them.  The result lives in the smaller context, ordered
+    grevlex: it is the reduced grevlex basis of the contraction, which is
+    unique, so every elimination order gives the same generators.
     """
     drop_set = set(drop)
     unknown = drop_set - set(I.ring.names)

@@ -41,12 +41,12 @@ class VariableContext:
     """Ordered variable set with a monomial order and invertibility flags.
 
     Contexts compare by value, so two independently built contexts with the
-    same data are interchangeable.  ``elim = 0`` orders monomials grevlex.
-    ``elim = n`` is the block order eliminating the first n variables:
-    monomials are compared grevlex on the leading block first, then grevlex
-    on the tail, so any monomial involving a leading-block variable beats
-    every monomial that avoids the block (Cox, Little and O'Shea, *Ideals,
-    Varieties, and Algorithms*, section 3.1).
+    same data are interchangeable.  ``elim = nb`` is the elimination order
+    of the first nb variables: monomials are compared by their degree in
+    those variables first, then grevlex on all variables, so any monomial
+    involving one of them beats every monomial that avoids them (Cox, Little
+    and O'Shea, *Ideals, Varieties, and Algorithms*, section 3.1).
+    ``elim = 0`` orders monomials grevlex.
     """
 
     names: tuple[str, ...]
@@ -74,10 +74,7 @@ class VariableContext:
 
     def monomial_key(self, exp: Exponent):
         """Sort key; larger key means larger monomial under the context order."""
-        nb = self.elim
-        if not nb:
-            return _grevlex_key(exp)
-        return (_grevlex_key(exp[:nb]), _grevlex_key(exp[nb:]))
+        return (sum(exp[: self.elim]), _grevlex_key(exp))
 
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
         return VariableContext(

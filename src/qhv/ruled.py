@@ -131,13 +131,23 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     return d1.lattice.form(d1.coords, d2.coords)
 
 
+def _box(lat: Lattice, bound: int):
+    """The scanned coordinates: 0 <= p, q <= bound and |mi| <= bound on the
+    quadric blow-ups, 0 <= a, b <= bound on a Hirzebruch surface."""
+    span = range(bound + 1)
+    return itertools.product(span, span, *[range(-bound, bound + 1)] * (lat.rank - 2))
+
+
 def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     """All classes with self-intersection -1 meeting the anticanonical in 1.
 
-    Brute-force enumeration over coordinates bounded by ``bound``, in
-    coordinate order.  On the quadric blow-ups the default bound 3 is
-    exhaustive.  Write D = p f1 + q f2 - sum(mi ei); then
-    D.D = 2pq - sum(mi^2) = -1 and -K.D = 2p + 2q - sum(mi) = 1, so:
+    Brute-force enumeration over :func:`_box`, in coordinate order.  No
+    class is lost below p, q = 0 (a, b = 0).  On F_n, D = a C0 + b F has
+    -K.D = (2 - n) a + 2b = 1 and then D.D = a (1 - 2a) = -1, so a = 1: the
+    only (-1)-class is C0 + ((n - 1)/2) F, for odd n.  On the quadric
+    blow-ups the default bound 3 is exhaustive.  Write
+    D = p f1 + q f2 - sum(mi ei); then D.D = 2pq - sum(mi^2) = -1 and
+    -K.D = 2p + 2q - sum(mi) = 1, so:
 
     * r = 0: 2pq = -1 has no integer solution;
     * r = 1: m = 2p + 2q - 1 gives t^2 = s (8 - 7s) with s = p + q,
@@ -151,7 +161,7 @@ def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     form, minus_k = lat.form, lat.minus_k
     return [
         DivisorClass(lat, d)
-        for d in itertools.product(range(-bound, bound + 1), repeat=lat.rank)
+        for d in _box(lat, bound)
         if form(d, minus_k) == 1 and form(d, d) == -1
     ]
 
@@ -166,11 +176,11 @@ def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass
     a >= 1 and b >= n a.  Blow-ups of the quadric: the (-1)-classes together
     with those classes of nonnegative bidegree (p, q) meeting every
     (-1)-class nonnegatively.  Such a class meets the rulings f1 and f2 in q
-    and p, so it meets them nonnegatively too.  One scan of the p, q >= 0 box
-    finds both kinds, since every (-1)-class has p, q >= 0 (see
-    :func:`minus_one_curves`).  Classes come in coordinate order.
+    and p, so it meets them nonnegatively too.  One scan of the box of
+    :func:`minus_one_curves` finds both kinds.  Classes come in coordinate
+    order.
     """
-    form, span = lat.form, range(bound + 1)
+    form = lat.form
 
     def moves(d, square):
         return square > 0 or square == 0 and gcd(*d) == 1
@@ -179,13 +189,13 @@ def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass
         n = lat.param
         return [
             DivisorClass(lat, d)
-            for d in itertools.product(span, span)
+            for d in _box(lat, bound)
             if d in ((1, 0), (0, 1)) or d[0] >= 1 and d[1] >= n * d[0] and moves(d, form(d, d))
         ]
     # a class met negatively by a (-1)-class found so far is dropped at once,
     # which keeps the list short; the last line checks the later ones
     exceptional, movable = [], []
-    for d in itertools.product(span, span, *[range(-bound, bound + 1)] * lat.param):
+    for d in _box(lat, bound):
         square = form(d, d)
         if square == -1 and form(d, lat.minus_k) == 1:
             exceptional.append(d)

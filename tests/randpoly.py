@@ -38,6 +38,6 @@ def random_ring(rng: random.Random, max_vars: int = 4) -> VariableContext:
 
 
 def random_block_ring(rng: random.Random, max_vars: int = 4) -> VariableContext:
-    """A ring under a block order (elim >= 1) with one invertible variable."""
+    """A ring under an elimination order (elim >= 1) with one invertible variable."""
     names = ("x", "y", "z", "w")[: rng.randint(2, max_vars)]
     return VariableContext(names, {rng.choice(names)}, rng.randint(1, len(names) - 1))

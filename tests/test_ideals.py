@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 from operator import le
 from pathlib import Path
 
@@ -184,9 +185,14 @@ class TestMonomialCodes:
     def rings():
         for n in range(1, 8):
             names = tuple(f"v{i}" for i in range(n))
-            yield VariableContext(names)
-            for nb in range(1, n):
+            for nb in range(n + 1):
                 yield VariableContext(names, elim=nb)
+
+    @staticmethod
+    def order_key(nb, exp):
+        # the degree in the first nb variables, then the total degree, then
+        # the smaller exponent of the last variable where the two differ
+        return (sum(exp[:nb]), sum(exp), [-e for e in reversed(exp)])
 
     def draw(self, rng, n):
         # small exponents tie degrees and divide often; large ones fill the field
@@ -197,7 +203,7 @@ class TestMonomialCodes:
         rng = random.Random(3232)
         for ring in self.rings():
             pk = ideals._Packing(ring)
-            n, key = len(ring.names), ring.monomial_key
+            n, key = len(ring.names), partial(self.order_key, ring.elim)
             for _ in range(200):
                 a, b = self.draw(rng, n), self.draw(rng, n)
                 ca, cb = pk.encode(a), pk.encode(b)
@@ -313,9 +319,18 @@ class TestKnownAnswers:
         self.assert_steps(monkeypatch, lambda: Ideal(gens).groebner_basis(), steps)
 
     def test_elimination_step_count_pinned(self, monkeypatch):
-        # the block order (elim = 1): the only pin on that code path
+        # elim = 1, which orders by the degree in u0 first
         gens = katsura(4)
         self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), ["u0"]), 8030)
+
+    def test_graph_elimination_step_count_pinned(self, monkeypatch):
+        # the F4 graph relations of the degenerations module: elim = 3, the
+        # only engine call with two or more eliminated variables
+        R = VariableContext(("x", "y", "z", "a", "b", "c", "e", "f", "t"))
+        relations = ["a - x^2", "b - 2*x*y", "c - 2*x*z - y^2", "e - 2*y*z", "f - z^2",
+                     "t - 4*x*z + y^2"]
+        gens = [parse(R, r) for r in relations]
+        self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), {"x", "y", "z"}), 1450)
 
 
 class TestEliminate:
@@ -326,6 +341,13 @@ class TestEliminate:
         assert [str(g) for g in E.generators] == ["a^3 - b^2"]
         # soundness: the generator vanishes under the parametrization
         assert E.generators[0].ring == target
+
+    def test_twisted_cubic_implicitization(self):
+        # two eliminated variables
+        C = VariableContext(("s", "t", "a", "b", "c", "d"))
+        gens = [parse(C, r) for r in ("a - s^3", "b - s^2*t", "c - s*t^2", "d - t^3")]
+        E = eliminate(Ideal(gens), {"s", "t"})
+        assert [str(g) for g in E.generators] == ["c^2 - b*d", "b*c - a*d", "b^2 - a*c"]
 
     def test_free_variable_gives_zero_ideal(self):
         C = VariableContext(("t", "a"))

@@ -7,7 +7,9 @@ the console-script entry point in ``pyproject.toml``.  Dunder names are
 called by the interpreter and are exempt.  A module-level import counts as
 used when the name it binds occurs as a name in its module, is listed in the
 module's ``__all__``, or its binding site ``qhv.<module>.<name>`` appears in
-``perfbench/*.py``; ``from __future__`` imports are exempt.
+``perfbench/*.py``; ``from __future__`` imports are exempt.  A name in a
+literal ``__slots__`` counts as used when the package reads an attribute of
+that name; a slot that is only ever assigned is state nothing reads.
 """
 
 import ast
@@ -85,3 +87,24 @@ def test_every_import_is_used():
                     continue
                 unused.append(f"{path.name}:{node.lineno} {bound}")
     assert not unused, f"imports nothing uses: {unused}"
+
+
+def test_every_slot_is_used():
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qhv").glob("*.py"))]
+    read = {
+        n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    slots = [
+        elt.value
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+        for elt in node.value.elts
+    ]
+    assert slots, "no literal __slots__ in src/qhv"
+    unread = [name for name in slots if name not in read]
+    assert not unread, f"slots nothing reads: {unread}"

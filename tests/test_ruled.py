@@ -15,6 +15,7 @@ from qhv.ruled import (
     E0,
     EINF,
     LatticeMismatch,
+    QUADRIC_BLOWUP,
     construct_twisted,
     figure1_normalize,
     hirzebruch,
@@ -133,14 +134,23 @@ class TestMinusOneCurves:
             quadric_blowup(3)
 
     def test_scan_finds_every_minus_one_class(self):
-        # the single box scan of irreducible_curve_classes rests on every
-        # (-1)-class having p, q >= 0
-        for r, bound in itertools.product((0, 1, 2), range(1, 8)):
-            lat = quadric_blowup(r)
-            scanned = [
-                d for d in irreducible_curve_classes(lat, bound) if intersect(d, d) == -1
+        # the scans read only the box with p, q >= 0 (a, b >= 0 on F_n); the
+        # full box [-bound, bound]^rank holds no other (-1)-class, and on the
+        # quadric blow-ups the irreducible-class scan finds them all
+        lattices = [hirzebruch(n) for n in range(8)] + [quadric_blowup(r) for r in range(3)]
+        for lat, bound in itertools.product(lattices, range(9)):
+            full_box = itertools.product(range(-bound, bound + 1), repeat=lat.rank)
+            reference = [
+                DivisorClass(lat, d)
+                for d in full_box
+                if lat.form(d, lat.minus_k) == 1 and lat.form(d, d) == -1
             ]
-            assert scanned == minus_one_curves(lat, bound)
+            assert minus_one_curves(lat, bound) == reference
+            if lat.kind == QUADRIC_BLOWUP:
+                scanned = [
+                    d for d in irreducible_curve_classes(lat, bound) if intersect(d, d) == -1
+                ]
+                assert scanned == reference
 
     def test_square_zero_classes_are_primitive(self):
         # m times a conic class has an irreducible member only for m = 1
