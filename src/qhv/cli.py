@@ -20,45 +20,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 from . import degenerations as dg
 from . import ruled, singular
 
-DEFAULT_QUADRIC_TWISTS = (1, 3, 5, 7, 9)
-DEFAULT_F4_TWISTS = (0, 1, 2, 3)
-DEFAULT_TERMINAL_N_MAX = 50
-DEFAULT_WPS = ((1, 1, 1, 2), (1, 1, 2, 3))
-DEFAULT_BUNDLE = (1, 2, 1)
+_dumps = partial(json.dumps, separators=(",", ":"))
+_FAMILIES = ("both", *dg.FAMILIES)
 
 
-@dataclass
-class CheckReport:
-    check_name: str
-    params: dict
-    status: str  # pass | fail | error
-    witnesses: list = field(default_factory=list)
-    duration_ms: int = 0
+def _run_check(name: str, params: dict, body) -> dict:
+    """Time one check; ``body`` returns (passed, witnesses).
 
-    def payload(self, with_duration: bool = True) -> dict:
-        out = {
-            "check_name": self.check_name,
-            "params": self.params,
-            "status": self.status,
-            "witnesses": self.witnesses,
-        }
-        if with_duration:
-            out["duration_ms"] = self.duration_ms
-        return out
-
-    def to_json(self, with_duration: bool = True) -> str:
-        return json.dumps(self.payload(with_duration), separators=(",", ":"))
-
-
-def _run_check(name: str, params: dict, body) -> CheckReport:
-    """Time one check; ``body`` returns (passed, witnesses)."""
+    The report is the JSON object printed, its keys in report order; status
+    is pass, fail or error.
+    """
     start = time.perf_counter()
     try:
         passed, witnesses = body()
@@ -69,7 +48,8 @@ def _run_check(name: str, params: dict, body) -> CheckReport:
     duration = int((time.perf_counter() - start) * 1000)
     if status == "fail" and not witnesses:
         witnesses = [{"error": "check failed without detail"}]
-    return CheckReport(name, params, status, witnesses, duration)
+    return {"check_name": name, "params": params, "status": status,
+            "witnesses": witnesses, "duration_ms": duration}
 
 
 # -- suites --------------------------------------------------------------------
@@ -128,20 +108,18 @@ def _homology_lemma(fiber: str):
 
 
 def suite_verify_quadric(cfg):
-    for k in cfg.quadric_k:
-        for l in cfg.quadric_l:
-            body = partial(_glued, dg.verify_gluing, "quadric", k, l)
-            yield "quadric-gluing", {"k": k, "l": l}, body
+    for k, l in product(cfg.quadric_k, cfg.quadric_l):
+        body = partial(_glued, dg.verify_gluing, "quadric", k, l)
+        yield "quadric-gluing", {"k": k, "l": l}, body
 
 
 def suite_verify_f4(cfg):
     for k in cfg.f4_k:
         yield "f4-adjudication", {"k": k}, partial(dg.adjudicate_f4_generators, k)
         yield "f4-embedding", {"k": k}, partial(dg.verify_embedding, k)
-    for k in cfg.f4_k:
-        for l in cfg.f4_l:
-            body = partial(_glued, dg.verify_gluing, "f4", k, l)
-            yield "f4-gluing", {"k": k, "l": l}, body
+    for k, l in product(cfg.f4_k, cfg.f4_l):
+        body = partial(_glued, dg.verify_gluing, "f4", k, l)
+        yield "f4-gluing", {"k": k, "l": l}, body
 
 
 def suite_verify_quotient(cfg):
@@ -150,14 +128,11 @@ def suite_verify_quotient(cfg):
 
 
 def suite_equivariance(cfg):
-    plans = []
-    if cfg.family in ("both", "quadric"):
-        plans += [("quadric", k, l) for k in cfg.quadric_k for l in cfg.quadric_l]
-    if cfg.family in ("both", "f4"):
-        plans += [("f4", k, l) for k in cfg.f4_k for l in cfg.f4_l]
-    for family, k, l in plans:
-        params = {"family": family, "k": k, "l": l}
-        yield "equivariance", params, partial(_glued, dg.verify_equivariance, family, k, l)
+    twists = {"quadric": (cfg.quadric_k, cfg.quadric_l), "f4": (cfg.f4_k, cfg.f4_l)}
+    for family in twists if cfg.family == "both" else (cfg.family,):
+        for k, l in product(*twists[family]):
+            params = {"family": family, "k": k, "l": l}
+            yield "equivariance", params, partial(_glued, dg.verify_equivariance, family, k, l)
 
 
 def suite_singular_locus(cfg):
@@ -207,14 +182,14 @@ SUITES = {
 
 @dataclass
 class RunConfig:
-    quadric_k: tuple[int, ...] = DEFAULT_QUADRIC_TWISTS
-    quadric_l: tuple[int, ...] = DEFAULT_QUADRIC_TWISTS
-    f4_k: tuple[int, ...] = DEFAULT_F4_TWISTS
-    f4_l: tuple[int, ...] = DEFAULT_F4_TWISTS
+    quadric_k: tuple[int, ...] = (1, 3, 5, 7, 9)
+    quadric_l: tuple[int, ...] = (1, 3, 5, 7, 9)
+    f4_k: tuple[int, ...] = (0, 1, 2, 3)
+    f4_l: tuple[int, ...] = (0, 1, 2, 3)
     family: str = "both"
-    terminal_n_max: int = DEFAULT_TERMINAL_N_MAX
-    wps_weights: tuple[tuple[int, ...], ...] = DEFAULT_WPS
-    bundle: tuple[int, int, int] = DEFAULT_BUNDLE
+    terminal_n_max: int = 50
+    wps_weights: tuple[tuple[int, ...], ...] = ((1, 1, 1, 2), (1, 1, 2, 3))
+    bundle: tuple[int, int, int] = (1, 2, 1)
 
 
 class ConfigError(ValueError):
@@ -232,12 +207,25 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_family(text: str) -> str:
+    if text not in _FAMILIES:
+        raise ConfigError(f"unknown family {text!r}")
+    return text
+
+
+def _parse_bundle(text: str) -> tuple[int, int, int]:
+    values = _parse_int_list(text)
+    if len(values) != 3:
+        raise ConfigError("bundle needs exactly n, k0, kinf")
+    return values
+
+
 def read_config_file(path: str) -> dict:
     """Flat ``key = value`` text format; '#' starts a comment."""
     values: dict[str, str] = {}
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -255,49 +243,45 @@ _CONFIG_KEYS = {
     "quadric-l": ("quadric_l", _parse_int_list),
     "f4-k": ("f4_k", _parse_int_list),
     "f4-l": ("f4_l", _parse_int_list),
-    "family": ("family", str),
+    "family": ("family", _parse_family),
     "terminal-n-max": ("terminal_n_max", int),
     "wps-weights": (
         "wps_weights",
         lambda text: tuple(_parse_int_list(part) for part in text.split(";")),
     ),
-    "bundle": ("bundle", _parse_int_list),
+    "bundle": ("bundle", _parse_bundle),
+}
+
+#: The config keys each flag sets; a repeated ``--weights`` joins with ';'.
+_FLAG_KEYS = {
+    "k": ("quadric-k", "f4-k"),
+    "l": ("quadric-l", "f4-l"),
+    "family": ("family",),
+    "n_max": ("terminal-n-max",),
+    "weights": ("wps-weights",),
 }
 
 
 def build_config(args, file_values: dict) -> RunConfig:
+    flag_values = {}
+    for flag, keys in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            value = ";".join(value) if flag == "weights" else value
+            flag_values.update(dict.fromkeys(keys, value))
     cfg = RunConfig()
-    for key, raw in file_values.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr, convert = _CONFIG_KEYS[key]
-        try:
-            value = convert(raw)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-        setattr(cfg, attr, value)
-    # flags win over the config file
-    if getattr(args, "k", None) is not None:
-        cfg.quadric_k = _parse_int_list(args.k)
-        cfg.f4_k = cfg.quadric_k
-    if getattr(args, "l", None) is not None:
-        cfg.quadric_l = _parse_int_list(args.l)
-        cfg.f4_l = cfg.quadric_l
-    if getattr(args, "family", None) is not None:
-        cfg.family = args.family
-    if getattr(args, "n_max", None) is not None:
-        cfg.terminal_n_max = args.n_max
-    if getattr(args, "weights", None):
-        cfg.wps_weights = tuple(_parse_int_list(w) for w in args.weights)
-    bundle = list(cfg.bundle)
-    for i, name in enumerate(("n", "k0", "kinf")):
-        if getattr(args, name, None) is not None:
-            bundle[i] = getattr(args, name)
-    cfg.bundle = tuple(bundle)
-    if len(cfg.bundle) != 3:
-        raise ConfigError("bundle needs exactly n, k0, kinf")
-    if cfg.family not in ("both", "quadric", "f4"):
-        raise ConfigError(f"unknown family {cfg.family!r}")
+    # the file is read before the flags, so a flag cannot hide a bad file value
+    for values in (file_values, flag_values):
+        for key, raw in values.items():
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            attr, read = _CONFIG_KEYS[key]
+            try:
+                setattr(cfg, attr, read(raw))
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+    flags = (getattr(args, name, None) for name in ("n", "k0", "kinf"))
+    cfg.bundle = tuple(old if new is None else new for old, new in zip(cfg.bundle, flags))
     return cfg
 
 
@@ -334,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--l", help="comma-separated twists for the infinity chart")
 
     equi = add("equivariance", help="action/gluing commutation checks")
-    equi.add_argument("--family", choices=("both", "quadric", "f4"))
+    equi.add_argument("--family", choices=_FAMILIES)
     equi.add_argument("--k", help="comma-separated twists")
     equi.add_argument("--l", help="comma-separated twists")
 
@@ -367,7 +351,7 @@ def _suite_names(args) -> list[str]:
     return [args.command]
 
 
-def run(suites: list[str], cfg: RunConfig, emit) -> dict[str, list[CheckReport]]:
+def run(suites: list[str], cfg: RunConfig, emit) -> dict[str, list[dict]]:
     """Run every check of the named suites in order; reports grouped by suite.
 
     ``emit`` receives each report as soon as its check ends.
@@ -382,10 +366,10 @@ def run(suites: list[str], cfg: RunConfig, emit) -> dict[str, list[CheckReport]]
     return results
 
 
-def _golden_compare(suite: str, reports: list[CheckReport], directory: str, update: bool):
+def _golden_compare(suite: str, reports: list[dict], directory: str, update: bool):
     """Returns an error message or None; golden files ignore duration_ms."""
     path = Path(directory) / f"{suite}.jsonl"
-    produced = [r.to_json(with_duration=False) for r in reports]
+    produced = [_dumps({k: v for k, v in r.items() if k != "duration_ms"}) for r in reports]
     if update:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(produced) + "\n")
@@ -426,17 +410,17 @@ def main(argv: list[str] | None = None) -> int:
 
     human = opt("human", False)
 
-    def emit(report: CheckReport):
+    def emit(report: dict):
         if human:
-            shown = " ".join(f"{k}={v}" for k, v in report.params.items())
-            line = (f"{report.status.upper():5s} {report.check_name} {shown} "
-                    f"({report.duration_ms} ms)")
+            shown = " ".join(f"{k}={v}" for k, v in report["params"].items())
+            line = (f"{report['status'].upper():5s} {report['check_name']} {shown} "
+                    f"({report['duration_ms']} ms)")
         else:
-            line = report.to_json()
+            line = _dumps(report)
         print(line, flush=True)
 
     results = run(_suite_names(args), cfg, emit)
-    passed = all(r.status == "pass" for reports in results.values() for r in reports)
+    passed = all(r["status"] == "pass" for reports in results.values() for r in reports)
     exit_code = 0 if passed else 1
     if golden_dir:
         for suite, suite_reports in results.items():

@@ -297,11 +297,16 @@ def _reduce_terms(
     return {m: c * (scale // s) for m, c, s in emitted}, scale
 
 
-def _engine_terms(p: Polynomial) -> tuple[dict[Exponent, int], int]:
-    """``_integer_terms`` of p; the engine computes in the polynomial ring."""
+def _engine_codes(p: Polynomial, pk: _Packing) -> tuple[dict[int, int], int]:
+    """``_integer_terms`` of p keyed by monomial code, and their denominator.
+
+    The engine computes in the polynomial ring, so a negative exponent
+    raises ``PolyError``.
+    """
     if any(min(e, default=0) < 0 for e in p.terms):
         raise PolyError(f"the Groebner engine takes no negative exponent, got {p}")
-    return _integer_terms(p.terms)
+    terms, denom = _integer_terms(p.terms)
+    return {pk.encode(e): c for e, c in terms.items()}, denom
 
 
 def _prepare(polys: Iterable[Polynomial], pk: _Packing) -> list[_Reducer]:
@@ -309,8 +314,7 @@ def _prepare(polys: Iterable[Polynomial], pk: _Packing) -> list[_Reducer]:
     for p in polys:
         if p.is_zero():
             continue
-        terms = _engine_terms(p)[0]
-        codes = {pk.encode(e): c for e, c in terms.items()}
+        codes = _engine_codes(p, pk)[0]
         out.append(_reducer(max(codes), codes, pk))
     return out
 
@@ -418,13 +422,16 @@ def _buchberger(
 
 
 def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
-    """Unique remainder of p modulo the reduced basis of I."""
+    """Unique remainder of p modulo the reduced basis of I.
+
+    The remainder is taken in the polynomial ring: a p with a negative
+    exponent (a Laurent polynomial) raises ``PolyError``.
+    """
     if p.ring != I.ring:
         raise ContextMismatch("polynomial and ideal contexts differ")
-    terms, denom = _engine_terms(p)
-    I.groebner_basis()
     pk = _Packing(I.ring)
-    codes = {pk.encode(e): c for e, c in terms.items()}
+    codes, denom = _engine_codes(p, pk)
+    I.groebner_basis()
     rem, scale = _reduce_terms(codes, I._reducers, pk, _Counter(I.ring), {})
     scale *= denom
     return Polynomial(I.ring, {pk.decode(m): Fraction(c, scale) for m, c in rem.items()})

@@ -1,6 +1,8 @@
 """Driver behavior: exit codes, determinism, golden comparison, config."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -152,12 +154,12 @@ class TestStreaming:
                 yield "probe", {"i": i}, lambda i=i: body(i)
 
         def emit(report):
-            events.append(("emit", report.params["i"]))
+            events.append(("emit", report["params"]["i"]))
 
         monkeypatch.setitem(cli.SUITES, "probe", probe)
         results = cli.run(["probe"], cli.RunConfig(), emit)
         assert events == [(kind, i) for i in range(3) for kind in ("start", "emit")]
-        assert [r.params["i"] for r in results["probe"]] == [0, 1, 2]
+        assert [r["params"]["i"] for r in results["probe"]] == [0, 1, 2]
 
 
 class TestDeterminism:
@@ -204,9 +206,9 @@ class TestDeterminism:
         for check in self.checks():
             for cache in caches:
                 cache.cache_clear()
-            cold.append(cli._run_check(*check).payload(with_duration=False))
+            cold.append({**cli._run_check(*check), "duration_ms": 0})
         assert run_cli(capsys, "all")[0] == 0
-        warm = [cli._run_check(*check).payload(with_duration=False) for check in self.checks()]
+        warm = [{**cli._run_check(*check), "duration_ms": 0} for check in self.checks()]
         assert warm == cold
 
 
@@ -351,3 +353,129 @@ class TestConfigFile:
     def test_missing_config_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "wps", "--config", str(tmp_path / "none.cfg"))
         assert code == 2
+
+
+def config_of(monkeypatch, *argv):
+    """The RunConfig that ``qhv ARGV`` would run, with no check run."""
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda suites, cfg, emit: seen.append(cfg) or {})
+    assert cli.main(list(argv)) == 0
+    (cfg,) = seen
+    return cfg
+
+
+def changed(cfg):
+    """The RunConfig fields that differ from the defaults."""
+    default = cli.RunConfig()
+    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) != getattr(default, f.name)}
+
+
+class TestParameters:
+    @pytest.mark.parametrize("line, expected", [
+        ("quadric-k = 1,3", {"quadric_k": (1, 3)}),
+        ("quadric-l = 5", {"quadric_l": (5,)}),
+        ("f4-k = 0,2", {"f4_k": (0, 2)}),
+        ("f4-l = 3", {"f4_l": (3,)}),
+        ("family = f4", {"family": "f4"}),
+        ("terminal-n-max = 9", {"terminal_n_max": 9}),
+        ("wps-weights = 1,1,1,2; 1,2,3,5", {"wps_weights": ((1, 1, 1, 2), (1, 2, 3, 5))}),
+        ("bundle = 2,1,3", {"bundle": (2, 1, 3)}),
+    ])
+    def test_each_config_key_sets_its_field(self, monkeypatch, tmp_path, line, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        assert changed(config_of(monkeypatch, "all", "--config", str(path))) == expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("verify", "quadric", "--k", "1,3"), {"quadric_k": (1, 3), "f4_k": (1, 3)}),
+        (("verify", "f4", "--l", "3"), {"quadric_l": (3,), "f4_l": (3,)}),
+        (("equivariance", "--family", "quadric"), {"family": "quadric"}),
+        (("terminal", "--n-max", "9"), {"terminal_n_max": 9}),
+        (("wps", "--weights", "1,1,1,2", "--weights", "1,2,3,5"),
+         {"wps_weights": ((1, 1, 1, 2), (1, 2, 3, 5))}),
+        (("bundle-normalize", "--n", "2"), {"bundle": (2, 2, 1)}),
+        (("bundle-normalize", "--k0", "3"), {"bundle": (1, 3, 1)}),
+        (("bundle-normalize", "--kinf", "4"), {"bundle": (1, 2, 4)}),
+    ])
+    def test_each_flag_sets_its_fields(self, monkeypatch, argv, expected):
+        assert changed(config_of(monkeypatch, *argv)) == expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("verify", "f4", "--k", "5"), {"quadric_k": (5,), "f4_k": (5,)}),
+        (("equivariance", "--family", "quadric"), {"family": "quadric"}),
+        (("terminal", "--n-max", "7"), {"terminal_n_max": 7}),
+        (("wps", "--weights", "1,1,2,3"), {"wps_weights": ((1, 1, 2, 3),)}),
+        (("bundle-normalize", "--k0", "4"), {"bundle": (2, 4, 3)}),
+    ])
+    def test_flag_wins_over_file(self, monkeypatch, tmp_path, argv, expected):
+        path = tmp_path / "run.cfg"
+        path.write_text("quadric-k = 1\nf4-k = 2\nfamily = f4\nterminal-n-max = 9\n"
+                        "wps-weights = 1,1,1,2\nbundle = 2,1,3\n")
+        cfg = config_of(monkeypatch, *argv, "--config", str(path))
+        fields = {"quadric_k": (1,), "f4_k": (2,), "family": "f4", "terminal_n_max": 9,
+                  "wps_weights": ((1, 1, 1, 2),), "bundle": (2, 1, 3)}
+        assert changed(cfg) == {**fields, **expected}
+
+    @pytest.mark.parametrize("line, argv", [
+        ("quadric-k = 1 3", ("verify", "quadric", "--k", "5")),
+        ("f4-l = x", ("verify", "f4", "--l", "1")),
+        ("terminal-n-max = x", ("terminal", "--n-max", "5")),
+        ("wps-weights = 1,,x", ("wps", "--weights", "1,1,1,2")),
+        ("bundle = 1,x,1", ("bundle-normalize", "--k0", "2")),
+    ])
+    def test_bad_file_value_exit_2_under_a_flag(self, capsys, tmp_path, line, argv):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        code, lines, err = run_cli(capsys, *argv, "--config", str(path))
+        key = line.split(" =")[0]
+        assert code == 2 and lines == [] and f"config key {key!r}" in err
+
+    def test_bad_family_in_file_exit_2_under_a_flag(self, capsys, tmp_path):
+        path = tmp_path / "family.cfg"
+        path.write_text("family = neither\n")
+        code, lines, err = run_cli(capsys, "equivariance", "--config", str(path),
+                                   "--family", "quadric", "--k", "1", "--l", "1")
+        assert code == 2 and lines == []
+        assert "config key 'family': unknown family 'neither'" in err
+
+    @pytest.mark.parametrize("text, argv", [
+        ("1,2", ("--kinf", "1")),
+        ("1,2,3,4", ()),
+    ])
+    def test_wrong_length_bundle_exit_2(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "bundle.cfg"
+        path.write_text(f"bundle = {text}\n")
+        code, lines, err = run_cli(capsys, "bundle-normalize", "--config", str(path), *argv)
+        assert code == 2 and lines == []
+        assert "config error" in err and "bundle needs exactly n, k0, kinf" in err
+
+    def test_config_file_not_utf8_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe" + "quadric-k = 1\n".encode("utf-16-le"))
+        code, lines, err = run_cli(capsys, "wps", "--config", str(path))
+        assert code == 2 and lines == []
+        assert "config error" in err and str(path) in err
+
+
+class TestReportShape:
+    HUMAN = re.compile(r"^(PASS|FAIL|ERROR) +[a-z0-9-]+ (\S+=\S+( \S+=\S+)*)? \(\d+ ms\)$")
+
+    def test_human_line_shape(self, capsys):
+        lines = run_cli(capsys, "--human", "dp-homology")[1]
+        lines += run_cli(capsys, "--human", "bundle-normalize", "--n", "0")[1]
+        lines += run_cli(capsys, "--human", "wps", "--weights", "1,1,1,2")[1]
+        assert len(lines) == 6 and lines[4].startswith("ERROR bundle-normalize n=0 k0=2 kinf=1 (")
+        assert all(self.HUMAN.match(line) for line in lines), lines
+
+    def test_fail_without_witness_gets_one(self, capsys, monkeypatch):
+        def probe(cfg):
+            yield "probe", {"i": 0}, lambda: (False, [])
+
+        monkeypatch.setattr(cli, "SUITES", {"probe": probe})
+        code, lines, _ = run_cli(capsys, "all")
+        (report,) = payloads(lines)
+        assert code == 1 and list(report) == [
+            "check_name", "params", "status", "witnesses", "duration_ms"]
+        assert report["status"] == "fail"
+        assert report["witnesses"] == [{"error": "check failed without detail"}]

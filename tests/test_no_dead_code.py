@@ -9,7 +9,11 @@ used when the name it binds occurs as a name in its module, is listed in the
 module's ``__all__``, or its binding site ``qhv.<module>.<name>`` appears in
 ``perfbench/*.py``; ``from __future__`` imports are exempt.  A name in a
 literal ``__slots__`` counts as used when the package reads an attribute of
-that name; a slot that is only ever assigned is state nothing reads.
+that name; a slot that is only ever assigned is state nothing reads.  The
+same holds for stored names: a module-level assignment counts as used when
+the package reads it as a name or its name occurs in the text of
+``perfbench/*.py`` (dunder names are exempt), and a dataclass field when the
+package reads an attribute of that name.
 """
 
 import ast
@@ -19,6 +23,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qhv").glob("*.py"))}
 
 
 def _names(node: ast.AST) -> Counter:
@@ -38,7 +46,7 @@ def _entry_points() -> set[str]:
 
 
 def test_every_definition_is_used():
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qhv").glob("*.py"))}
+    trees = _trees()
     used_in_src = sum((_names(tree) for tree in trees.values()), Counter())
     perfbench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     entry_points = _entry_points()
@@ -89,17 +97,22 @@ def test_every_import_is_used():
     assert not unused, f"imports nothing uses: {unused}"
 
 
-def test_every_slot_is_used():
-    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "qhv").glob("*.py"))]
-    read = {
-        n.attr
-        for tree in trees
+def _loaded(trees, kind: type) -> set[str]:
+    """The names the package reads as ``ast.Name`` or as ``ast.Attribute``."""
+    return {
+        n.id if kind is ast.Name else n.attr
+        for tree in trees.values()
         for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        if isinstance(n, kind) and isinstance(n.ctx, ast.Load)
     }
+
+
+def test_every_slot_is_used():
+    trees = _trees()
+    read = _loaded(trees, ast.Attribute)
     slots = [
         elt.value
-        for tree in trees
+        for tree in trees.values()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
@@ -108,3 +121,48 @@ def test_every_slot_is_used():
     assert slots, "no literal __slots__ in src/qhv"
     unread = [name for name in slots if name not in read]
     assert not unread, f"slots nothing reads: {unread}"
+
+
+def test_every_module_level_name_is_read():
+    trees = _trees()
+    read = _loaded(trees, ast.Name)
+    perfbench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    stored = [
+        (f"{module}:{node.lineno} {target.id}", target.id)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and not (target.id.startswith("__") and target.id.endswith("__"))
+    ]
+    assert stored, "no module-level assignment in src/qhv"
+    unread = [
+        where for where, name in stored
+        if name not in read and not re.search(rf"\b{re.escape(name)}\b", perfbench)
+    ]
+    assert not unread, f"module-level names nothing reads: {unread}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    trees = _trees()
+    read = _loaded(trees, ast.Attribute)
+    fields = [
+        f"{module}:{stmt.lineno} {node.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert fields, "no dataclass field in src/qhv"
+    unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
