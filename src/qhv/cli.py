@@ -221,7 +221,8 @@ def _parse_bundle(text: str) -> tuple[int, int, int]:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat ``key = value`` text format; '#' starts a comment."""
+    """Flat ``key = value`` text format; '#' starts a comment.  A key may
+    appear once, so no value goes unread."""
     values: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -234,7 +235,10 @@ def read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is given twice")
+        values[key] = value.strip()
     return values
 
 

@@ -1,8 +1,11 @@
 """Ideal arithmetic: Groebner bases, normal forms, membership, elimination.
 
-The engine is a plain Buchberger implementation with the product and chain
-criteria, full interreduction and monic normalization, so every basis it
-returns is the reduced Groebner basis under the context's monomial order.
+The engine is a signature-based Buchberger loop (Gao, Volny and Wang, "A new
+framework for computing Groebner bases", Math. Comp. 85, 2016; Roune and
+Stillman, "Practical Groebner basis computation", ISSAC 2012): its syzygy
+and rewriter criteria skip the S-pairs that would reduce to zero.  Full
+interreduction and monic normalization follow, so every basis it returns is
+the reduced Groebner basis under the context's monomial order.
 Inside the engine every polynomial is a primitive integer term map (coprime
 coefficients, positive leading coefficient): reductions cross-multiply
 instead of dividing, so no ``Fraction`` arithmetic runs in the reduction
@@ -24,12 +27,13 @@ the exponents sit in fixed fields of ``FIELD_BITS`` bits, so a monomial
 product is an integer sum, comparing codes compares monomials under the
 ring's order, and a divisor test is one subtraction and one mask (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007).  Exponent tuples return only at the
-boundary: the monic basis, the normal form, and the pair update, whose lcm
-is not linear in the exponents.  Within one Buchberger run the reduction
-remembers, for each monomial it has reduced, the index below which no basis
-element divides it; the basis only grows by appending, so the scan resumes
-there and picks the same reducer as a scan from the start.
+exponent vectors", CASC 2007).  A signature is an integer in the same way
+(:func:`_buchberger`).  Exponent tuples return only at the boundary: the
+monic basis, the normal form, and the lcm of an S-pair, which is not linear
+in the exponents.  Within one Buchberger run the reduction remembers, for
+each monomial it has reduced, the index below which no basis element
+divides it; the basis only grows by appending, so the scan for a reducer
+resumes there and picks the same reducer as a scan from the start.
 
 Each engine call (one basis computation or one normal form) counts its
 reduction steps against the fixed limit :data:`STEP_BUDGET` and raises
@@ -37,8 +41,8 @@ reduction steps against the fixed limit :data:`STEP_BUDGET` and raises
 a constant, so a call's step count alone decides whether it succeeds: a
 cached basis always comes from a call that succeeded under the same limit,
 and no result depends on what ran earlier in the process.  An exponent of
-``2**31`` or more, given or reached, raises the same error, naming the
-field width, instead of wrapping into the next field.
+``2**31`` or more, given or reached in a monomial or a signature, raises the
+same error, naming the field width, instead of wrapping into the next field.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import itemgetter, le, lshift
+from operator import itemgetter, lshift
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -61,7 +65,7 @@ from .polyring import (
 )
 
 #: Reduction steps one engine call may take.  The largest call of ``qhv all``
-#: takes about 2,400, so reaching the limit means a runaway computation.
+#: takes 384, so reaching the limit means a runaway computation.
 STEP_BUDGET = 2_000_000
 
 
@@ -200,10 +204,6 @@ class Ideal:
 _Reducer = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
-def _divides(d: Exponent, m: Exponent) -> bool:
-    return all(map(le, d, m))
-
-
 def _integer_terms(terms: dict[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
     """The term map times the lcm of its denominators, and that lcm."""
     denom = math.lcm(*(c.denominator for c in terms.values()))
@@ -233,14 +233,19 @@ def _reduce_terms(
     pk: _Packing,
     counter: _Counter,
     memo: dict[int, int],
+    bound: tuple[int, int, Sequence[int]] | None = None,
 ) -> tuple[dict[int, int], int]:
     """Canonical remainder of an integer term map on codes modulo reducers.
 
     Returns ``(remainder, scale)``: the remainder of ``scale * terms``, with
     integer coefficients, so the remainder over Q is ``remainder / scale``.
-    The largest pending monomial is reduced first, by the first reducer whose
-    leading monomial divides it; the scan for it starts at ``memo[m]``, an
-    index below which no reducer divides m, and records where it stopped.
+    The largest pending monomial m is reduced first, by the first reducer
+    whose leading monomial divides it.  A signature bound ``bound = (T, n,
+    offsets)`` makes the reduction regular: ``basis[i]`` shifted to lead m
+    has the signature ``offsets[i] + code(m)·n`` (see :func:`_buchberger`),
+    and is used only when that is below T.  The scan for the reducer starts
+    at ``memo[m]``, an index below which no reducer divides m, and records
+    the first index whose reducer divides m, whatever its signature.
     To remove ``c*m`` with a reducer of leading coefficient ``lc``, the
     pending terms are multiplied by ``lc/d``, where ``d = gcd(c, lc)``, and
     ``(c/d)`` times the shifted reducer is subtracted; ``scale`` accumulates
@@ -252,6 +257,7 @@ def _reduce_terms(
     descending order.
     """
     bits, guard = pk.bits, pk.guard
+    limit, n, offsets = bound or (None, 0, ())
     work = dict(terms)
     heap = [-m for m in work]
     heapify(heap)
@@ -265,15 +271,22 @@ def _reduce_terms(
         lead_bits = bits(lead)
         if lead_bits & guard:
             pk.check(lead_bits)
+        if limit is not None:
+            room = limit - lead * n
+        first = None
         for i in range(memo.get(lead, 0), len(basis)):
             lt, lt_bits, lc, tail = basis[i]
-            if not (lead_bits - lt_bits) & guard:
+            if (lead_bits - lt_bits) & guard:
+                continue
+            if first is None:
+                first = memo[lead] = i
+            if limit is None or offsets[i] < room:
                 break
         else:
-            memo[lead] = len(basis)
+            if first is None:
+                memo[lead] = len(basis)
             emitted.append((lead, coeff, scale))
             continue
-        memo[lead] = i
         shift = lead - lt
         counter.tick(len(tail) + 1)
         d = gcd(coeff, lc)
@@ -319,88 +332,117 @@ def _prepare(polys: Iterable[Polynomial], pk: _Packing) -> list[_Reducer]:
     return out
 
 
-def _spoly_terms(f: _Reducer, g: _Reducer, lcm: int) -> dict[int, int]:
-    """Integer S-polynomial of two reducers whose leading monomials have
-    the code ``lcm``.
-
-    With ``d = gcd(lc_f, lc_g)`` it is ``(lc_g/d)·(lcm/lt_f)·f −
-    (lc_f/d)·(lcm/lt_g)·g``, a positive multiple of the monic S-polynomial;
-    the leading terms cancel, so only the tails are shifted.
-    """
-    lf, _, cf, ft = f
-    lg, _, cg, gt = g
-    d = gcd(cf, cg)
-    mf, mg = cg // d, cf // d
-    sf, sg = lcm - lf, lcm - lg
-    out = {m + sf: mf * c for m, c in ft}
-    for m, c in gt:
-        target = m + sg
-        v = out.get(target, 0) - mg * c
-        if v == 0:
-            out.pop(target, None)
-        else:
-            out[target] = v
-    return out
-
-
 def _buchberger(
     generators: Sequence[Polynomial], pk: _Packing, counter: _Counter
 ) -> list[_Reducer]:
-    """Reducers of the reduced Groebner basis, sorted by leading monomial."""
-    basis = _prepare(generators, pk)
-    if not basis:
-        return []
-    leads = [pk.decode(r[0]) for r in basis]  # exponent tuples for the pair update
+    """Reducers of the reduced Groebner basis, sorted by leading monomial.
 
-    # Gebauer-Moeller style pair update: drop pairs by the product and chain
-    # criteria as each new element enters the basis.  Live pairs map to their
-    # lcm; the queue holds (code of lcm, pair) once per pair, and an entry
-    # whose pair was dropped since is skipped when popped.  The lcm is not
-    # linear in the exponents, so this bookkeeping stays on exponent tuples.
-    pairs: dict[tuple[int, int], Exponent] = {}
-    queue: list[tuple[int, tuple[int, int]]] = []
+    A signature-based loop (Gao, Volny and Wang, Math. Comp. 85, 2016; Roune
+    and Stillman, ISSAC 2012).  With f_0 .. f_(n-1) the nonzero generators,
+    the signature m·e_i of an element is held as the integer
+    ``code(m·lt(f_i))·n + i``, so integer order is the Schreyer order and a
+    multiple t·(m·e_i) is the sum plus ``code(t)·n``.  Signatures are taken
+    in increasing order; the queue holds each generator's e_i and the larger
+    side of each S-pair whose two sides differ.  A signature T is skipped,
+    when its S-pair is formed and again when it is popped, if a known
+    syzygy signature of its index divides it: the Koszul signature of every
+    two elements, and every T whose reduction reached zero.  A pair of
+    coprime leading monomials has its Koszul signature, so it is never
+    queued.  Otherwise the rewriter, the element g whose signature
+    divides T and whose multiple (T/sig(g))·g has the smallest leading
+    monomial (the later one on a tie), is shifted to T and reduced by
+    reducers of smaller signature.  The result joins the basis unless it is
+    zero or its leading monomial was not reduced: then the rewriter already
+    covers T.  A result whose leading monomial was reduced is never singular
+    top-reducible, since an s·g of signature T led by that monomial would
+    have been a rewriter with a smaller multiple.
+    """
+    inputs = _prepare(generators, pk)
+    n = len(inputs)
+    bits, guard = pk.bits, pk.guard
+    basis: list[_Reducer] = []
+    # sig(g) - code(lt(g))·n: g shifted to lead the monomial of code m has
+    # the signature offset + m·n, and (T - offset)/n is the lead of (T/sig(g))·g
+    offsets: list[int] = []
+    leads: list[Exponent] = []  # exponent tuples of the leading monomials, for the lcms
+    # per signature index: (bits of the signature's monomial, basis position)
+    # of its elements, and the bits of its known syzygy signatures
+    elements: list[list[tuple[int, int]]] = [[] for _ in inputs]
+    syzygies: list[list[int]] = [[] for _ in inputs]
 
-    def update(new_index: int):
-        lm_new = leads[new_index]
-        new_lcms = [tuple(map(max, leads[i], lm_new)) for i in range(new_index)]
-        for (i, j), l_ij in list(pairs.items()):
-            if _divides(lm_new, l_ij) and new_lcms[i] != l_ij and new_lcms[j] != l_ij:
-                del pairs[i, j]
-        fresh: dict[Exponent, list[int]] = {}
-        for i, l in enumerate(new_lcms):
-            fresh.setdefault(l, []).append(i)
-        codes = {l: pk.encode(l) for l in fresh}
-        minimal: list[Exponent] = []
-        for l in sorted(fresh, key=codes.__getitem__):
-            if all(not _divides(m, l) for m in minimal):
-                minimal.append(l)
-        product = basis[new_index][0]
-        for l in minimal:
-            if any(codes[l] == basis[i][0] + product for i in fresh[l]):
-                continue  # product criterion
-            pair = (min(fresh[l]), new_index)
-            pairs[pair] = l
-            heappush(queue, (codes[l], pair))
+    def monomial_bits(sig: int) -> int:
+        """The divisor-test bits of m·lt(f_i) for the signature m·e_i.
 
-    for idx in range(len(basis)):
-        update(idx)
+        Its fields are sums of two that fit, so a field that does not fit
+        shows in its guard bit and has not spilled into the next field.
+        """
+        sig_bits = bits(sig // n)
+        if sig_bits & guard:
+            pk.check(sig_bits)
+        return sig_bits
+
+    def is_syzygy(index: int, sig_bits: int) -> bool:
+        for z in syzygies[index]:
+            if not (sig_bits - z) & guard:
+                return True
+        return False
+
+    def note_syzygy(sig: int):
+        index, sig_bits = sig % n, monomial_bits(sig)
+        if not is_syzygy(index, sig_bits):
+            syzygies[index].append(sig_bits)
 
     # memo[m] = i: no element of basis[:i] divides the monomial of code m.
-    # The pair loop only appends to basis, so a recorded index stays exact.
+    # The loop only appends to basis, so a recorded index stays exact.
     memo: dict[int, int] = {}
+    queue = [f[0] * n + i for i, f in enumerate(inputs)]
+    heapify(queue)
+    last = None
     while queue:
-        lcm, pair = heappop(queue)
-        if pairs.pop(pair, None) is None:
+        sig = heappop(queue)
+        if sig == last:
             continue
+        last = sig
+        index, sig_bits = sig % n, monomial_bits(sig)
+        if is_syzygy(index, sig_bits):
+            continue
+        best = None  # the rewriter's basis position, None for T = e_index
+        for g_bits, k in elements[index]:
+            if not (sig_bits - g_bits) & guard:
+                lead = (sig - offsets[k]) // n
+                if best is None or lead <= best_lead:
+                    best, best_lead = k, lead
+        if best is None:
+            lead, _, lc, tail = inputs[index]
+            shift = 0
+        else:
+            lt, _, lc, tail = basis[best]
+            lead, shift = best_lead, best_lead - lt
         counter.tick()
-        i, j = pair
-        s = _spoly_terms(basis[i], basis[j], lcm)
-        rem = _reduce_terms(s, basis, pk, counter, memo)[0]
-        if rem:
-            lead = next(iter(rem))
-            basis.append(_reducer(lead, rem, pk))
-            leads.append(pk.decode(lead))
-            update(len(basis) - 1)
+        terms = {lead: lc}
+        terms.update((m + shift, c) for m, c in tail)
+        rem = _reduce_terms(terms, basis, pk, counter, memo, (sig, n, offsets))[0]
+        if not rem:
+            note_syzygy(sig)
+            continue
+        top = next(iter(rem))
+        if best is not None and top == lead:
+            continue
+        offset, exp = sig - top * n, pk.decode(top)
+        for k, (lt, _, _, _) in enumerate(basis):
+            if offset == offsets[k]:
+                continue  # the two sides of the S-pair, and of the Koszul syzygy, tie
+            # both sides shifted to one lead: the larger signature is the larger offset
+            high = max(offset, offsets[k])
+            note_syzygy(high + (top + lt) * n)
+            lcm = pk.encode(tuple(map(max, exp, leads[k])))
+            pair = high + lcm * n
+            if not is_syzygy(pair % n, monomial_bits(pair)):
+                heappush(queue, pair)
+        elements[index].append((sig_bits, len(basis)))
+        basis.append(_reducer(top, rem, pk))
+        offsets.append(offset)
+        leads.append(exp)
 
     # minimalize: keep elements whose leading monomial no other kept one divides
     basis.sort(key=itemgetter(0))

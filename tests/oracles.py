@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import le
 from typing import Sequence
 
 from qhv import ideals
@@ -34,18 +35,53 @@ def _remainder(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return rem
 
 
+def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """(L/lt(f))·f/lc(f) − (L/lt(g))·g/lc(g), with L the lcm of the leading monomials."""
+    (fexp, fcoeff), (gexp, gcoeff) = f.leading_term(), g.leading_term()
+    lcm = tuple(max(a, b) for a, b in zip(fexp, gexp))
+    fmul = f.ring.from_terms({tuple(a - b for a, b in zip(lcm, fexp)): 1 / fcoeff})
+    gmul = g.ring.from_terms({tuple(a - b for a, b in zip(lcm, gexp)): 1 / gcoeff})
+    return fmul * f - gmul * g
+
+
 def is_groebner_basis(basis: Sequence[Polynomial]) -> bool:
     """Buchberger postcondition: every S-polynomial reduces to zero."""
     for i, f in enumerate(basis):
         for g in basis[i + 1 :]:
-            (fexp, fcoeff), (gexp, gcoeff) = f.leading_term(), g.leading_term()
-            lcm = tuple(max(a, b) for a, b in zip(fexp, gexp))
-            fmul = f.ring.from_terms({tuple(a - b for a, b in zip(lcm, fexp)): 1 / fcoeff})
-            gmul = g.ring.from_terms({tuple(a - b for a, b in zip(lcm, gexp)): 1 / gcoeff})
-            s = fmul * f - gmul * g
-            if _remainder(s, basis):
+            if _remainder(_s_polynomial(f, g), basis):
                 return False
     return True
+
+
+def textbook_groebner_basis(generators: Sequence[Polynomial]) -> list[Polynomial]:
+    """The reduced Groebner basis by Buchberger's algorithm with no criterion,
+    sorted by leading monomial.
+
+    The S-polynomial of every pair is divided by the basis with
+    ``_remainder``; a nonzero remainder joins the basis and pairs with every
+    element.  Then an element whose leading monomial a kept one divides is
+    dropped, and each kept element is replaced by its remainder modulo the
+    others, made monic (Cox, Little and O'Shea, section 2.7).
+    """
+    ring = generators[0].ring
+    basis = [g for g in generators if g]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        r = _remainder(_s_polynomial(basis[i], basis[j]), basis)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    minimal: list[Polynomial] = []
+    for g in sorted(basis, key=lambda g: ring.monomial_key(g.leading_term()[0])):
+        lead = g.leading_term()[0]
+        if not any(all(map(le, h.leading_term()[0], lead)) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for g in minimal:
+        r = _remainder(g, [h for h in minimal if h is not g])
+        reduced.append(ring.from_terms({e: c / r.leading_term()[1] for e, c in r.terms.items()}))
+    return reduced
 
 
 def age(q: CyclicQuotient, j: int) -> Fraction:

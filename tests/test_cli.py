@@ -450,6 +450,14 @@ class TestParameters:
         assert code == 2 and lines == []
         assert "config error" in err and "bundle needs exactly n, k0, kinf" in err
 
+    def test_repeated_key_exit_2(self, capsys, tmp_path):
+        # the bad first value would otherwise go unread behind the good one
+        path = tmp_path / "twice.cfg"
+        path.write_text("bundle = x\n# a comment\nbundle = 1,2,1\n")
+        code, lines, err = run_cli(capsys, "bundle-normalize", "--config", str(path))
+        assert code == 2 and lines == []
+        assert f"{path}:3: config key 'bundle' is given twice" in err
+
     def test_config_file_not_utf8_exit_2(self, capsys, tmp_path):
         path = tmp_path / "utf16.cfg"
         path.write_bytes(b"\xff\xfe" + "quadric-k = 1\n".encode("utf-16-le"))

@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, elimination, Jacobian ideals."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from qhv.ideals import (
 )
 from qhv.polyring import PolyError, VariableContext
 from linalg_oracle import is_member_bounded, is_member_up_to
-from oracles import _remainder, is_groebner_basis
+from oracles import _remainder, is_groebner_basis, textbook_groebner_basis
 from polytext import parse
 from randpoly import random_block_ring, random_polynomial, random_ring
 
@@ -237,6 +238,15 @@ class TestMonomialCodes:
         with pytest.raises(ResourceLimitExceeded, match=f"{ideals.FIELD_BITS}-bit"):
             normal_form(x * y * z, I)
 
+    def test_signature_past_the_field_raises(self):
+        # f_1 - f_0 = y has the signature e_1, held as lt(f_1) = x^(2^30); its
+        # Koszul signature with f_0 is x^(2^30)·e_1, held as x^(2^31), which
+        # does not fit although every polynomial does
+        S = VariableContext(("x", "y"))
+        half = S.monomial(1, {"x": 2**30})
+        with pytest.raises(ResourceLimitExceeded, match=f"{ideals.FIELD_BITS}-bit"):
+            Ideal([half - S.var("y"), half]).groebner_basis()
+
     def test_large_exponent_within_the_field(self):
         S = VariableContext(("x", "y"))
         f = S.monomial(1, {"x": 2**30}) - S.var("y")
@@ -301,8 +311,9 @@ class TestKnownAnswers:
 
     # The engine's step counts for these bases, pinned so that any change to
     # the work the engine does, or to the reducer it picks, shows here.
-    # Cyclic-5, unlike katsura-4, has queued pairs that a later element drops
-    # by the chain criterion.
+    # Each of the three reduces some signature to zero; cyclic-5, unlike the
+    # katsura systems, also drops rewritten multiples whose leading monomial
+    # no reducer of smaller signature divides.
     @staticmethod
     def assert_steps(monkeypatch, compute, steps):
         monkeypatch.setattr(ideals, "STEP_BUDGET", steps)
@@ -312,7 +323,7 @@ class TestKnownAnswers:
             compute()
 
     @pytest.mark.parametrize(
-        "system, n, steps", [(katsura, 4, 7502), (cyclic, 5, 17534), (katsura, 5, 64879)]
+        "system, n, steps", [(katsura, 4, 1970), (cyclic, 5, 11242), (katsura, 5, 11538)]
     )
     def test_step_count_pinned(self, monkeypatch, system, n, steps):
         gens = system(n)
@@ -321,7 +332,7 @@ class TestKnownAnswers:
     def test_elimination_step_count_pinned(self, monkeypatch):
         # elim = 1, which orders by the degree in u0 first
         gens = katsura(4)
-        self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), ["u0"]), 8030)
+        self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), ["u0"]), 1753)
 
     def test_graph_elimination_step_count_pinned(self, monkeypatch):
         # the F4 graph relations of the degenerations module: elim = 3, the
@@ -330,7 +341,39 @@ class TestKnownAnswers:
         relations = ["a - x^2", "b - 2*x*y", "c - 2*x*z - y^2", "e - 2*y*z", "f - z^2",
                      "t - 4*x*z + y^2"]
         gens = [parse(R, r) for r in relations]
-        self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), {"x", "y", "z"}), 1450)
+        self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), {"x", "y", "z"}), 384)
+
+
+class TestCyclic6:
+    """Cyclic-6 (Bjoerck and Froeberg, 1991): 156 solutions with multiplicity."""
+
+    # sha256 of the sorted ``str`` of the reduced basis, as the Buchberger
+    # engine with the Gebauer-Moeller criteria computed it
+    DIGEST = "e4420bbaa22acad8b0d568328d1f24fdc30701f17495c6a29e0348b21220812a"
+
+    @staticmethod
+    def standard_monomials(leads, n):
+        """The exponents no leading monomial divides, grown from 1 by
+        multiplying with variables; finite when the ideal is zero-dimensional."""
+        seen, frontier = set(), [(0,) * n]
+        while frontier:
+            exp = frontier.pop()
+            if exp in seen or any(all(map(le, lead, exp)) for lead in leads):
+                continue
+            seen.add(exp)
+            frontier.extend(exp[:i] + (exp[i] + 1,) + exp[i + 1 :] for i in range(n))
+        return seen
+
+    def test_reduced_basis(self):
+        gens = cyclic(6)
+        I = Ideal(gens)
+        basis = I.groebner_basis()
+        assert len(basis) == 45
+        leads = [g.leading_term()[0] for g in basis]
+        assert len(self.standard_monomials(leads, 6)) == 156
+        assert all(normal_form(g, I).is_zero() for g in gens)
+        text = "\n".join(sorted(str(g) for g in basis))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 class TestEliminate:
@@ -437,6 +480,31 @@ class TestEngineSoundness:
             assert is_groebner_basis(basis)
             for g in gens:
                 assert contains(Ideal(gens), g)
+
+    def test_reduced_basis_matches_textbook_buchberger(self):
+        # grevlex and block orders, each with one of: nothing added, a
+        # duplicate generator, a zero generator, the product of two
+        # generators, or g + 1 beside g, which makes the unit ideal
+        rng = random.Random(2016)
+        for trial in range(100):
+            ring = (random_ring if trial % 2 else random_block_ring)(rng, max_vars=3)
+            gens = [
+                random_polynomial(rng, ring, max_degree=2, max_terms=3)
+                for _ in range(rng.randint(1, 3))
+            ]
+            variant = trial // 2 % 5
+            if variant == 1:
+                gens.append(rng.choice(gens))
+            elif variant == 2:
+                gens.insert(rng.randrange(len(gens) + 1), ring.zero())
+            elif variant == 3:
+                gens.append(rng.choice(gens) * rng.choice(gens))
+            elif variant == 4:
+                gens.append(gens[0] + 1)
+            basis = list(Ideal(gens).groebner_basis())
+            assert basis == textbook_groebner_basis(gens)
+            if variant == 4:
+                assert basis == [ring.one()]
 
     def test_oracle_rejects_a_generating_set_that_is_no_basis(self):
         S = VariableContext(("x", "y"))
