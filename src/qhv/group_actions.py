@@ -14,9 +14,10 @@ on the quadric chart ring,
     F = {x -> 0, y -> 2x, z -> y},
 
 so H-weights of (x, y, z) are (-2, 0, 2), E raises the weight by 2, and the
-commutators satisfy [H,E] = 2E, [H,F] = -2F, [E,F] = H as operators.  All
-three annihilate 4xz - y^2.  The five-variable triple is never transcribed:
-it is pushed forward through the quadratic embedding
+commutators satisfy [H,E] = 2E, [H,F] = -2F, [E,F] = H as operators; the
+one constructor of every triple checks them.  All three annihilate
+4xz - y^2.  The five-variable triple is never transcribed: it is pushed
+forward through the quadratic embedding
 
     a = x^2, b = 2xy, c = 2xz + y^2, e = 2yz, f = z^2, g = l^-k (4xz - y^2)
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import ideals
 from .polyring import PolyError, Polynomial, SubstitutionMap, VariableContext, derivative
@@ -54,6 +55,9 @@ class Derivation:
         missing = set(self.ring.names) - set(self.images)
         if missing:
             raise PolyError(f"derivation lacks images for {sorted(missing)}")
+        unknown = set(self.images) - set(self.ring.names)
+        if unknown:
+            raise PolyError(f"derivation has images for unknown variables {sorted(unknown)}")
         for name, img in self.images.items():
             if img.ring != self.ring:
                 raise PolyError(f"image of {name!r} lives in a different context")
@@ -71,43 +75,26 @@ def apply(D: Derivation, p: Polynomial) -> Polynomial:
     return result
 
 
-def commutator(D1: Derivation, D2: Derivation) -> Derivation:
-    """Operator commutator D1 D2 - D2 D1, again a derivation."""
-    if D1.ring != D2.ring:
-        raise PolyError("commutator requires one ring")
-    ring = D1.ring
-    return Derivation(
-        ring,
-        {n: apply(D1, D2.images[n]) - apply(D2, D1.images[n]) for n in ring.names},
-    )
-
-
-@dataclass(frozen=True)
-class Sl2Triple:
+class Sl2Triple(NamedTuple):
     """Raising, weight and lowering operators with [H,E]=2E, [H,F]=-2F, [E,F]=H."""
 
     E: Derivation
     H: Derivation
     F: Derivation
 
-    def operators(self) -> tuple[Derivation, Derivation, Derivation]:
-        return (self.E, self.H, self.F)
 
-    def bracket_defects(self) -> list[Polynomial]:
-        """Per-variable defects of the three bracket relations; all zero iff valid."""
-        out = []
-        for got, want in (
-            (commutator(self.H, self.E), _scale(self.E, 2)),
-            (commutator(self.H, self.F), _scale(self.F, -2)),
-            (commutator(self.E, self.F), self.H),
-        ):
-            for name in self.E.ring.names:
-                out.append(got.images[name] - want.images[name])
-        return out
-
-
-def _scale(D: Derivation, c) -> Derivation:
-    return Derivation(D.ring, {n: img * Fraction(c) for n, img in D.images.items()})
+def _triple(ring: VariableContext, E_images, H_images, F_images) -> Sl2Triple:
+    """The triple sending the named coordinates to the given images and every
+    other ring variable to 0; raises AssertionError unless [H,E] = 2E,
+    [H,F] = -2F and [E,F] = H hold on every variable, where [A,B] sends v
+    to A(B(v)) - B(A(v))."""
+    zeros = {n: ring.zero() for n in ring.names}
+    E, H, F = (Derivation(ring, {**zeros, **moved}) for moved in (E_images, H_images, F_images))
+    for A, B, scale, want in ((H, E, 2, E), (H, F, -2, F), (E, F, 1, H)):
+        for n in ring.names:
+            if apply(A, B.images[n]) - apply(B, A.images[n]) != scale * want.images[n]:
+                raise AssertionError(f"sl2 bracket relation fails on {n!r}")
+    return Sl2Triple(E, H, F)
 
 
 # -- the concrete triples ----------------------------------------------------
@@ -118,22 +105,8 @@ def sl2_v2_triple(ring: VariableContext = QUADRIC_CHART_RING) -> Sl2Triple:
 
     E and F annihilate 4xz - y^2, H has weights (-2, 0, 2) on (x, y, z).
     """
-    for needed in ("x", "y", "z"):
-        ring.index(needed)
-    zero = ring.zero()
-
-    def images(x_img, y_img, z_img):
-        base = {n: zero for n in ring.names}
-        base["x"], base["y"], base["z"] = x_img, y_img, z_img
-        return base
-
-    E = Derivation(ring, images(ring.var("y"), 2 * ring.var("z"), zero))
-    H = Derivation(ring, images(-2 * ring.var("x"), zero, 2 * ring.var("z")))
-    F = Derivation(ring, images(zero, 2 * ring.var("x"), ring.var("y")))
-    triple = Sl2Triple(E, H, F)
-    if any(not d.is_zero() for d in triple.bracket_defects()):
-        raise AssertionError("sl2 bracket normalization broken")
-    return triple
+    x, y, z = (ring.var(n) for n in "xyz")
+    return _triple(ring, {"x": y, "y": 2 * z}, {"x": -2 * x, "z": 2 * z}, {"y": 2 * x, "z": y})
 
 
 _XYZ = VariableContext(("x", "y", "z"))
@@ -153,18 +126,19 @@ EMBEDDING_COMPONENTS: dict[str, Polynomial] = {
 QUADRIC_INVARIANT: Polynomial = 4 * _x * _z - _y * _y
 
 
-def _express_in_embedding(q: Polynomial) -> list[Fraction]:
-    """Coordinates of a quadratic form in the basis (a,b,c,e,f, invariant)."""
+def _express_in_embedding(images: list[Polynomial]) -> list[list[Fraction]]:
+    """Coordinates of each quadratic form in the basis (a,b,c,e,f, invariant),
+    from one reduction of the matrix augmented by all the forms."""
     basis = list(EMBEDDING_COMPONENTS.values()) + [QUADRIC_INVARIANT]
-    monoms = sorted({m for b in basis for m in b.terms} | set(q.terms))
+    monoms = sorted({m for p in basis + images for m in p.terms})
     if len(monoms) != 6:
         raise PolyError("image is not a quadratic form in (x, y, z)")
-    columns = basis + [q]
+    columns = basis + images
     augmented = [[c.terms.get(m, Fraction(0)) for c in columns] for m in monoms]
     reduced = ideals.gauss_jordan(augmented)
     if [row[:6] for row in reduced] != [[int(i == j) for j in range(6)] for i in range(6)]:
         raise PolyError("singular re-expression system")
-    return [row[6] for row in reduced]
+    return [[row[6 + k] for row in reduced] for k in range(len(images))]
 
 
 def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
@@ -176,25 +150,19 @@ def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
     sl2-stable summand V4 of the quadrics, so no image has an invariant
     coordinate; one that has raises.
     """
-    source = sl2_v2_triple(_XYZ)
-    zero = ring.zero()
 
-    def push(D: Derivation) -> Derivation:
-        images = {n: zero for n in ring.names}
-        for name, component in EMBEDDING_COMPONENTS.items():
-            *coords, invariant = _express_in_embedding(apply(D, component))
+    def push(D: Derivation) -> dict[str, Polynomial]:
+        images = {}
+        coordinates = _express_in_embedding([apply(D, c) for c in EMBEDDING_COMPONENTS.values()])
+        for name, (*coords, invariant) in zip(EMBEDDING_COMPONENTS, coordinates):
             if invariant != 0:
                 raise PolyError(f"image of {name!r} leaves the span of (a, .., f)")
-            img = ring.zero()
-            for coeff, target in zip(coords, EMBEDDING_COMPONENTS):
-                img = img + ring.var(target) * coeff
-            images[name] = img
-        return Derivation(ring, images)
+            images[name] = sum(
+                (ring.var(t) * coeff for coeff, t in zip(coords, EMBEDDING_COMPONENTS)), ring.zero()
+            )
+        return images
 
-    triple = Sl2Triple(push(source.E), push(source.H), push(source.F))
-    if any(not d.is_zero() for d in triple.bracket_defects()):
-        raise AssertionError("push-forward broke the bracket relations")
-    return triple
+    return _triple(ring, *map(push, sl2_v2_triple(_XYZ)))
 
 
 # -- invariance checks -------------------------------------------------------
@@ -202,7 +170,7 @@ def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
 
 def check_ideal_invariance(I: ideals.Ideal, T: Sl2Triple) -> bool:
     """True iff every operator image of every generator lies in I."""
-    return all(ideals.contains(I, apply(D, g)) for D in T.operators() for g in I.generators)
+    return all(ideals.contains(I, apply(D, g)) for D in T for g in I.generators)
 
 
 @dataclass(frozen=True)

@@ -322,16 +322,6 @@ def _engine_codes(p: Polynomial, pk: _Packing) -> tuple[dict[int, int], int]:
     return {pk.encode(e): c for e, c in terms.items()}, denom
 
 
-def _prepare(polys: Iterable[Polynomial], pk: _Packing) -> list[_Reducer]:
-    out = []
-    for p in polys:
-        if p.is_zero():
-            continue
-        codes = _engine_codes(p, pk)[0]
-        out.append(_reducer(max(codes), codes, pk))
-    return out
-
-
 def _buchberger(
     generators: Sequence[Polynomial], pk: _Packing, counter: _Counter
 ) -> list[_Reducer]:
@@ -357,7 +347,8 @@ def _buchberger(
     top-reducible, since an s·g of signature T led by that monomial would
     have been a rewriter with a smaller multiple.
     """
-    inputs = _prepare(generators, pk)
+    term_maps = [_engine_codes(p, pk)[0] for p in generators if not p.is_zero()]
+    inputs = [_reducer(max(terms), terms, pk) for terms in term_maps]
     n = len(inputs)
     bits, guard = pk.bits, pk.guard
     basis: list[_Reducer] = []
@@ -451,11 +442,13 @@ def _buchberger(
         if all((item[1] - k[1]) & pk.guard for k in minimal_basis):
             minimal_basis.append(item)
 
-    # interreduce tails for the unique reduced basis
+    # interreduce tails for the unique reduced basis: every monomial a tail
+    # meets lies below its element's own leading monomial, so the element
+    # never reduces itself and one memo serves the whole pass
+    memo = {}
     reduced: list[_Reducer] = []
-    for idx, (lt, _, lc, tail) in enumerate(minimal_basis):
-        others = minimal_basis[:idx] + minimal_basis[idx + 1 :]
-        rem, scale = _reduce_terms(dict(tail), others, pk, counter, {})
+    for lt, _, lc, tail in minimal_basis:
+        rem, scale = _reduce_terms(dict(tail), minimal_basis, pk, counter, memo)
         reduced.append(_reducer(lt, {lt: lc * scale, **rem}, pk))
     return reduced
 

@@ -10,7 +10,7 @@ from operator import le
 from typing import Sequence
 
 from qhv import ideals
-from qhv.group_actions import Derivation, Sl2Triple, TorusAction, _scale, apply
+from qhv.group_actions import Derivation, Sl2Triple, TorusAction, apply
 from qhv.polyring import Polynomial, VariableContext
 from qhv.singular import CyclicQuotient
 
@@ -124,15 +124,11 @@ def monomials_up_to_degree(ring: VariableContext, degree: int) -> list[Polynomia
 def brackets_hold_on_monomials(T: Sl2Triple, degree: int = 4) -> bool:
     """Check the three bracket relations termwise on all monomials up to ``degree``."""
     ring = T.E.ring
-    pairs = (
-        (T.H, T.E, _scale(T.E, 2)),
-        (T.H, T.F, _scale(T.F, -2)),
-        (T.E, T.F, T.H),
-    )
+    pairs = ((T.H, T.E, 2, T.E), (T.H, T.F, -2, T.F), (T.E, T.F, 1, T.H))
     for m in monomials_up_to_degree(ring, degree):
-        for A, B, want in pairs:
+        for A, B, scale, want in pairs:
             lhs = apply(A, apply(B, m)) - apply(B, apply(A, m))
-            if lhs != apply(want, m):
+            if lhs != apply(want, m) * scale:
                 return False
     return True
 

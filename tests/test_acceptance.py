@@ -108,13 +108,13 @@ def test_criterion_03_sl2_stability():
     for k in QUADRIC_TWISTS:
         I = quadric_chart(k).ideal
         T = sl2_v2_triple()
-        for D in T.operators():
+        for D in T:
             for g in I.generators:
                 ok = ok and normal_form(apply(D, g), I).is_zero()
     for k in F4_TWISTS:
         I = f4_chart(k).ideal
         T = sl2_v4_triple()
-        for D in T.operators():
+        for D in T:
             for g in I.generators:
                 ok = ok and normal_form(apply(D, g), I).is_zero()
     _line(3, ok, "every raising/weight/lowering image reduces to normal form 0")
@@ -328,7 +328,7 @@ def test_criterion_11_engine_soundness():
     ok = ok and brackets_hold_on_monomials(v2, degree=4)
     ok = ok and brackets_hold_on_monomials(v4, degree=4)
     small = monomials_up_to_degree(QUADRIC_CHART_RING, 2)
-    for D in v2.operators():
+    for D in v2:
         for p in small:
             for q in small:
                 ok = ok and leibniz_holds(D, p, q)
@@ -336,7 +336,7 @@ def test_criterion_11_engine_soundness():
     for _ in range(500):
         p = random_polynomial(rng, QUADRIC_CHART_RING, max_degree=3)
         q = random_polynomial(rng, QUADRIC_CHART_RING, max_degree=3)
-        ok = ok and all(leibniz_holds(D, p, q) for D in v2.operators())
+        ok = ok and all(leibniz_holds(D, p, q) for D in v2)
     _line(11, ok, "S-polynomial postcondition, oracle agreement on 200 "
                   "instances, Leibniz and bracket relations")
     assert ok

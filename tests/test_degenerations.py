@@ -310,7 +310,7 @@ class TestEquivariance:
             for k in twists:
                 for l in twists:
                     gluing = gluing_map(family, k, l)
-                    for D in triple.operators():
+                    for D in triple:
                         for n in D.ring.names:
                             assert gluing.apply(D.images[n]) == apply(D, gluing(n)), (k, l, n)
 
@@ -333,7 +333,7 @@ class TestSl2OncePerFamily:
         free_ring = family.twist_free()[0].ring
         ring = family.ring
         dressed = (ring.index(family.marked), ring.index("l"))
-        for D, free in zip(chart_triple().operators(), family.sl2(free_ring).operators()):
+        for D, free in zip(chart_triple(), family.sl2(free_ring)):
             assert free.images["t"].is_zero()
             for n in free_ring.names:
                 if n != "t":

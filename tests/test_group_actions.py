@@ -13,7 +13,6 @@ from qhv.group_actions import (
     apply,
     check_ideal_invariance,
     check_semi_invariance,
-    commutator,
     sl2_v2_triple,
     sl2_v4_triple,
 )
@@ -62,6 +61,20 @@ class TestDerivationApply:
         with pytest.raises(PolyError):
             Derivation(R, {"x": R.zero()})
 
+    @pytest.mark.parametrize(
+        "images,message",
+        [
+            ({"x": R.zero()}, r"lacks images for \['l', 'w', 'y', 'z'\]"),
+            ({**zero_images(R), "x": F4_CHART_RING.var("a")}, "image of 'x' lives in a different"),
+            ({**zero_images(R), "q": R.var("x")}, r"images for unknown variables \['q'\]"),
+            ({**zero_images(R), "q": R.zero()}, r"images for unknown variables \['q'\]"),
+        ],
+        ids=["missing", "other-ring", "unknown", "unknown-zero"],
+    )
+    def test_construction_errors(self, images, message):
+        with pytest.raises(PolyError, match=message):
+            Derivation(R, images)
+
     def test_leibniz_on_random_pairs(self):
         rng = random.Random(99)
         for _ in range(500):
@@ -86,12 +99,13 @@ class TestSl2Triples:
 
     def test_v2_annihilates_quadric(self):
         T = sl2_v2_triple()
-        for D in T.operators():
+        for D in T:
             assert apply(D, P("4*x*z - y^2")).is_zero()
 
     def test_bracket_axiom_instance(self):
         T = sl2_v2_triple()
-        assert apply(commutator(T.E, T.F), P("x")) == apply(T.H, P("x"))
+        x = P("x")
+        assert apply(T.E, apply(T.F, x)) - apply(T.F, apply(T.E, x)) == apply(T.H, x)
 
     def test_brackets_on_monomials_degree_4(self):
         assert brackets_hold_on_monomials(sl2_v2_triple(), degree=4)
@@ -133,6 +147,45 @@ class TestSl2Triples:
         assert T.H.images["a"] == parse(F4, "-4*a")
         assert T.H.images["f"] == parse(F4, "4*f")
 
+    @pytest.mark.parametrize(
+        "build,ring,written",
+        [
+            (sl2_v2_triple, R, {
+                "E": {"x": "y", "y": "2*z", "z": "0"},
+                "H": {"x": "-2*x", "y": "0", "z": "2*z"},
+                "F": {"x": "0", "y": "2*x", "z": "y"},
+            }),
+            (sl2_v4_triple, F4_CHART_RING, {
+                "E": {"a": "b", "b": "2*c", "c": "3*e", "e": "4*f", "f": "0"},
+                "H": {"a": "-4*a", "b": "-2*b", "c": "0", "e": "2*e", "f": "4*f"},
+                "F": {"a": "0", "b": "4*a", "c": "3*b", "e": "2*c", "f": "e"},
+            }),
+        ],
+        ids=["v2", "v4"],
+    )
+    def test_every_image_pinned(self, build, ring, written):
+        T = build()
+        for op, images in written.items():
+            for name, text in images.items():
+                assert getattr(T, op).images[name] == parse(ring, text), (op, name)
+
+    def test_broken_bracket_rejected(self):
+        # H sending z to 3z breaks [H,E] = 2E on y: [H,E](y) = 6z, not 4z
+        x, y, z = (R.var(n) for n in "xyz")
+        with pytest.raises(AssertionError, match="bracket relation fails"):
+            group_actions._triple(
+                R, {"x": y, "y": 2 * z}, {"x": -2 * x, "z": 3 * z}, {"y": 2 * x, "z": y}
+            )
+
+    def test_one_solve_per_operator(self, monkeypatch):
+        solves = []
+        solve = group_actions.ideals.gauss_jordan
+        monkeypatch.setattr(
+            group_actions.ideals, "gauss_jordan", lambda rows: solves.append(rows) or solve(rows)
+        )
+        sl2_v4_triple()
+        assert len(solves) == 3
+
     def test_singular_embedding_basis_rejected(self, monkeypatch):
         # a basis in which the invariant repeats x^2 spans only five dimensions
         monkeypatch.setattr(group_actions, "QUADRIC_INVARIANT", parse(group_actions._XYZ, "x^2"))
@@ -148,7 +201,7 @@ class TestSl2Triples:
 
     def test_v4_kills_dressed_coordinate(self):
         T = sl2_v4_triple()
-        for D in T.operators():
+        for D in T:
             assert D.images["g"].is_zero()
             assert D.images["l"].is_zero()
 
@@ -159,7 +212,7 @@ class TestSl2Triples:
         phi = embedding_substitution(k)
         T4 = sl2_v4_triple()
         T2 = sl2_v2_triple()
-        for D4, D2 in zip(T4.operators(), T2.operators()):
+        for D4, D2 in zip(T4, T2):
             for name in F4_CHART_RING.names:
                 lhs = phi.apply(D4.images[name])
                 rhs = apply(D2, phi(name))
@@ -248,7 +301,7 @@ class TestWeightBasis:
         assert self.chain(T.E, P("y"), 1) == [P("2*z")]
 
     def test_constant_middle(self):
-        assert all(apply(D, R.const(5)).is_zero() for D in sl2_v2_triple().operators())
+        assert all(apply(D, R.const(5)).is_zero() for D in sl2_v2_triple())
 
     def test_five_dim_chain_from_pulled_back_middle(self):
         # c - l^k g pulled back to (x, y, z) is 2y^2 - 2xz, weight 0; two
