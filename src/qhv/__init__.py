@@ -8,9 +8,3 @@ identity asserted about them), :mod:`qhv.singular` (cyclic quotient
 terminality), :mod:`qhv.ruled` (ruled-surface lattices and the bundle
 normal-form walk) and :mod:`qhv.cli` (the batch verification driver).
 """
-
-from .polyring import Polynomial, SubstitutionMap, VariableContext
-from .ideals import Ideal
-
-__all__ = ["Polynomial", "SubstitutionMap", "VariableContext", "Ideal"]
-__version__ = "0.1.0"

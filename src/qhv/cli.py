@@ -159,7 +159,7 @@ def suite_bundle_normalize(cfg):
 
 def suite_dp_homology(cfg):
     yield "minus-one-count", {}, _minus_one_count
-    for fiber in ("sigma1", "blowup1", "blowup2"):
+    for fiber in ruled.FIBERS:
         yield "homology-lemma", {"fiber": fiber}, partial(_homology_lemma, fiber)
 
 
@@ -242,18 +242,16 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+#: The reader of each config key; a key names its RunConfig field, "-" for "_".
 _CONFIG_KEYS = {
-    "quadric-k": ("quadric_k", _parse_int_list),
-    "quadric-l": ("quadric_l", _parse_int_list),
-    "f4-k": ("f4_k", _parse_int_list),
-    "f4-l": ("f4_l", _parse_int_list),
-    "family": ("family", _parse_family),
-    "terminal-n-max": ("terminal_n_max", int),
-    "wps-weights": (
-        "wps_weights",
-        lambda text: tuple(_parse_int_list(part) for part in text.split(";")),
-    ),
-    "bundle": ("bundle", _parse_bundle),
+    "quadric-k": _parse_int_list,
+    "quadric-l": _parse_int_list,
+    "f4-k": _parse_int_list,
+    "f4-l": _parse_int_list,
+    "family": _parse_family,
+    "terminal-n-max": int,
+    "wps-weights": lambda text: tuple(_parse_int_list(part) for part in text.split(";")),
+    "bundle": _parse_bundle,
 }
 
 #: The config keys each flag sets; a repeated ``--weights`` joins with ';'.
@@ -279,9 +277,8 @@ def build_config(args, file_values: dict) -> RunConfig:
         for key, raw in values.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            attr, read = _CONFIG_KEYS[key]
             try:
-                setattr(cfg, attr, read(raw))
+                setattr(cfg, key.replace("-", "_"), _CONFIG_KEYS[key](raw))
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
     flags = (getattr(args, name, None) for name in ("n", "k0", "kinf"))

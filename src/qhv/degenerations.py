@@ -108,7 +108,7 @@ class ChartFamily:
     sl2: Callable[[VariableContext], Sl2Triple]
 
 
-_QUADRIC_FREE = VariableContext(("x", "y", "z", "t"))
+_QUADRIC_FREE = QUADRIC_INVARIANT.ring.extend(("t",))
 #: 4xz - y^2 - t, the quadric chart equation with t = l^k w^2.
 _TWIST_FREE_QUADRIC = convert_context(QUADRIC_INVARIANT, _QUADRIC_FREE) - _QUADRIC_FREE.var("t")
 
@@ -199,7 +199,7 @@ def quadric_chart(k: int, chart_id: str = ZERO) -> ChartModel:
 # -- the F4 chart ideal, derived by elimination -------------------------------
 
 #: Twist-free presentation ring: t stands for the dressed coordinate l^k g.
-_F4_FREE = VariableContext(("a", "b", "c", "e", "f", "t"))
+_F4_FREE = VariableContext((*EMBEDDING_COMPONENTS, "t"))
 
 
 @lru_cache(maxsize=None)
@@ -214,10 +214,10 @@ def _twist_free_f4_generators() -> tuple[Polynomial, ...]:
     and O'Shea, *Ideals, Varieties, and Algorithms*, section 2.7).  They are
     returned in that order, with primitive integer coefficients.
     """
-    R = VariableContext(("x", "y", "z") + _F4_FREE.names)
+    R = QUADRIC_INVARIANT.ring.extend(_F4_FREE.names)
     graph = [R.var(n) - convert_context(p, R) for n, p in EMBEDDING_COMPONENTS.items()]
     graph.append(-convert_context(_TWIST_FREE_QUADRIC, R))
-    kernel = eliminate(Ideal(graph), {"x", "y", "z"})
+    kernel = eliminate(Ideal(graph), QUADRIC_INVARIANT.ring.names)
     quadrics = minimal_generators(kernel.generators)
     quadrics.sort(key=lambda g: _F4_FREE.monomial_key(g.leading_term()[0]), reverse=True)
     return tuple(primitive_integer_form(g) for g in quadrics)
@@ -461,20 +461,21 @@ def _locus_of_chart(equation: Polynomial) -> dict:
     origin when J holds a power v^m_v of each variable v.  Then J holds every
     monomial of degree M = sum(m_v - 1) + 1, so for f in J with constant term
     c it holds (f - c)^M, and expanding c^M = (f - (f - c))^M puts c^M in J:
-    c = 0, as 1 is not in J.  So V(J) is the origin and nothing else."""
+    c = 0, as 1 is not in J.  So V(J) is the origin and nothing else.
+
+    Q[v] is a principal ideal domain, so the contraction of J to Q[v] has a
+    single reduced Groebner generator h, and v^m is in J exactly when h
+    divides v^m.  The least power is therefore j when h is the monomial v^j,
+    and no power of v is in J otherwise.
+    """
     chart_ring = equation.ring
     J = jacobian_ideal(equation, chart_ring.names)
     if contains_one(J):
         return {"status": "smooth"}
     powers = {}
-    bound = max(2, equation.total_degree())
     for name in chart_ring.names:
-        found = None
-        for m in range(1, bound + 1):
-            if contains(J, chart_ring.monomial(1, {name: m})):
-                found = m
-                break
-        powers[name] = found
+        (h,) = eliminate(J, set(chart_ring.names) - {name}).generators
+        powers[name] = h.total_degree() if len(h.terms) == 1 else None
     if all(v is not None for v in powers.values()):
         return {"status": "single_point_origin", "vanishing_powers": powers}
     return {"status": "singular", "vanishing_powers": powers}

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Literal, Sequence
+from typing import Sequence
 
 HIRZEBRUCH = "hirzebruch"
 QUADRIC_BLOWUP = "quadric_blowup"
@@ -96,6 +96,10 @@ def quadric_blowup(r: int) -> Lattice:
         ("f1", "f2") + tuple(f"e{i + 1}" for i in range(r)),
         (1, 1) + (-1,) * r,
     )
+
+
+#: The del Pezzo fiber models the homology lemma runs on, by name.
+FIBERS = {"sigma1": hirzebruch(1), "blowup1": quadric_blowup(1), "blowup2": quadric_blowup(2)}
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,7 @@ def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass
     return [DivisorClass(lat, d) for d in sorted(exceptional + nef)]
 
 
-def homology_lemma_cases(fiber: Literal["sigma1", "blowup1", "blowup2"], bound: int = 3) -> dict:
+def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
     """Exhibit, per candidate divisor trace, a curve met nonpositively.
 
     A divisor trace on a fiber would have to meet every fiber curve
@@ -213,11 +217,9 @@ def homology_lemma_cases(fiber: Literal["sigma1", "blowup1", "blowup2"], bound: 
     the bounded class box for an irreducible class whose product with the
     trace is <= 0 (preferring product exactly 0, then small coordinates).
     """
-    lattices = {"sigma1": hirzebruch(1), "blowup1": quadric_blowup(1),
-                "blowup2": quadric_blowup(2)}
-    if fiber not in lattices:
+    if fiber not in FIBERS:
         raise ValueError(f"unknown fiber model {fiber!r}")
-    lat = lattices[fiber]
+    lat = FIBERS[fiber]
     candidates = irreducible_curve_classes(lat, bound)
     if fiber == "blowup1":
         e1 = DivisorClass(lat, (0, 0, -1))

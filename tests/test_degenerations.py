@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from qhv.group_actions import F4_CHART_RING, QUADRIC_CHART_RING, apply, sl2_v2_t
 from qhv.ideals import (
     Ideal,
     contains,
+    jacobian_ideal,
     convert_context,
     eliminate,
     gauss_jordan,
@@ -446,7 +448,7 @@ class TestSingularLoci:
         assert passed
         assert all(r["status"] == "smooth" for r in rows)
 
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", range(2, 13))
     def test_higher_twists_single_point(self, k):
         passed, rows = quadric_singular_loci(k)
         charts = {r["chart"]: r for r in rows}
@@ -470,3 +472,35 @@ class TestSingularLoci:
     def test_negative_twist_rejected(self):
         with pytest.raises(ConstructionError, match="twist must be nonnegative"):
             quadric_singular_loci(-1)
+
+    def test_vanishing_power_beyond_the_total_degree(self):
+        # z^19 is in J and z^18 is not: a search up to the degree 5 of the
+        # equation would miss it and call the locus more than a point
+        C = VariableContext(("x", "y", "z"))
+        locus = degenerations._locus_of_chart(parse(C, "-x^5 + y*z^4 + 3*y^3*z + x*y"))
+        assert locus == {
+            "status": "single_point_origin",
+            "vanishing_powers": {"x": 5, "y": 2, "z": 19},
+        }
+        locus = degenerations._locus_of_chart(parse(C, "y^4*z + x^2*y*z^2 + 2*y*z^3"))
+        assert locus["vanishing_powers"]["y"] == 7
+
+    def test_vanishing_powers_are_least_by_membership(self):
+        # each reported m is the least power of its coordinate in J
+        rng = random.Random(26)
+        C = VariableContext(("x", "y", "z"))
+        for _ in range(60):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                exp = [0, 0, 0]
+                for _ in range(rng.randint(2, 6)):
+                    exp[rng.randrange(3)] += 1
+                terms[tuple(exp)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+            equation = Polynomial(C, terms)
+            J = jacobian_ideal(equation, C.names)
+            locus = degenerations._locus_of_chart(equation)
+            for name, m in locus.get("vanishing_powers", {}).items():
+                if m is None:
+                    continue
+                assert contains(J, C.monomial(1, {name: m})), (equation, name, m)
+                assert not contains(J, C.monomial(1, {name: m - 1})), (equation, name, m)

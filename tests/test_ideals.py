@@ -335,8 +335,7 @@ class TestKnownAnswers:
         self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), ["u0"]), 1753)
 
     def test_graph_elimination_step_count_pinned(self, monkeypatch):
-        # the F4 graph relations of the degenerations module: elim = 3, the
-        # only engine call with two or more eliminated variables
+        # the F4 graph relations of the degenerations module: elim = 3
         R = VariableContext(("x", "y", "z", "a", "b", "c", "e", "f", "t"))
         relations = ["a - x^2", "b - 2*x*y", "c - 2*x*z - y^2", "e - 2*y*z", "f - z^2",
                      "t - 4*x*z + y^2"]

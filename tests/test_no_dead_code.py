@@ -5,15 +5,15 @@ an attribute in the package's code outside the definition itself (docstrings
 and comments do not count), anywhere in the text of ``perfbench/*.py``, or as
 the console-script entry point in ``pyproject.toml``.  Dunder names are
 called by the interpreter and are exempt.  A module-level import counts as
-used when the name it binds occurs as a name in its module, is listed in the
-module's ``__all__``, or its binding site ``qhv.<module>.<name>`` appears in
-``perfbench/*.py``; ``from __future__`` imports are exempt.  A name in a
-literal ``__slots__`` counts as used when the package reads an attribute of
-that name; a slot that is only ever assigned is state nothing reads.  The
-same holds for stored names: a module-level assignment counts as used when
-the package reads it as a name or its name occurs in the text of
-``perfbench/*.py`` (dunder names are exempt), and a dataclass field when the
-package reads an attribute of that name.
+used when the name it binds occurs as a name in its module, or its binding
+site ``qhv.<module>.<name>`` appears in ``perfbench/*.py``; ``from
+__future__`` imports are exempt.  A name in a literal ``__slots__`` counts as
+used when the package reads an attribute of that name; a slot that is only
+ever assigned is state nothing reads.  The same holds for stored names: a
+module-level assignment counts as used when the package reads it as a name
+or its name occurs in the text of ``perfbench/*.py`` (dunder names are
+exempt), and a dataclass field when the package reads an attribute of that
+name.
 """
 
 import ast
@@ -68,22 +68,12 @@ def test_every_definition_is_used():
     assert not unused, f"definitions nothing uses: {unused}"
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    """The strings of the module's ``__all__`` list, if it has one."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts}
-    return set()
-
-
 def test_every_import_is_used():
     perfbench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
     unused = []
     for path in sorted((ROOT / "src" / "qhv").glob("*.py")):
         tree = ast.parse(path.read_text())
-        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
