@@ -372,12 +372,18 @@ def _golden_compare(suite: str, reports: list[dict], directory: str, update: boo
     path = Path(directory) / f"{suite}.jsonl"
     produced = [_dumps({k: v for k, v in r.items() if k != "duration_ms"}) for r in reports]
     if update:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(produced) + "\n")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("\n".join(produced) + "\n", encoding="utf-8")
+        except OSError as exc:
+            return f"cannot write golden file {path}: {exc}"
         return None
     if not path.exists():
         return f"golden file {path} does not exist (run with --update-golden)"
-    stored = [line for line in path.read_text().splitlines() if line]
+    try:
+        stored = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"cannot read golden file {path}: {exc}"
     if stored == produced:
         return None
     diff = [

@@ -36,11 +36,27 @@ from typing import Mapping, NamedTuple
 from . import ideals
 from .polyring import PolyError, Polynomial, SubstitutionMap, VariableContext, derivative
 
+_XYZ = VariableContext(("x", "y", "z"))
+_x, _y, _z = (_XYZ.var(n) for n in "xyz")
+
+#: Coordinate functions of the quadratic embedding, indexed like (a, b, c, e, f)
+#: plus the invariant quadric that l^k g pulls back to.
+EMBEDDING_COMPONENTS: dict[str, Polynomial] = {
+    "a": _x * _x,
+    "b": 2 * _x * _y,
+    "c": 2 * _x * _z + _y * _y,
+    "e": 2 * _y * _z,
+    "f": _z * _z,
+}
+
+#: 4xz - y^2, the quadric invariant; the image of l^k g under the embedding.
+QUADRIC_INVARIANT: Polynomial = 4 * _x * _z - _y * _y
+
 #: Chart ring of the quadric degenerations ([x:y:z:w] and the base parameter l).
-QUADRIC_CHART_RING = VariableContext(("x", "y", "z", "w", "l"), invertible={"l"})
+QUADRIC_CHART_RING = _XYZ.extend(("w", "l"), invertible=("l",))
 
 #: Chart ring of the F4 degenerations ([a:b:c:e:f:g] and the base parameter l).
-F4_CHART_RING = VariableContext(("a", "b", "c", "e", "f", "g", "l"), invertible={"l"})
+F4_CHART_RING = VariableContext((*EMBEDDING_COMPONENTS, "g", "l"), invertible={"l"})
 
 
 @dataclass(frozen=True)
@@ -107,23 +123,6 @@ def sl2_v2_triple(ring: VariableContext = QUADRIC_CHART_RING) -> Sl2Triple:
     """
     x, y, z = (ring.var(n) for n in "xyz")
     return _triple(ring, {"x": y, "y": 2 * z}, {"x": -2 * x, "z": 2 * z}, {"y": 2 * x, "z": y})
-
-
-_XYZ = VariableContext(("x", "y", "z"))
-_x, _y, _z = (_XYZ.var(n) for n in "xyz")
-
-#: Coordinate functions of the quadratic embedding, indexed like (a, b, c, e, f)
-#: plus the invariant quadric that l^k g pulls back to.
-EMBEDDING_COMPONENTS: dict[str, Polynomial] = {
-    "a": _x * _x,
-    "b": 2 * _x * _y,
-    "c": 2 * _x * _z + _y * _y,
-    "e": 2 * _y * _z,
-    "f": _z * _z,
-}
-
-#: 4xz - y^2, the quadric invariant; the image of l^k g under the embedding.
-QUADRIC_INVARIANT: Polynomial = 4 * _x * _z - _y * _y
 
 
 def _express_in_embedding(images: list[Polynomial]) -> list[list[Fraction]]:

@@ -5,7 +5,7 @@ framework for computing Groebner bases", Math. Comp. 85, 2016; Roune and
 Stillman, "Practical Groebner basis computation", ISSAC 2012): its syzygy
 and rewriter criteria skip the S-pairs that would reduce to zero.  Full
 interreduction and monic normalization follow, so every basis it returns is
-the reduced Groebner basis under the context's monomial order.
+the reduced Groebner basis under the engine's order (:class:`_Packing`).
 Inside the engine every polynomial is a primitive integer term map (coprime
 coefficients, positive leading coefficient): reductions cross-multiply
 instead of dividing, so no ``Fraction`` arithmetic runs in the reduction
@@ -25,7 +25,7 @@ twists of the benchmark's charts workload.
 Inside the engine a monomial is one integer, its code (:class:`_Packing`):
 the exponents sit in fixed fields of ``FIELD_BITS`` bits, so a monomial
 product is an integer sum, comparing codes compares monomials under the
-ring's order, and a divisor test is one subtraction and one mask (Monagan
+engine's order, and a divisor test is one subtraction and one mask (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  A signature is an integer in the same way
 (:func:`_buchberger`).  Exponent tuples return only at the boundary: the
@@ -102,26 +102,31 @@ _EXP_LIMIT = 1 << (FIELD_BITS - 1)
 class _Packing:
     """The monomial codes of one ring: each exponent vector as one integer.
 
+    ``nb = 0`` orders codes grevlex, as ``ring.monomial_key`` does.  Only
+    :func:`eliminate` passes nb > 0, the elimination order of the first nb
+    variables: the degree in them decides first, then grevlex, so a monomial
+    involving one of them beats every monomial that avoids them (Cox, Little
+    and O'Shea, *Ideals, Varieties, and Algorithms*, section 3.1).
+
     With B = FIELD_BITS and P(e) = sum of e_i·2^(B·i), the code of e on n
-    variables under the elimination order ``elim = nb`` is
-    w(e)·2^S + deg(e)·2^(B·n) − P(e), where w(e) is the degree of e in the
-    first nb variables.  The grevlex part deg(e)·2^(B·n) − P(e) of a sum of
-    two admissible monomials lies in [0, n·2^(B·(n+1))), so with
+    variables is w(e)·2^S + deg(e)·2^(B·n) − P(e), where w(e) is the degree
+    of e in the first nb variables.  The grevlex part deg(e)·2^(B·n) − P(e)
+    of a sum of two admissible monomials lies in [0, n·2^(B·(n+1))), so with
     S = B·(n+1) + bitlen(n) the weight w decides first; a grevlex code
     (nb = 0) is the grevlex part alone.  A code is linear in e, so a
     monomial product is an integer sum; it is injective, and integer order
-    is ``ring.monomial_key`` order.  ``bits(code)`` is ``-code & mask``,
-    which is P(e), and a monomial d divides m exactly when
-    ``(bits(m) − bits(d)) & guard`` is 0, ``guard`` holding the top bit of
-    each field: a field of m below that of d borrows into its own guard bit.
+    is the order above.  ``bits(code)`` is ``-code & mask``, which is P(e),
+    and a monomial d divides m exactly when ``(bits(m) − bits(d)) & guard``
+    is 0, ``guard`` holding the top bit of each field: a field of m below
+    that of d borrows into its own guard bit.
     """
 
     __slots__ = ("names", "nb", "pos", "shift", "mask", "guard")
 
-    def __init__(self, ring: VariableContext):
+    def __init__(self, ring: VariableContext, nb: int = 0):
         n = len(ring.names)
         self.names = ring.names
-        self.nb = ring.elim
+        self.nb = nb
         self.pos = [FIELD_BITS * i for i in range(n)]
         self.shift = FIELD_BITS * (n + 1) + n.bit_length()
         self.mask = (1 << FIELD_BITS * n) - 1
@@ -155,6 +160,11 @@ class _Packing:
         self.check(bits)
         return tuple((bits >> pos) & (_EXP_LIMIT - 1) for pos in self.pos)
 
+    def monic(self, reducer: _Reducer, start: int = 0) -> dict[Exponent, Fraction]:
+        """The reducer's monic term map over Q, on the variables from ``start`` on."""
+        lead, _, lc, tail = reducer
+        return {self.decode(m)[start:]: Fraction(c, lc) for m, c in ((lead, lc), *tail)}
+
 
 class Ideal:
     """Finite generator list with a write-once cached reduced Groebner basis.
@@ -182,13 +192,7 @@ class Ideal:
         if self._basis is None:
             pk = _Packing(self.ring)
             self._reducers = _buchberger(self.generators, pk, _Counter(self.ring))
-            self._basis = tuple(
-                Polynomial(
-                    self.ring,
-                    {pk.decode(m): Fraction(c, lc) for m, c in ((lead, lc), *tail)},
-                )
-                for lead, _, lc, tail in self._reducers
-            )
+            self._basis = tuple(Polynomial(self.ring, pk.monic(r)) for r in self._reducers)
         return self._basis
 
     def __repr__(self):
@@ -500,11 +504,11 @@ def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:
 def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """Generators of the contraction of I to the subring without ``drop``.
 
-    Computes a Groebner basis under the elimination order of the dropped
-    variables (see :class:`~qhv.polyring.VariableContext`) and keeps the
-    elements free of them.  The result lives in the smaller context, ordered
-    grevlex: it is the reduced grevlex basis of the contraction, which is
-    unique, so every elimination order gives the same generators.
+    Runs the engine with ``drop`` first, under its elimination order
+    (:class:`_Packing`).  The block degree decides first, so a reducer whose
+    lead code has no block weight is free of the block in every term; only
+    those are kept and decoded.  They are the reduced grevlex basis of the
+    contraction, which is unique, so every elimination order gives them.
     """
     drop_set = set(drop)
     unknown = drop_set - set(I.ring.names)
@@ -514,19 +518,12 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
         return I
     block = [n for n in I.ring.names if n in drop_set]
     rest = [n for n in I.ring.names if n not in drop_set]
-    elim_ctx = VariableContext(tuple(block + rest), I.ring.invertible, len(block))
-    lifted = Ideal([convert_context(g, elim_ctx) for g in I.generators])
-    basis = lifted.groebner_basis()
-    nb = len(block)
+    ring = VariableContext(tuple(block + rest), I.ring.invertible)
+    pk = _Packing(ring, len(block))
+    reducers = _buchberger([convert_context(g, ring) for g in I.generators], pk, _Counter(ring))
     target = VariableContext(tuple(rest), I.ring.invertible & set(rest))
-    kept = [
-        convert_context(g, target)
-        for g in basis
-        if all(all(e == 0 for e in exp[:nb]) for exp in g.terms)
-    ]
-    if not kept:
-        kept = [target.zero()]
-    return Ideal(kept)
+    kept = [Polynomial(target, pk.monic(r, pk.nb)) for r in reducers if r[0] >> pk.shift == 0]
+    return Ideal(kept or [target.zero()])
 
 
 def jacobian_ideal(f: Polynomial, variables: Sequence[str]) -> Ideal:

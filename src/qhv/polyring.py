@@ -2,12 +2,12 @@
 
 A polynomial is a map from exponent vectors to nonzero ``Fraction``
 coefficients, attached to a :class:`VariableContext` that fixes the variable
-set, the monomial order and which variables are invertible.  Invertible
-(Laurent) variables may carry negative exponents; all other variables are
-restricted to exponents >= 0.  Everything is immutable and exact: there is no
-floating point anywhere in this package.  The Groebner engine of
-:mod:`qhv.ideals` computes in the polynomial ring and refuses negative
-exponents.
+set and which variables are invertible; monomials are ordered grevlex.
+Invertible (Laurent) variables may carry negative exponents; all other
+variables are restricted to exponents >= 0.  Everything is immutable and
+exact: there is no floating point anywhere in this package.  The Groebner
+engine of :mod:`qhv.ideals` computes in the polynomial ring and refuses
+negative exponents.
 
 The module also provides simultaneous substitution maps whose images may be
 Laurent monomial multiples (:class:`SubstitutionMap`) and partial
@@ -32,26 +32,16 @@ class ContextMismatch(PolyError):
     """Operands live in different variable contexts."""
 
 
-def _grevlex_key(exp: Exponent):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
-
-
 @dataclass(frozen=True)
 class VariableContext:
-    """Ordered variable set with a monomial order and invertibility flags.
+    """Ordered variable set with invertibility flags, ordered grevlex.
 
     Contexts compare by value, so two independently built contexts with the
-    same data are interchangeable.  ``elim = nb`` is the elimination order
-    of the first nb variables: monomials are compared by their degree in
-    those variables first, then grevlex on all variables, so any monomial
-    involving one of them beats every monomial that avoids them (Cox, Little
-    and O'Shea, *Ideals, Varieties, and Algorithms*, section 3.1).
-    ``elim = 0`` orders monomials grevlex.
+    same data are interchangeable.
     """
 
     names: tuple[str, ...]
     invertible: frozenset[str] = frozenset()
-    elim: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -61,8 +51,6 @@ class VariableContext:
         unknown = self.invertible - set(self.names)
         if unknown:
             raise PolyError(f"invertible variables not in context: {sorted(unknown)}")
-        if not 0 <= self.elim <= len(self.names):
-            raise PolyError(f"elimination block size {self.elim} out of range")
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -73,13 +61,11 @@ class VariableContext:
             raise PolyError(f"unknown variable {name!r} in context {self.names}") from None
 
     def monomial_key(self, exp: Exponent):
-        """Sort key; larger key means larger monomial under the context order."""
-        return (sum(exp[: self.elim]), _grevlex_key(exp))
+        """Grevlex sort key; larger key means larger monomial."""
+        return (sum(exp), tuple(-e for e in reversed(exp)))
 
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
-        return VariableContext(
-            self.names + tuple(names), self.invertible | frozenset(invertible), self.elim
-        )
+        return VariableContext(self.names + tuple(names), self.invertible | frozenset(invertible))
 
     # -- constructors ------------------------------------------------------
 

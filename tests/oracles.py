@@ -15,15 +15,22 @@ from qhv.polyring import Polynomial, VariableContext
 from qhv.singular import CyclicQuotient
 
 
-def _remainder(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Multivariate division of p by basis, written with the public
+def _leading_term(p: Polynomial, key=None) -> tuple[tuple[int, ...], Fraction]:
+    """The largest term of p under the sort key ``key``, by default the ring's order."""
+    exp = max(p.terms, key=key or p.ring.monomial_key)
+    return exp, p.terms[exp]
+
+
+def _remainder(p: Polynomial, basis: Sequence[Polynomial], key=None) -> Polynomial:
+    """Multivariate division of p by basis under the monomial sort key
+    ``key`` (by default the ring's order), written with the public
     ``Polynomial`` API only, so it shares no code with the engine's reducer."""
     ring = p.ring
     rem = ring.zero()
     while p:
-        exp, coeff = p.leading_term()
+        exp, coeff = _leading_term(p, key)
         for g in basis:
-            gexp, gcoeff = g.leading_term()
+            gexp, gcoeff = _leading_term(g, key)
             if all(a <= b for a, b in zip(gexp, exp)):
                 shift = tuple(b - a for a, b in zip(gexp, exp))
                 p = p - ring.from_terms({shift: coeff / gcoeff}) * g
@@ -35,9 +42,9 @@ def _remainder(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return rem
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+def _s_polynomial(f: Polynomial, g: Polynomial, key=None) -> Polynomial:
     """(L/lt(f))·f/lc(f) − (L/lt(g))·g/lc(g), with L the lcm of the leading monomials."""
-    (fexp, fcoeff), (gexp, gcoeff) = f.leading_term(), g.leading_term()
+    (fexp, fcoeff), (gexp, gcoeff) = _leading_term(f, key), _leading_term(g, key)
     lcm = tuple(max(a, b) for a, b in zip(fexp, gexp))
     fmul = f.ring.from_terms({tuple(a - b for a, b in zip(lcm, fexp)): 1 / fcoeff})
     gmul = g.ring.from_terms({tuple(a - b for a, b in zip(lcm, gexp)): 1 / gcoeff})
@@ -53,9 +60,10 @@ def is_groebner_basis(basis: Sequence[Polynomial]) -> bool:
     return True
 
 
-def textbook_groebner_basis(generators: Sequence[Polynomial]) -> list[Polynomial]:
+def textbook_groebner_basis(generators: Sequence[Polynomial], key=None) -> list[Polynomial]:
     """The reduced Groebner basis by Buchberger's algorithm with no criterion,
-    sorted by leading monomial.
+    under the monomial sort key ``key`` (by default the ring's order), sorted
+    by leading monomial.
 
     The S-polynomial of every pair is divided by the basis with
     ``_remainder``; a nonzero remainder joins the basis and pairs with every
@@ -64,23 +72,25 @@ def textbook_groebner_basis(generators: Sequence[Polynomial]) -> list[Polynomial
     others, made monic (Cox, Little and O'Shea, section 2.7).
     """
     ring = generators[0].ring
+    key = key or ring.monomial_key
     basis = [g for g in generators if g]
     pairs = list(itertools.combinations(range(len(basis)), 2))
     while pairs:
         i, j = pairs.pop()
-        r = _remainder(_s_polynomial(basis[i], basis[j]), basis)
+        r = _remainder(_s_polynomial(basis[i], basis[j], key), basis, key)
         if r:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(r)
     minimal: list[Polynomial] = []
-    for g in sorted(basis, key=lambda g: ring.monomial_key(g.leading_term()[0])):
-        lead = g.leading_term()[0]
-        if not any(all(map(le, h.leading_term()[0], lead)) for h in minimal):
+    for g in sorted(basis, key=lambda g: key(_leading_term(g, key)[0])):
+        lead = _leading_term(g, key)[0]
+        if not any(all(map(le, _leading_term(h, key)[0], lead)) for h in minimal):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        r = _remainder(g, [h for h in minimal if h is not g])
-        reduced.append(ring.from_terms({e: c / r.leading_term()[1] for e, c in r.terms.items()}))
+        r = _remainder(g, [h for h in minimal if h is not g], key)
+        lc = _leading_term(r, key)[1]
+        reduced.append(ring.from_terms({e: c / lc for e, c in r.terms.items()}))
     return reduced
 
 

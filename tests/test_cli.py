@@ -252,6 +252,25 @@ class TestGolden:
         assert code == 1
         assert "does not exist" in err
 
+    def test_undecodable_golden_reported(self, capsys, tmp_path):
+        (tmp_path / "wps.jsonl").write_bytes(b"\xff\xfe{}\n")
+        code, _, err = run_cli(capsys, "wps", "--golden", str(tmp_path))
+        assert code == 1
+        assert f"cannot read golden file {tmp_path / 'wps.jsonl'}: " in err
+
+    def test_unreadable_golden_reported(self, capsys, tmp_path):
+        (tmp_path / "wps.jsonl").mkdir()
+        code, _, err = run_cli(capsys, "wps", "--golden", str(tmp_path))
+        assert code == 1
+        assert f"cannot read golden file {tmp_path / 'wps.jsonl'}: " in err
+
+    def test_unwritable_golden_reported(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / "file" / "sub"
+        code, _, err = run_cli(capsys, "wps", "--golden", str(target), "--update-golden")
+        assert code == 1
+        assert f"cannot write golden file {target / 'wps.jsonl'}: " in err
+
     def test_committed_goldens_match(self, capsys):
         for suite in ("verify-f4", "dp-homology", "wps"):
             argv = suite.split("-", 1) if suite.startswith("verify-") else [suite]
@@ -278,6 +297,13 @@ class TestGolden:
         code, _, err = run_cli(capsys, "all", "--golden", str(tmp_path))
         assert code == 1
         assert "wps.jsonl" in err and "bundle-normalize.jsonl" not in err
+        # an unreadable file is reported and the later suites are still compared
+        (tmp_path / "wps.jsonl").write_bytes(b"\xff\xfe{}\n")
+        (tmp_path / "bundle-normalize.jsonl").write_text('{"made": "up"}\n')
+        code, _, err = run_cli(capsys, "all", "--golden", str(tmp_path))
+        assert code == 1
+        assert "cannot read golden file" in err
+        assert f"golden mismatch for {tmp_path / 'bundle-normalize.jsonl'}" in err
 
 
 class TestConfigFile:

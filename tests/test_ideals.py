@@ -16,6 +16,7 @@ from qhv.ideals import (
     ResourceLimitExceeded,
     contains,
     contains_one,
+    convert_context,
     eliminate,
     gauss_jordan,
     jacobian_ideal,
@@ -26,7 +27,7 @@ from qhv.polyring import PolyError, VariableContext
 from linalg_oracle import is_member_bounded, is_member_up_to
 from oracles import _remainder, is_groebner_basis, textbook_groebner_basis
 from polytext import parse
-from randpoly import random_block_ring, random_polynomial, random_ring
+from randpoly import random_polynomial, random_ring
 
 R = VariableContext(("x", "y", "z", "w", "l"), invertible={"l"})
 
@@ -65,6 +66,40 @@ def cyclic(n):
 
 def term_maps(polys):
     return {frozenset(p.terms.items()) for p in polys}
+
+
+def order_key(nb, exp):
+    """The elimination order of the first nb variables, written out: the
+    degree in them, then the total degree, then the smaller exponent of the
+    last variable where the two differ."""
+    return (sum(exp[:nb]), sum(exp), [-e for e in reversed(exp)])
+
+
+def random_elimination(rng, max_vars=4):
+    """A ring with one invertible variable and a proper nonempty subset of its
+    variables to eliminate."""
+    names = random_ring(rng, max_vars).names
+    drop = rng.sample(names, rng.randint(1, len(names) - 1))
+    return VariableContext(names, {rng.choice(names)}), drop
+
+
+def oracle_elimination(gens, drop):
+    """The textbook basis under the elimination order of ``drop``, placed
+    first, kept where free of it and renamed into the ring of the rest."""
+    ring = gens[0].ring
+    block = [n for n in ring.names if n in drop]
+    rest = [n for n in ring.names if n not in drop]
+    lifted = VariableContext(tuple(block + rest), ring.invertible)
+    target = VariableContext(tuple(rest), ring.invertible & set(rest))
+    basis = textbook_groebner_basis(
+        [convert_context(g, lifted) for g in gens], partial(order_key, len(block))
+    )
+    kept = [
+        convert_context(g, target)
+        for g in basis
+        if not any(any(exp[: len(block)]) for exp in g.terms)
+    ]
+    return kept or [target.zero()]
 
 
 class TestGroebner:
@@ -159,22 +194,20 @@ class TestNormalForm:
                 assert normal_form(p, I) == _remainder(p, I.groebner_basis())
 
     def test_matches_oracle_division_on_block_order_rings(self):
-        # the elim > 0 codes; the ring's invertible variable counts as an
-        # ordinary one
+        # eliminate runs the engine under the block order of the dropped
+        # variables; the ring's invertible variable counts as an ordinary one
         rng = random.Random(9090)
         for _ in range(40):
-            ring = random_block_ring(rng)
-            I = Ideal(
-                [
-                    random_polynomial(rng, ring, max_degree=3, max_terms=3)
-                    for _ in range(rng.randint(1, 3))
-                ]
-            )
-            basis = I.groebner_basis()
-            assert is_groebner_basis(basis)
+            ring, drop = random_elimination(rng)
+            gens = [
+                random_polynomial(rng, ring, max_degree=3, max_terms=3)
+                for _ in range(rng.randint(1, 3))
+            ]
+            E = eliminate(Ideal(gens), drop)
+            assert list(E.generators) == oracle_elimination(gens, drop)
             for _ in range(3):
-                p = random_polynomial(rng, ring, max_degree=4, max_terms=6)
-                assert normal_form(p, I) == _remainder(p, basis)
+                p = random_polynomial(rng, E.ring, max_degree=4, max_terms=6)
+                assert normal_form(p, E) == _remainder(p, E.groebner_basis())
 
 
 class TestMonomialCodes:
@@ -185,15 +218,8 @@ class TestMonomialCodes:
     @staticmethod
     def rings():
         for n in range(1, 8):
-            names = tuple(f"v{i}" for i in range(n))
             for nb in range(n + 1):
-                yield VariableContext(names, elim=nb)
-
-    @staticmethod
-    def order_key(nb, exp):
-        # the degree in the first nb variables, then the total degree, then
-        # the smaller exponent of the last variable where the two differ
-        return (sum(exp[:nb]), sum(exp), [-e for e in reversed(exp)])
+                yield VariableContext(tuple(f"v{i}" for i in range(n))), nb
 
     def draw(self, rng, n):
         # small exponents tie degrees and divide often; large ones fill the field
@@ -202,9 +228,9 @@ class TestMonomialCodes:
 
     def test_codes_against_exponent_vectors(self):
         rng = random.Random(3232)
-        for ring in self.rings():
-            pk = ideals._Packing(ring)
-            n, key = len(ring.names), partial(self.order_key, ring.elim)
+        for ring, nb in self.rings():
+            pk = ideals._Packing(ring, nb)
+            n, key = len(ring.names), partial(order_key, nb)
             for _ in range(200):
                 a, b = self.draw(rng, n), self.draw(rng, n)
                 ca, cb = pk.encode(a), pk.encode(b)
@@ -229,14 +255,14 @@ class TestMonomialCodes:
             normal_form(big, Ideal([x - y]))
 
     def test_reduction_past_the_field_raises(self):
-        # x - y^TOP and y^2*z - 1 fit, but reducing x*y*z passes through
-        # y^(TOP + 1)*z, although y^2*z - 1 would bring it back into the field
-        S = VariableContext(("x", "y", "z"), elim=1)
-        x, y, z = (S.var(v) for v in S.names)
-        I = Ideal([x - S.monomial(1, {"y": self.TOP}), y * y * z - 1])
-        assert normal_form(x, I) == S.monomial(1, {"y": self.TOP})
+        # x*y^(TOP-1) - z^TOP fits and is led by x*y^(TOP-1), but reducing
+        # x*y^(TOP-1)*z reaches z^(TOP + 1)
+        S = VariableContext(("x", "y", "z"))
+        lead = S.monomial(1, {"x": 1, "y": self.TOP - 1})
+        I = Ideal([lead - S.monomial(1, {"z": self.TOP})])
+        assert normal_form(lead, I) == S.monomial(1, {"z": self.TOP})
         with pytest.raises(ResourceLimitExceeded, match=f"{ideals.FIELD_BITS}-bit"):
-            normal_form(x * y * z, I)
+            normal_form(lead * S.var("z"), I)
 
     def test_signature_past_the_field_raises(self):
         # f_1 - f_0 = y has the signature e_1, held as lt(f_1) = x^(2^30); its
@@ -330,12 +356,12 @@ class TestKnownAnswers:
         self.assert_steps(monkeypatch, lambda: Ideal(gens).groebner_basis(), steps)
 
     def test_elimination_step_count_pinned(self, monkeypatch):
-        # elim = 1, which orders by the degree in u0 first
+        # under the block order of u0, which orders by the degree in u0 first
         gens = katsura(4)
         self.assert_steps(monkeypatch, lambda: eliminate(Ideal(gens), ["u0"]), 1753)
 
     def test_graph_elimination_step_count_pinned(self, monkeypatch):
-        # the F4 graph relations of the degenerations module: elim = 3
+        # the F4 graph relations of the degenerations module: a block of three
         R = VariableContext(("x", "y", "z", "a", "b", "c", "e", "f", "t"))
         relations = ["a - x^2", "b - 2*x*y", "c - 2*x*z - y^2", "e - 2*y*z", "f - z^2",
                      "t - 4*x*z + y^2"]
@@ -481,12 +507,15 @@ class TestEngineSoundness:
                 assert contains(Ideal(gens), g)
 
     def test_reduced_basis_matches_textbook_buchberger(self):
-        # grevlex and block orders, each with one of: nothing added, a
+        # grevlex bases and eliminations, each with one of: nothing added, a
         # duplicate generator, a zero generator, the product of two
         # generators, or g + 1 beside g, which makes the unit ideal
         rng = random.Random(2016)
         for trial in range(100):
-            ring = (random_ring if trial % 2 else random_block_ring)(rng, max_vars=3)
+            if trial % 2:
+                ring = random_ring(rng, max_vars=3)
+            else:
+                ring, drop = random_elimination(rng, max_vars=3)
             gens = [
                 random_polynomial(rng, ring, max_degree=2, max_terms=3)
                 for _ in range(rng.randint(1, 3))
@@ -500,10 +529,15 @@ class TestEngineSoundness:
                 gens.append(rng.choice(gens) * rng.choice(gens))
             elif variant == 4:
                 gens.append(gens[0] + 1)
-            basis = list(Ideal(gens).groebner_basis())
-            assert basis == textbook_groebner_basis(gens)
+            if trial % 2:
+                basis = list(Ideal(gens).groebner_basis())
+                expected = textbook_groebner_basis(gens)
+            else:
+                basis = list(eliminate(Ideal(gens), drop).generators)
+                expected = oracle_elimination(gens, drop)
+            assert basis == expected
             if variant == 4:
-                assert basis == [ring.one()]
+                assert basis == [basis[0].ring.one()]
 
     def test_oracle_rejects_a_generating_set_that_is_no_basis(self):
         S = VariableContext(("x", "y"))

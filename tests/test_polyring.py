@@ -321,16 +321,6 @@ class TestUnitsAndNormalForms:
             assert q == p * ratio
 
 
-class TestMonomialOrder:
-    def test_block_size_in_range(self):
-        names = ("a", "b", "c")
-        for elim in (-1, len(names) + 1):
-            with pytest.raises(PolyError, match="out of range"):
-                VariableContext(names, elim=elim)
-        assert VariableContext(names, elim=0) == VariableContext(names)
-        assert VariableContext(names, elim=2).extend(("d",)).elim == 2
-
-
 class TestTextFormat:
     CASES = [
         "4*x*z - y^2 - l^3*w^2",
