@@ -12,6 +12,10 @@ suite against ``DIR/<suite>.jsonl``, so ``all`` checks one file per suite;
 ``--update-golden`` rewrites those files and needs ``--golden``).  Every
 engine call runs under the fixed step limit ``ideals.STEP_BUDGET``; a check
 that exceeds it reports ``error``.
+
+Importing this module loads no other ``qhv`` module.  Each suite, check body
+and the ``family`` reader imports the library modules it uses when it runs,
+so a command loads only the modules its suites use; ``all`` loads them all.
 """
 
 from __future__ import annotations
@@ -25,11 +29,7 @@ from functools import partial
 from itertools import product
 from pathlib import Path
 
-from . import degenerations as dg
-from . import ruled, singular
-
 _dumps = partial(json.dumps, separators=(",", ":"))
-_FAMILIES = ("both", *dg.FAMILIES)
 
 
 def _run_check(name: str, params: dict, body) -> dict:
@@ -55,26 +55,31 @@ def _run_check(name: str, params: dict, body) -> dict:
 # -- suites --------------------------------------------------------------------
 #
 # A suite yields (check_name, params, body) in report order; ``body`` returns
-# (passed, witnesses) and is run by ``run``.  Suites look each library check
-# up on ``dg`` as they yield, so a wrapper on the module attribute sees every call.
+# (passed, witnesses) and is run by ``run``.  Suites and bodies import their
+# library modules when they run, and look each check up on the module object
+# then, so a wrapper on the module attribute sees every call.
 
 
 def _glued(check, family: str, k: int, l: int):
+    from . import degenerations as dg
     # the family is built inside the timed body, so a bad twist is an error report
     return check(dg.glued_family(family, k, l))
 
 
 def _terminal(n_max: int):
+    from . import singular
     table = singular.classify_terminal_types(n_max)
     return not table, [{"n_max": n_max, "counterexamples": table}]
 
 
 def _wps(weights: tuple[int, ...]):
+    from . import singular
     rows = singular.wps_singularity_report(list(weights))
     return all(r["terminal"] for r in rows), rows
 
 
 def _bundle_normalize(n: int, k0: int, kinf: int):
+    from . import ruled
     state = ruled.construct_twisted(n, k0, kinf)
     final, steps = ruled.figure1_normalize(state)
     round_trip = ruled.replay_reversed(n, steps) == state
@@ -90,6 +95,7 @@ def _bundle_normalize(n: int, k0: int, kinf: int):
 
 
 def _minus_one_count():
+    from . import ruled
     # 0 on the minimal surface, 3 after one blow-up, 6 after two (the
     # degree-six del Pezzo's classical six lines).
     expected = {0: 0, 1: 3, 2: 6}
@@ -103,17 +109,20 @@ def _minus_one_count():
 
 
 def _homology_lemma(fiber: str):
+    from . import ruled
     rep = ruled.homology_lemma_cases(fiber)
     return rep["passed"], rep["cases"]
 
 
 def suite_verify_quadric(cfg):
+    from . import degenerations as dg
     for k, l in product(cfg.quadric_k, cfg.quadric_l):
         body = partial(_glued, dg.verify_gluing, "quadric", k, l)
         yield "quadric-gluing", {"k": k, "l": l}, body
 
 
 def suite_verify_f4(cfg):
+    from . import degenerations as dg
     for k in cfg.f4_k:
         yield "f4-adjudication", {"k": k}, partial(dg.adjudicate_f4_generators, k)
         yield "f4-embedding", {"k": k}, partial(dg.verify_embedding, k)
@@ -123,11 +132,13 @@ def suite_verify_f4(cfg):
 
 
 def suite_verify_quotient(cfg):
+    from . import degenerations as dg
     for k in cfg.f4_k:
         yield "f4-quotient", {"k": k}, partial(dg.verify_quotient, k)
 
 
 def suite_equivariance(cfg):
+    from . import degenerations as dg
     twists = {"quadric": (cfg.quadric_k, cfg.quadric_l), "f4": (cfg.f4_k, cfg.f4_l)}
     for family in twists if cfg.family == "both" else (cfg.family,):
         for k, l in product(*twists[family]):
@@ -136,6 +147,7 @@ def suite_equivariance(cfg):
 
 
 def suite_singular_locus(cfg):
+    from . import degenerations as dg
     for k in cfg.quadric_k:
         yield "quadric-singular-locus", {"k": k}, partial(dg.quadric_singular_loci, k)
 
@@ -158,6 +170,7 @@ def suite_bundle_normalize(cfg):
 
 
 def suite_dp_homology(cfg):
+    from . import ruled
     yield "minus-one-count", {}, _minus_one_count
     for fiber in ruled.FIBERS:
         yield "homology-lemma", {"fiber": fiber}, partial(_homology_lemma, fiber)
@@ -208,7 +221,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_family(text: str) -> str:
-    if text not in _FAMILIES:
+    from . import degenerations as dg
+    if text not in ("both", *dg.FAMILIES):
         raise ConfigError(f"unknown family {text!r}")
     return text
 
@@ -319,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--l", help="comma-separated twists for the infinity chart")
 
     equi = add("equivariance", help="action/gluing commutation checks")
-    equi.add_argument("--family", choices=_FAMILIES)
+    equi.add_argument("--family", help="a chart family, or both (the default)")
     equi.add_argument("--k", help="comma-separated twists")
     equi.add_argument("--l", help="comma-separated twists")
 

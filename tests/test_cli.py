@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -465,6 +467,11 @@ class TestParameters:
         assert code == 2 and lines == []
         assert "config key 'family': unknown family 'neither'" in err
 
+    def test_bad_family_flag_exit_2(self, capsys):
+        code, lines, err = run_cli(capsys, "equivariance", "--family", "neither")
+        assert code == 2 and lines == []
+        assert "config key 'family': unknown family 'neither'" in err
+
     @pytest.mark.parametrize("text, argv", [
         ("1,2", ("--kinf", "1")),
         ("1,2,3,4", ()),
@@ -513,3 +520,37 @@ class TestReportShape:
             "check_name", "params", "status", "witnesses", "duration_ms"]
         assert report["status"] == "fail"
         assert report["witnesses"] == [{"error": "check failed without detail"}]
+
+
+# Runs ``qhv ARG...`` in a fresh interpreter and prints the qhv modules it loaded.
+LOADED = """
+import contextlib, io, sys
+from qhv import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qhv."))))
+"""
+CHARTS = {"qhv.degenerations", "qhv.group_actions", "qhv.ideals", "qhv.polyring"}
+#: The modules each command loads besides ``qhv.cli``; "" is the bare import.
+MODULES = {
+    "": set(),
+    "terminal --n-max 5": {"qhv.singular"},
+    "wps": {"qhv.singular"},
+    "dp-homology": {"qhv.ruled"},
+    "bundle-normalize": {"qhv.ruled"},
+    "verify quadric --k 1 --l 1": CHARTS,
+    "verify f4 --k 0 --l 0": CHARTS,
+    "verify quotient --k 0": CHARTS,
+    "equivariance --family quadric --k 1 --l 1": CHARTS,
+    "singular-locus --k 1": CHARTS,
+    "all": CHARTS | {"qhv.singular", "qhv.ruled"},
+}
+
+
+@pytest.mark.parametrize("command", MODULES)
+def test_command_loads_only_what_its_suites_use(command):
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", LOADED, *command.split()], cwd=src,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert set(done.stdout.split()) == {"qhv.cli"} | MODULES[command]

@@ -7,9 +7,10 @@ the console-script entry point in ``pyproject.toml``.  Dunder names are
 called by the interpreter and are exempt.  A module-level import counts as
 used when the name it binds occurs as a name in its module, or its binding
 site ``qhv.<module>.<name>`` appears in ``perfbench/*.py``; ``from
-__future__`` imports are exempt.  A name in a literal ``__slots__`` counts as
-used when the package reads an attribute of that name; a slot that is only
-ever assigned is state nothing reads.  The same holds for stored names: a
+__future__`` imports are exempt.  An import inside a function counts as used
+when that function reads the name it binds.  A name in a literal
+``__slots__`` counts as used when the package reads an attribute of that
+name; a slot that is only ever assigned is state nothing reads.  The same holds for stored names: a
 module-level assignment counts as used when the package reads it as a name
 or its name occurs in the text of ``perfbench/*.py`` (dunder names are
 exempt), and a dataclass field when the package reads an attribute of that
@@ -84,6 +85,18 @@ def test_every_import_is_used():
                 if bound in names or f"qhv.{path.stem}.{bound}" in perfbench:
                     continue
                 unused.append(f"{path.name}:{node.lineno} {bound}")
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {n.id for n in ast.walk(func)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for node in ast.walk(func):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
     assert not unused, f"imports nothing uses: {unused}"
 
 
