@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -116,31 +115,31 @@ def _homology_lemma(fiber: str):
 
 def suite_verify_quadric(cfg):
     from . import degenerations as dg
-    for k, l in product(cfg.quadric_k, cfg.quadric_l):
+    for k, l in product(cfg["quadric-k"], cfg["quadric-l"]):
         body = partial(_glued, dg.verify_gluing, "quadric", k, l)
         yield "quadric-gluing", {"k": k, "l": l}, body
 
 
 def suite_verify_f4(cfg):
     from . import degenerations as dg
-    for k in cfg.f4_k:
+    for k in cfg["f4-k"]:
         yield "f4-adjudication", {"k": k}, partial(dg.adjudicate_f4_generators, k)
         yield "f4-embedding", {"k": k}, partial(dg.verify_embedding, k)
-    for k, l in product(cfg.f4_k, cfg.f4_l):
+    for k, l in product(cfg["f4-k"], cfg["f4-l"]):
         body = partial(_glued, dg.verify_gluing, "f4", k, l)
         yield "f4-gluing", {"k": k, "l": l}, body
 
 
 def suite_verify_quotient(cfg):
     from . import degenerations as dg
-    for k in cfg.f4_k:
+    for k in cfg["f4-k"]:
         yield "f4-quotient", {"k": k}, partial(dg.verify_quotient, k)
 
 
 def suite_equivariance(cfg):
     from . import degenerations as dg
-    twists = {"quadric": (cfg.quadric_k, cfg.quadric_l), "f4": (cfg.f4_k, cfg.f4_l)}
-    for family in twists if cfg.family == "both" else (cfg.family,):
+    twists = {"quadric": (cfg["quadric-k"], cfg["quadric-l"]), "f4": (cfg["f4-k"], cfg["f4-l"])}
+    for family in twists if cfg["family"] == "both" else (cfg["family"],):
         for k, l in product(*twists[family]):
             params = {"family": family, "k": k, "l": l}
             yield "equivariance", params, partial(_glued, dg.verify_equivariance, family, k, l)
@@ -148,23 +147,23 @@ def suite_equivariance(cfg):
 
 def suite_singular_locus(cfg):
     from . import degenerations as dg
-    for k in cfg.quadric_k:
+    for k in cfg["quadric-k"]:
         yield "quadric-singular-locus", {"k": k}, partial(dg.quadric_singular_loci, k)
 
 
 def suite_terminal(cfg):
-    n_max = cfg.terminal_n_max
+    n_max = cfg["terminal-n-max"]
     yield "terminal-classification", {"n_max": n_max}, partial(_terminal, n_max)
 
 
 def suite_wps(cfg):
-    for weights in cfg.wps_weights:
+    for weights in cfg["wps-weights"]:
         name = ",".join(str(w) for w in weights)
         yield "wps-vertices", {"weights": name}, partial(_wps, weights)
 
 
 def suite_bundle_normalize(cfg):
-    n, k0, kinf = cfg.bundle
+    n, k0, kinf = cfg["bundle"]
     params = {"n": n, "k0": k0, "kinf": kinf}
     yield "bundle-normalize", params, partial(_bundle_normalize, n, k0, kinf)
 
@@ -191,18 +190,6 @@ SUITES = {
 
 
 # -- configuration ---------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    quadric_k: tuple[int, ...] = (1, 3, 5, 7, 9)
-    quadric_l: tuple[int, ...] = (1, 3, 5, 7, 9)
-    f4_k: tuple[int, ...] = (0, 1, 2, 3)
-    f4_l: tuple[int, ...] = (0, 1, 2, 3)
-    family: str = "both"
-    terminal_n_max: int = 50
-    wps_weights: tuple[tuple[int, ...], ...] = ((1, 1, 1, 2), (1, 1, 2, 3))
-    bundle: tuple[int, int, int] = (1, 2, 1)
 
 
 class ConfigError(ValueError):
@@ -256,47 +243,52 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-#: The reader of each config key; a key names its RunConfig field, "-" for "_".
+#: Each config key: its reader, its default and the flag that also sets it.
+#: The run configuration is a dict of these keys.
 _CONFIG_KEYS = {
-    "quadric-k": _parse_int_list,
-    "quadric-l": _parse_int_list,
-    "f4-k": _parse_int_list,
-    "f4-l": _parse_int_list,
-    "family": _parse_family,
-    "terminal-n-max": int,
-    "wps-weights": lambda text: tuple(_parse_int_list(part) for part in text.split(";")),
-    "bundle": _parse_bundle,
-}
-
-#: The config keys each flag sets; a repeated ``--weights`` joins with ';'.
-_FLAG_KEYS = {
-    "k": ("quadric-k", "f4-k"),
-    "l": ("quadric-l", "f4-l"),
-    "family": ("family",),
-    "n_max": ("terminal-n-max",),
-    "weights": ("wps-weights",),
+    "quadric-k": (_parse_int_list, (1, 3, 5, 7, 9), "k"),
+    "quadric-l": (_parse_int_list, (1, 3, 5, 7, 9), "l"),
+    "f4-k": (_parse_int_list, (0, 1, 2, 3), "k"),
+    "f4-l": (_parse_int_list, (0, 1, 2, 3), "l"),
+    "family": (_parse_family, "both", "family"),
+    "terminal-n-max": (int, 50, "n-max"),
+    "wps-weights": (lambda text: tuple(_parse_int_list(part) for part in text.split(";")),
+                    ((1, 1, 1, 2), (1, 1, 2, 3)), "weights"),
+    "bundle": (_parse_bundle, (1, 2, 1), None),
 }
 
 
-def build_config(args, file_values: dict) -> RunConfig:
-    flag_values = {}
-    for flag, keys in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            value = ";".join(value) if flag == "weights" else value
-            flag_values.update(dict.fromkeys(keys, value))
-    cfg = RunConfig()
+def _flag_text(args, flag: str) -> str | None:
+    """The text of ``--flag``, or None if it is not given.  Only ``--weights``
+    may be repeated; its values join with ';'."""
+    given = getattr(args, flag, None)
+    if given is not None and len(given) > 1 and flag != "weights":
+        raise ConfigError(f"flag --{flag} is given {len(given)} times")
+    return None if given is None else ";".join(given)
+
+
+def _read(what: str, reader, text: str):
+    """``reader(text)``; a ValueError becomes a config error naming ``what``."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def build_config(args, file_values: dict) -> dict:
+    cfg = {key: default for key, (_, default, _) in _CONFIG_KEYS.items()}
+    flag_values = [(key, _flag_text(args, flag)) for key, (_, _, flag) in _CONFIG_KEYS.items()
+                   if flag]
     # the file is read before the flags, so a flag cannot hide a bad file value
-    for values in (file_values, flag_values):
-        for key, raw in values.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                setattr(cfg, key.replace("-", "_"), _CONFIG_KEYS[key](raw))
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    flags = (getattr(args, name, None) for name in ("n", "k0", "kinf"))
-    cfg.bundle = tuple(old if new is None else new for old, new in zip(cfg.bundle, flags))
+    for key, text in [*file_values.items(), *flag_values]:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if text is not None:
+            cfg[key] = _read(f"config key {key!r}", _CONFIG_KEYS[key][0], text)
+    # --n, --k0 and --kinf each replace one entry of the bundle
+    texts = {flag: _flag_text(args, flag) for flag in ("n", "k0", "kinf")}
+    cfg["bundle"] = tuple(old if text is None else _read(f"flag --{flag}", int, text)
+                          for old, (flag, text) in zip(cfg["bundle"], texts.items()))
     return cfg
 
 
@@ -324,37 +316,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, summary, flags=None):
+        """A subcommand; ``flags`` maps each of its value flags to its help.
+        A value flag may be given more than once and is read by ``_flag_text``."""
+        command = sub.add_parser(name, parents=[common], help=summary)
+        for flag, text in (flags or {}).items():
+            command.add_argument(f"--{flag}", dest=flag, action="append", help=text)
+        return command
 
-    verify = add("verify", help="gluing, adjudication and quotient checks")
+    twists = "comma-separated twists"
+    verify = add("verify", "gluing, adjudication and quotient checks",
+                 {"k": f"{twists} for the zero chart", "l": f"{twists} for the infinity chart"})
     verify.add_argument("target", choices=("quadric", "f4", "quotient"))
-    verify.add_argument("--k", help="comma-separated twists for the zero chart")
-    verify.add_argument("--l", help="comma-separated twists for the infinity chart")
-
-    equi = add("equivariance", help="action/gluing commutation checks")
-    equi.add_argument("--family", help="a chart family, or both (the default)")
-    equi.add_argument("--k", help="comma-separated twists")
-    equi.add_argument("--l", help="comma-separated twists")
-
-    sing = add("singular-locus", help="per-chart Jacobian certification")
-    sing.add_argument("--k", help="comma-separated twists")
-
-    term = add("terminal", help="terminality classification table")
-    term.add_argument("--n-max", type=int, dest="n_max")
-
-    wps = add("wps", help="weighted projective vertex reports")
-    wps.add_argument(
-        "--weights", action="append", help="comma-separated weights (repeatable)"
-    )
-
-    bn = add("bundle-normalize", help="normal-form walk of a twisted bundle")
-    bn.add_argument("--n", type=int)
-    bn.add_argument("--k0", type=int)
-    bn.add_argument("--kinf", type=int)
-
-    add("dp-homology", help="minus-one curves and homology-lemma cases")
-    add("all", help="every suite at the configured ranges")
+    add("equivariance", "action/gluing commutation checks",
+        {"family": "a chart family, or both (the default)", "k": twists, "l": twists})
+    add("singular-locus", "per-chart Jacobian certification", {"k": twists})
+    add("terminal", "terminality classification table", {"n-max": None})
+    add("wps", "weighted projective vertex reports",
+        {"weights": "comma-separated weights (repeatable)"})
+    add("bundle-normalize", "normal-form walk of a twisted bundle",
+        {"n": None, "k0": None, "kinf": None})
+    add("dp-homology", "minus-one curves and homology-lemma cases")
+    add("all", "every suite at the configured ranges")
     return parser
 
 
@@ -366,7 +349,7 @@ def _suite_names(args) -> list[str]:
     return [args.command]
 
 
-def run(suites: list[str], cfg: RunConfig, emit) -> dict[str, list[dict]]:
+def run(suites: list[str], cfg: dict, emit) -> dict[str, list[dict]]:
     """Run every check of the named suites in order; reports grouped by suite.
 
     ``emit`` receives each report as soon as its check ends.
@@ -404,10 +387,10 @@ def _golden_compare(suite: str, reports: list[dict], directory: str, update: boo
         f"line {i + 1}:\n  golden:   {s}\n  produced: {p}"
         for i, (s, p) in enumerate(zip(stored, produced))
         if s != p
-    ]
+    ][:5]
     if len(stored) != len(produced):
         diff.append(f"line counts differ: golden {len(stored)}, produced {len(produced)}")
-    return f"golden mismatch for {path}:\n" + "\n".join(diff[:5])
+    return f"golden mismatch for {path}:\n" + "\n".join(diff)
 
 
 def main(argv: list[str] | None = None) -> int:

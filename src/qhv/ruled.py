@@ -8,11 +8,11 @@ Two lattice families carry all the intersection arithmetic used here:
   surface blown up in r <= 2 general points; f1.f2 = 1, fi.fi = 0,
   ei.ei = -1, mixed products 0.
 
-Each :class:`Lattice` carries its data: the Gram matrix on the coordinates,
-the coordinates of -K, and the name and printed sign of each basis class.
-The form, -K and the printing read that data; the box scans evaluate the
-form on coordinate tuples and build a :class:`DivisorClass` only for the
-classes they keep.
+Each :class:`Lattice` carries its data: the nonzero Gram entries on the
+coordinates, the coordinates of -K, and the name and printed sign of each
+basis class.  The form, -K and the printing read that data; the box scans
+evaluate the form on coordinate tuples and build a :class:`DivisorClass`
+only for the classes they keep.
 
 On top of the lattices: enumeration of (-1)-classes, the case analysis that
 exhibits a curve meeting a candidate divisor trace nonpositively (the
@@ -26,7 +26,7 @@ trivial bundle, one fiber index per step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
@@ -42,26 +42,19 @@ class LatticeMismatch(ValueError):
 class Lattice:
     """An intersection lattice, described by its data.
 
-    ``gram`` is the intersection form on the coordinate basis, ``minus_k``
-    the coordinates of the anticanonical class, and a class prints as the
-    sum of its coordinates times ``signs`` times ``names``.
+    ``entries`` are the Gram entries (i, j, value) of the intersection form on
+    the coordinate basis, zeros left out (the scans call the form on every
+    class of their box); ``minus_k`` the coordinates of the anticanonical
+    class; and a class prints as the sum of its coordinates times ``signs``
+    times ``names``.
     """
 
     kind: str
     param: int  # base index n, or number of blown-up points r
-    gram: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[int, int, int], ...]
     minus_k: tuple[int, ...]
     names: tuple[str, ...]
     signs: tuple[int, ...]
-    _entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # the form sums over the nonzero Gram entries only: the scans call it
-        # on every class of their box
-        entries = tuple(
-            (i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g
-        )
-        object.__setattr__(self, "_entries", entries)
 
     @property
     def rank(self) -> int:
@@ -69,29 +62,26 @@ class Lattice:
 
     def form(self, u: Sequence[int], v: Sequence[int]) -> int:
         """The intersection form on coordinate tuples."""
-        return sum(g * u[i] * v[j] for i, j, g in self._entries)
+        return sum(g * u[i] * v[j] for i, j, g in self.entries)
 
 
 def hirzebruch(n: int) -> Lattice:
     """Classes a C0 + b F with coordinates (a, b)."""
     if n < 0:
         raise ValueError("hirzebruch index must be >= 0")
-    return Lattice(HIRZEBRUCH, n, ((-n, 1), (1, 0)), (2, n + 2), ("C0", "F"), (1, 1))
+    entries = ((0, 0, -n),) if n else ()
+    entries += ((0, 1, 1), (1, 0, 1))
+    return Lattice(HIRZEBRUCH, n, entries, (2, n + 2), ("C0", "F"), (1, 1))
 
 
 def quadric_blowup(r: int) -> Lattice:
     """Classes p f1 + q f2 - sum(mi ei) with coordinates (p, q, m1, .., mr)."""
     if r not in (0, 1, 2):
         raise ValueError("quadric blow-ups are modeled for r in {0, 1, 2}")
-    rank = 2 + r
-    gram = [[0] * rank for _ in range(rank)]
-    gram[0][1] = gram[1][0] = 1
-    for i in range(2, rank):
-        gram[i][i] = -1
     return Lattice(
         QUADRIC_BLOWUP,
         r,
-        tuple(map(tuple, gram)),
+        ((0, 1, 1), (1, 0, 1)) + tuple((i, i, -1) for i in range(2, 2 + r)),
         (2, 2) + (1,) * r,
         ("f1", "f2") + tuple(f"e{i + 1}" for i in range(r)),
         (1, 1) + (-1,) * r,

@@ -1,6 +1,5 @@
 """Driver behavior: exit codes, determinism, golden comparison, config."""
 
-import dataclasses
 import json
 import re
 import subprocess
@@ -23,6 +22,8 @@ def payloads(lines):
 
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
+#: The configuration a run gets from no file and no flag.
+DEFAULT = {key: default for key, (_, default, _) in cli._CONFIG_KEYS.items()}
 
 
 class TestBasics:
@@ -159,16 +160,15 @@ class TestStreaming:
             events.append(("emit", report["params"]["i"]))
 
         monkeypatch.setitem(cli.SUITES, "probe", probe)
-        results = cli.run(["probe"], cli.RunConfig(), emit)
+        results = cli.run(["probe"], DEFAULT, emit)
         assert events == [(kind, i) for i in range(3) for kind in ("start", "emit")]
         assert [r["params"]["i"] for r in results["probe"]] == [0, 1, 2]
 
 
 class TestDeterminism:
     # Small ranges that still reach every suite.
-    SMALL = cli.RunConfig(
-        quadric_k=(1, 3), quadric_l=(1,), f4_k=(0, 1), f4_l=(1,), terminal_n_max=12
-    )
+    SMALL = {**DEFAULT, "quadric-k": (1, 3), "quadric-l": (1,), "f4-k": (0, 1), "f4-l": (1,),
+             "terminal-n-max": 12}
 
     def checks(self):
         for suite in cli.SUITES.values():
@@ -286,6 +286,17 @@ class TestGolden:
             len((GOLDENS / f"{suite}.jsonl").read_text().splitlines()) for suite in cli.SUITES
         )
 
+    def test_line_count_note_follows_five_changed_lines(self, capsys, tmp_path):
+        argv = ("verify", "quadric", "--k", "1,3,5", "--l", "1,3", "--golden", str(tmp_path))
+        assert run_cli(capsys, *argv, "--update-golden")[0] == 0
+        path = tmp_path / "verify-quadric.jsonl"
+        changed_lines = path.read_text().replace('"pass"', '"fail"').splitlines()
+        path.write_text("\n".join([*changed_lines, '{"made": "up"}']) + "\n")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and len(changed_lines) == 6
+        assert "line 5:" in err and "line 6:" not in err
+        assert err.endswith("line counts differ: golden 7, produced 6\n")
+
     def test_all_compares_each_suite_file(self, capsys, tmp_path, monkeypatch):
         cheap = ("wps", "bundle-normalize")
         monkeypatch.setattr(cli, "SUITES", {name: cli.SUITES[name] for name in cheap})
@@ -384,7 +395,7 @@ class TestConfigFile:
 
 
 def config_of(monkeypatch, *argv):
-    """The RunConfig that ``qhv ARGV`` would run, with no check run."""
+    """The configuration that ``qhv ARGV`` would run, with no check run."""
     seen = []
     monkeypatch.setattr(cli, "run", lambda suites, cfg, emit: seen.append(cfg) or {})
     assert cli.main(list(argv)) == 0
@@ -393,21 +404,20 @@ def config_of(monkeypatch, *argv):
 
 
 def changed(cfg):
-    """The RunConfig fields that differ from the defaults."""
-    default = cli.RunConfig()
-    return {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
-            if getattr(cfg, f.name) != getattr(default, f.name)}
+    """The config keys whose values differ from the defaults."""
+    assert cfg.keys() == DEFAULT.keys()
+    return {key: value for key, value in cfg.items() if value != DEFAULT[key]}
 
 
 class TestParameters:
     @pytest.mark.parametrize("line, expected", [
-        ("quadric-k = 1,3", {"quadric_k": (1, 3)}),
-        ("quadric-l = 5", {"quadric_l": (5,)}),
-        ("f4-k = 0,2", {"f4_k": (0, 2)}),
-        ("f4-l = 3", {"f4_l": (3,)}),
+        ("quadric-k = 1,3", {"quadric-k": (1, 3)}),
+        ("quadric-l = 5", {"quadric-l": (5,)}),
+        ("f4-k = 0,2", {"f4-k": (0, 2)}),
+        ("f4-l = 3", {"f4-l": (3,)}),
         ("family = f4", {"family": "f4"}),
-        ("terminal-n-max = 9", {"terminal_n_max": 9}),
-        ("wps-weights = 1,1,1,2; 1,2,3,5", {"wps_weights": ((1, 1, 1, 2), (1, 2, 3, 5))}),
+        ("terminal-n-max = 9", {"terminal-n-max": 9}),
+        ("wps-weights = 1,1,1,2; 1,2,3,5", {"wps-weights": ((1, 1, 1, 2), (1, 2, 3, 5))}),
         ("bundle = 2,1,3", {"bundle": (2, 1, 3)}),
     ])
     def test_each_config_key_sets_its_field(self, monkeypatch, tmp_path, line, expected):
@@ -416,12 +426,12 @@ class TestParameters:
         assert changed(config_of(monkeypatch, "all", "--config", str(path))) == expected
 
     @pytest.mark.parametrize("argv, expected", [
-        (("verify", "quadric", "--k", "1,3"), {"quadric_k": (1, 3), "f4_k": (1, 3)}),
-        (("verify", "f4", "--l", "3"), {"quadric_l": (3,), "f4_l": (3,)}),
+        (("verify", "quadric", "--k", "1,3"), {"quadric-k": (1, 3), "f4-k": (1, 3)}),
+        (("verify", "f4", "--l", "3"), {"quadric-l": (3,), "f4-l": (3,)}),
         (("equivariance", "--family", "quadric"), {"family": "quadric"}),
-        (("terminal", "--n-max", "9"), {"terminal_n_max": 9}),
+        (("terminal", "--n-max", "9"), {"terminal-n-max": 9}),
         (("wps", "--weights", "1,1,1,2", "--weights", "1,2,3,5"),
-         {"wps_weights": ((1, 1, 1, 2), (1, 2, 3, 5))}),
+         {"wps-weights": ((1, 1, 1, 2), (1, 2, 3, 5))}),
         (("bundle-normalize", "--n", "2"), {"bundle": (2, 2, 1)}),
         (("bundle-normalize", "--k0", "3"), {"bundle": (1, 3, 1)}),
         (("bundle-normalize", "--kinf", "4"), {"bundle": (1, 2, 4)}),
@@ -430,10 +440,10 @@ class TestParameters:
         assert changed(config_of(monkeypatch, *argv)) == expected
 
     @pytest.mark.parametrize("argv, expected", [
-        (("verify", "f4", "--k", "5"), {"quadric_k": (5,), "f4_k": (5,)}),
+        (("verify", "f4", "--k", "5"), {"quadric-k": (5,), "f4-k": (5,)}),
         (("equivariance", "--family", "quadric"), {"family": "quadric"}),
-        (("terminal", "--n-max", "7"), {"terminal_n_max": 7}),
-        (("wps", "--weights", "1,1,2,3"), {"wps_weights": ((1, 1, 2, 3),)}),
+        (("terminal", "--n-max", "7"), {"terminal-n-max": 7}),
+        (("wps", "--weights", "1,1,2,3"), {"wps-weights": ((1, 1, 2, 3),)}),
         (("bundle-normalize", "--k0", "4"), {"bundle": (2, 4, 3)}),
     ])
     def test_flag_wins_over_file(self, monkeypatch, tmp_path, argv, expected):
@@ -441,9 +451,46 @@ class TestParameters:
         path.write_text("quadric-k = 1\nf4-k = 2\nfamily = f4\nterminal-n-max = 9\n"
                         "wps-weights = 1,1,1,2\nbundle = 2,1,3\n")
         cfg = config_of(monkeypatch, *argv, "--config", str(path))
-        fields = {"quadric_k": (1,), "f4_k": (2,), "family": "f4", "terminal_n_max": 9,
-                  "wps_weights": ((1, 1, 1, 2),), "bundle": (2, 1, 3)}
-        assert changed(cfg) == {**fields, **expected}
+        values = {"quadric-k": (1,), "f4-k": (2,), "family": "f4", "terminal-n-max": 9,
+                  "wps-weights": ((1, 1, 1, 2),), "bundle": (2, 1, 3)}
+        assert changed(cfg) == {**values, **expected}
+
+    def test_every_default_stated_as_text_gives_the_defaults(self, monkeypatch, tmp_path):
+        # each default is a value its reader produces
+        text = {"quadric-k": "1,3,5,7,9", "quadric-l": "1,3,5,7,9", "f4-k": "0,1,2,3",
+                "f4-l": "0,1,2,3", "family": "both", "terminal-n-max": "50",
+                "wps-weights": "1,1,1,2; 1,1,2,3", "bundle": "1,2,1"}
+        assert text.keys() == DEFAULT.keys()
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in text.items()))
+        assert config_of(monkeypatch, "all", "--config", str(path)) == DEFAULT
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "quadric", "--k", "1", "--k", "3", "--l", "1"),
+        ("verify", "f4", "--l", "1", "--k", "0", "--l", "1"),
+        ("equivariance", "--family", "f4", "--family", "quadric"),
+        ("singular-locus", "--k", "1", "--k", "1"),
+        ("terminal", "--n-max", "5", "--n-max", "7"),
+        ("bundle-normalize", "--n", "1", "--n", "2"),
+        ("bundle-normalize", "--k0", "1", "--kinf", "1", "--k0", "2"),
+        ("bundle-normalize", "--kinf", "1", "--kinf", "1", "--kinf", "1"),
+    ])
+    def test_repeated_value_flag_exit_2(self, capsys, argv):
+        # a repeated flag would otherwise keep its last value silently
+        flag = next(a for a in argv if a.startswith("--") and argv.count(a) > 1)
+        code, lines, err = run_cli(capsys, *argv)
+        assert code == 2 and lines == []
+        assert err == f"config error: flag {flag} is given {argv.count(flag)} times\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("terminal", "--n-max", "x"), "config key 'terminal-n-max': invalid literal"),
+        (("bundle-normalize", "--n", "x"), "flag --n: invalid literal"),
+        (("bundle-normalize", "--k0", "1.5"), "flag --k0: invalid literal"),
+        (("bundle-normalize", "--kinf", ""), "flag --kinf: invalid literal"),
+    ])
+    def test_bad_flag_value_exit_2(self, capsys, argv, message):
+        code, lines, err = run_cli(capsys, *argv)
+        assert code == 2 and lines == [] and err.startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("line, argv", [
         ("quadric-k = 1 3", ("verify", "quadric", "--k", "5")),

@@ -13,8 +13,9 @@ when that function reads the name it binds.  A name in a literal
 name; a slot that is only ever assigned is state nothing reads.  The same holds for stored names: a
 module-level assignment counts as used when the package reads it as a name
 or its name occurs in the text of ``perfbench/*.py`` (dunder names are
-exempt), and a dataclass field when the package reads an attribute of that
-name.
+exempt), a dataclass field when the package reads an attribute of that
+name, and a key of the run configuration ``cli._CONFIG_KEYS`` when a suite
+(``cli.suite_*``) reads it as ``cfg["<key>"]``.
 """
 
 import ast
@@ -169,3 +170,25 @@ def test_every_dataclass_field_is_read():
     assert fields, "no dataclass field in src/qhv"
     unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_every_config_key_is_read_by_a_suite():
+    tree = _trees()["cli.py"]
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_CONFIG_KEYS" for t in node.targets)
+    ]
+    keys = [key.value for key in table.keys]
+    read = {
+        n.slice.value
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("suite_")
+        for n in ast.walk(func)
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load)
+        and isinstance(n.value, ast.Name) and n.value.id == "cfg"
+        and isinstance(n.slice, ast.Constant)
+    }
+    assert keys, "no config key in cli._CONFIG_KEYS"
+    unread = [key for key in keys if key not in read]
+    assert not unread, f"config keys no suite reads: {unread}"
