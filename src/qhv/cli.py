@@ -13,9 +13,11 @@ suite against ``DIR/<suite>.jsonl``, so ``all`` checks one file per suite;
 engine call runs under the fixed step limit ``ideals.STEP_BUDGET``; a check
 that exceeds it reports ``error``.
 
-Importing this module loads no other ``qhv`` module.  Each suite, check body
-and the ``family`` reader imports the library modules it uses when it runs,
-so a command loads only the modules its suites use; ``all`` loads them all.
+Importing this module loads no other ``qhv`` module.  Each suite and the
+``family`` reader imports the library modules it uses when it runs, so a
+command loads only the modules its suites use; ``all`` loads them all.  A
+suite loads its modules before it yields its first check, so no check's
+``duration_ms`` includes loading one.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ def _run_check(name: str, params: dict, body) -> dict:
 # -- suites --------------------------------------------------------------------
 #
 # A suite yields (check_name, params, body) in report order; ``body`` returns
-# (passed, witnesses) and is run by ``run``.  Suites and bodies import their
-# library modules when they run, and look each check up on the module object
-# then, so a wrapper on the module attribute sees every call.
+# (passed, witnesses) and is run by ``run``.  Suites import their library
+# modules before their first yield.  Each check is looked up on the module
+# object when the suite yields it, or by the body that receives the module
+# when it runs, so a wrapper on the module attribute sees every call.
 
 
 def _glued(check, family: str, k: int, l: int):
@@ -65,20 +68,17 @@ def _glued(check, family: str, k: int, l: int):
     return check(dg.glued_family(family, k, l))
 
 
-def _terminal(n_max: int):
-    from . import singular
+def _terminal(singular, n_max: int):
     table = singular.classify_terminal_types(n_max)
     return not table, [{"n_max": n_max, "counterexamples": table}]
 
 
-def _wps(weights: tuple[int, ...]):
-    from . import singular
+def _wps(singular, weights: tuple[int, ...]):
     rows = singular.wps_singularity_report(list(weights))
     return all(r["terminal"] for r in rows), rows
 
 
-def _bundle_normalize(n: int, k0: int, kinf: int):
-    from . import ruled
+def _bundle_normalize(ruled, n: int, k0: int, kinf: int):
     state = ruled.construct_twisted(n, k0, kinf)
     final, steps = ruled.figure1_normalize(state)
     round_trip = ruled.replay_reversed(n, steps) == state
@@ -93,8 +93,7 @@ def _bundle_normalize(n: int, k0: int, kinf: int):
     return ok, [witness]
 
 
-def _minus_one_count():
-    from . import ruled
+def _minus_one_count(ruled):
     # 0 on the minimal surface, 3 after one blow-up, 6 after two (the
     # degree-six del Pezzo's classical six lines).
     expected = {0: 0, 1: 3, 2: 6}
@@ -107,8 +106,7 @@ def _minus_one_count():
     return ok, rows
 
 
-def _homology_lemma(fiber: str):
-    from . import ruled
+def _homology_lemma(ruled, fiber: str):
     rep = ruled.homology_lemma_cases(fiber)
     return rep["passed"], rep["cases"]
 
@@ -152,27 +150,30 @@ def suite_singular_locus(cfg):
 
 
 def suite_terminal(cfg):
+    from . import singular
     n_max = cfg["terminal-n-max"]
-    yield "terminal-classification", {"n_max": n_max}, partial(_terminal, n_max)
+    yield "terminal-classification", {"n_max": n_max}, partial(_terminal, singular, n_max)
 
 
 def suite_wps(cfg):
+    from . import singular
     for weights in cfg["wps-weights"]:
         name = ",".join(str(w) for w in weights)
-        yield "wps-vertices", {"weights": name}, partial(_wps, weights)
+        yield "wps-vertices", {"weights": name}, partial(_wps, singular, weights)
 
 
 def suite_bundle_normalize(cfg):
+    from . import ruled
     n, k0, kinf = cfg["bundle"]
     params = {"n": n, "k0": k0, "kinf": kinf}
-    yield "bundle-normalize", params, partial(_bundle_normalize, n, k0, kinf)
+    yield "bundle-normalize", params, partial(_bundle_normalize, ruled, n, k0, kinf)
 
 
 def suite_dp_homology(cfg):
     from . import ruled
-    yield "minus-one-count", {}, _minus_one_count
+    yield "minus-one-count", {}, partial(_minus_one_count, ruled)
     for fiber in ruled.FIBERS:
-        yield "homology-lemma", {"fiber": fiber}, partial(_homology_lemma, fiber)
+        yield "homology-lemma", {"fiber": fiber}, partial(_homology_lemma, ruled, fiber)
 
 
 #: Every suite in the order ``qhv all`` runs them.

@@ -10,9 +10,13 @@ Two lattice families carry all the intersection arithmetic used here:
 
 Each :class:`Lattice` carries its data: the nonzero Gram entries on the
 coordinates, the coordinates of -K, and the name and printed sign of each
-basis class.  The form, -K and the printing read that data; the box scans
-evaluate the form on coordinate tuples and build a :class:`DivisorClass`
-only for the classes they keep.
+basis class.  The form, -K and the printing read that data.
+
+The scans stay in a coordinate box of side ``bound`` but visit only the
+classes they can keep: -K.D = 1 fixes the last coordinate of a (-1)-class,
+and each inequality D.e >= 0 on a nef class bounds the last coordinate it
+reads.  They work on coordinate tuples and build a :class:`DivisorClass`
+only for the classes they return.
 
 On top of the lattices: enumeration of (-1)-classes, the case analysis that
 exhibits a curve meeting a candidate divisor trace nonpositively (the
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 HIRZEBRUCH = "hirzebruch"
@@ -43,10 +48,10 @@ class Lattice:
     """An intersection lattice, described by its data.
 
     ``entries`` are the Gram entries (i, j, value) of the intersection form on
-    the coordinate basis, zeros left out (the scans call the form on every
-    class of their box); ``minus_k`` the coordinates of the anticanonical
-    class; and a class prints as the sum of its coordinates times ``signs``
-    times ``names``.
+    the coordinate basis, zeros left out (the form and the linear forms the
+    scans read are sums over them); ``minus_k`` the coordinates of the
+    anticanonical class; and a class prints as the sum of its coordinates
+    times ``signs`` times ``names``.
     """
 
     kind: str
@@ -125,23 +130,79 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     return d1.lattice.form(d1.coords, d2.coords)
 
 
-def _box(lat: Lattice, bound: int):
-    """The scanned coordinates: 0 <= p, q <= bound and |mi| <= bound on the
-    quadric blow-ups, 0 <= a, b <= bound on a Hirzebruch surface."""
-    span = range(bound + 1)
-    return itertools.product(span, span, *[range(-bound, bound + 1)] * (lat.rank - 2))
+def _spans(lat: Lattice, bound: int) -> list[range]:
+    """The scanned coordinate ranges: 0 <= p, q <= bound and |mi| <= bound on
+    the quadric blow-ups, 0 <= a, b <= bound on a Hirzebruch surface."""
+    return [range(bound + 1)] * 2 + [range(-bound, bound + 1)] * (lat.rank - 2)
+
+
+def _functional(lat: Lattice, v: Sequence[int]) -> tuple[int, ...]:
+    """The coefficients of the linear form u -> form(u, v)."""
+    row = [0] * lat.rank
+    for i, j, g in lat.entries:
+        row[i] += g * v[j]
+    return tuple(row)
+
+
+def _dot(row: Sequence[int], u: Sequence[int]) -> int:
+    return sum(map(mul, row, u))
+
+
+def _minus_one_coords(lat: Lattice, bound: int) -> list[tuple[int, ...]]:
+    """The (-1)-classes among the coordinates of :func:`_spans`, in order.
+
+    -K.D = 1 is linear, and -K reads the last coordinate on every lattice
+    here (coefficient 2 on F_n and the quadric, -1 on a blow-up), so each
+    prefix of the other coordinates leaves one candidate for the last.
+    """
+    *spans, last = _spans(lat, bound)
+    *head, c = _functional(lat, lat.minus_k)
+    found = []
+    for prefix in itertools.product(*spans):
+        x, rest = divmod(1 - _dot(head, prefix), c)
+        d = prefix + (x,)
+        if not rest and x in last and lat.form(d, d) == -1:
+            found.append(d)
+    return found
+
+
+def _walk(spans: Sequence[range], rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The points u of the product of ``spans`` with row.u >= 0 for every
+    row, in coordinate order.
+
+    A row bounds the last coordinate it reads (its last nonzero entry) once
+    the coordinates before are fixed, so the walk extends only the prefixes
+    that meet every row read so far; an all-zero row always holds.
+    """
+    last_read = [max((i for i, c in enumerate(row) if c), default=-1) for row in rows]
+    points = [()]
+    for k, span in enumerate(spans):
+        here = [row for row, last in zip(rows, last_read) if last == k]
+        extended = []
+        for prefix in points:
+            lo, hi = span.start, span.stop
+            for row in here:
+                s, c = _dot(row, prefix), row[k]  # c*x + s >= 0
+                if c > 0:
+                    lo = max(lo, -(s // c))
+                else:
+                    hi = min(hi, s // -c + 1)
+            extended += [prefix + (x,) for x in range(lo, hi)]
+        points = extended
+    return points
 
 
 def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     """All classes with self-intersection -1 meeting the anticanonical in 1.
 
-    Brute-force enumeration over :func:`_box`, in coordinate order.  No
-    class is lost below p, q = 0 (a, b = 0).  On F_n, D = a C0 + b F has
-    -K.D = (2 - n) a + 2b = 1 and then D.D = a (1 - 2a) = -1, so a = 1: the
-    only (-1)-class is C0 + ((n - 1)/2) F, for odd n.  On the quadric
-    blow-ups the default bound 3 is exhaustive.  Write
-    D = p f1 + q f2 - sum(mi ei); then D.D = 2pq - sum(mi^2) = -1 and
-    -K.D = 2p + 2q - sum(mi) = 1, so:
+    The classes with coordinates in :func:`_spans`, in coordinate order: the
+    linear condition -K.D = 1 fixes the last coordinate of each prefix of the
+    others.  No class is lost below p, q = 0 (a, b = 0).  On F_n,
+    D = a C0 + b F has -K.D = (2 - n) a + 2b = 1 and then
+    D.D = a (1 - 2a) = -1, so a = 1: the only (-1)-class is
+    C0 + ((n - 1)/2) F, for odd n.  On the quadric blow-ups the default
+    bound 3 is exhaustive.  Write D = p f1 + q f2 - sum(mi ei); then
+    D.D = 2pq - sum(mi^2) = -1 and -K.D = 2p + 2q - sum(mi) = 1, so:
 
     * r = 0: 2pq = -1 has no integer solution;
     * r = 1: m = 2p + 2q - 1 gives t^2 = s (8 - 7s) with s = p + q,
@@ -152,51 +213,32 @@ def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
 
     Acceptance criterion 9 checks that bounds 3 and 6 give the same classes.
     """
-    form, minus_k = lat.form, lat.minus_k
-    return [
-        DivisorClass(lat, d)
-        for d in _box(lat, bound)
-        if form(d, minus_k) == 1 and form(d, d) == -1
-    ]
+    return [DivisorClass(lat, d) for d in _minus_one_coords(lat, bound)]
 
 
 def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     """Classes of irreducible curves with coordinates bounded by ``bound``.
 
-    A nef class moves in an irreducible family when its square is positive
+    The curves of negative square, and the nef classes that move in an
+    irreducible family.  A nef class moves when its square is positive
     (Bertini), or when its square is 0 and it is primitive: such a class is m
     times a conic class, and only m = 1 has an irreducible member (Manin,
-    *Cubic Forms*, ch. IV).  Hirzebruch: C0, F, and those a C0 + b F with
-    a >= 1 and b >= n a.  Blow-ups of the quadric: the (-1)-classes together
-    with those classes of nonnegative bidegree (p, q) meeting every
-    (-1)-class nonnegatively.  Such a class meets the rulings f1 and f2 in q
-    and p, so it meets them nonnegatively too.  One scan of the box of
-    :func:`minus_one_curves` finds both kinds.  Classes come in coordinate
-    order.
+    *Cubic Forms*, ch. IV).  Hirzebruch: the negative section C0 (n >= 1)
+    and the moving classes a C0 + b F with b >= n a.  Blow-ups of the
+    quadric: the (-1)-classes together with the moving classes meeting
+    every (-1)-class nonnegatively.  A class of nonnegative bidegree (p, q)
+    meets the rulings f1 and f2 in q and p, so it meets them nonnegatively
+    too.  The nef classes are walked in :func:`_spans`, each inequality
+    D.e >= 0 bounding the last coordinate it reads.  Classes come in
+    coordinate order.
     """
-    form = lat.form
-
-    def moves(d, square):
-        return square > 0 or square == 0 and gcd(*d) == 1
-
     if lat.kind == HIRZEBRUCH:
-        n = lat.param
-        return [
-            DivisorClass(lat, d)
-            for d in _box(lat, bound)
-            if d in ((1, 0), (0, 1)) or d[0] >= 1 and d[1] >= n * d[0] and moves(d, form(d, d))
-        ]
-    # a class met negatively by a (-1)-class found so far is dropped at once,
-    # which keeps the list short; the last line checks the later ones
-    exceptional, movable = [], []
-    for d in _box(lat, bound):
-        square = form(d, d)
-        if square == -1 and form(d, lat.minus_k) == 1:
-            exceptional.append(d)
-        elif moves(d, square) and all(form(d, e) >= 0 for e in exceptional):
-            movable.append(d)
-    nef = [d for d in movable if all(form(d, e) >= 0 for e in exceptional)]
-    return [DivisorClass(lat, d) for d in sorted(exceptional + nef)]
+        negative = [(1, 0)] if lat.param and bound else []
+    else:
+        negative = _minus_one_coords(lat, bound)
+    nef = _walk(_spans(lat, bound), [_functional(lat, e) for e in negative])
+    movable = [d for d in nef if (square := lat.form(d, d)) > 0 or square == 0 and gcd(*d) == 1]
+    return [DivisorClass(lat, d) for d in sorted(negative + movable)]
 
 
 def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
@@ -204,8 +246,9 @@ def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
 
     A divisor trace on a fiber would have to meet every fiber curve
     positively; each case therefore certifies the contradiction by searching
-    the bounded class box for an irreducible class whose product with the
+    the irreducible classes of the bounded box for one whose product with the
     trace is <= 0 (preferring product exactly 0, then small coordinates).
+    The product with a trace is the linear form of the trace's sum.
     """
     if fiber not in FIBERS:
         raise ValueError(f"unknown fiber model {fiber!r}")
@@ -222,21 +265,17 @@ def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
     cases = []
     passed = True
     for trace in traces:
-        best = None
-        for cand in candidates:
-            value = sum(intersect(t, cand) for t in trace)
-            if value > 0:
-                continue
-            key = (-value, cand.coords)  # prefer product 0, then small coords
-            if best is None or key < best[0]:
-                best = (key, cand, value)
+        row = _functional(lat, [sum(c) for c in zip(*(t.coords for t in trace))])
+        # prefer product 0, then small coords
+        scored = [(-value, d.coords, d) for d in candidates if (value := _dot(row, d.coords)) <= 0]
+        best = min(scored, default=None)
         ok = best is not None
         passed = passed and ok
         cases.append(
             {
                 "trace": [str(t) for t in trace],
-                "witness": str(best[1]) if ok else None,
-                "product": best[2] if ok else None,
+                "witness": str(best[2]) if ok else None,
+                "product": -best[0] if ok else None,
                 "found": ok,
             }
         )

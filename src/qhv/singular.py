@@ -58,13 +58,21 @@ def is_terminal(q: CyclicQuotient) -> bool:
         raise NonIsolatedQuotient(
             f"{q} is not isolated; the age criterion does not apply"
         )
-    n = q.n
-    w1, w2, w3 = q.weights
-    return all((j * w1) % n + (j * w2) % n + (j * w3) % n > n for j in range(1, n))
+    return _ages_exceed_one(q.n, q.weights)
 
 
-def matches_terminal_form(q: CyclicQuotient) -> bool:
-    """Whether u*q is of type (1, a, -a) mod n, up to order, for some unit u.
+def _ages_exceed_one(n: int, weights: tuple[int, int, int]) -> bool:
+    """Whether sum(j*wi mod n) > n for j = 1, .., n-1: every age exceeds 1."""
+    w1, w2, w3 = weights
+    for j in range(1, n):
+        if (j * w1) % n + (j * w2) % n + (j * w3) % n <= n:
+            return False
+    return True
+
+
+def _has_terminal_form(n: int, weights: tuple[int, int, int]) -> bool:
+    """Whether u*(w1, w2, w3) is of type (1, a, -a) mod n, up to order, for
+    some unit u.
 
     Closed form: some weight w_i is coprime to n and the other two sum to
     0 mod n.  Proof: u*w_i = 1 mod n forces w_i to be a unit and
@@ -72,10 +80,11 @@ def matches_terminal_form(q: CyclicQuotient) -> bool:
     Conversely u = w_i^-1 scales such a triple to (1, a, -a).  This holds for
     every triple, isolated or not.
     """
-    n = q.n
-    w = q.weights
-    return any(
-        gcd(w[i], n) == 1 and (w[i - 1] + w[i - 2]) % n == 0 for i in range(3)
+    w1, w2, w3 = weights
+    return (
+        (w2 + w3) % n == 0 and gcd(w1, n) == 1
+        or (w1 + w3) % n == 0 and gcd(w2, n) == 1
+        or (w1 + w2) % n == 0 and gcd(w3, n) == 1
     )
 
 
@@ -97,12 +106,12 @@ def classify_terminal_types(n_max: int) -> list[dict]:
         units = [w for w in range(1, n) if gcd(w, n) == 1]
         for i, a in enumerate(units):
             for b in units[i:]:
-                q = CyclicQuotient(n, (1, a, b))
-                terminal = is_terminal(q)
-                form = matches_terminal_form(q)
+                weights = (1, a, b)
+                terminal = _ages_exceed_one(n, weights)
+                form = _has_terminal_form(n, weights)
                 if terminal != form:
                     table.append(
-                        {"n": n, "weights": q.weights, "terminal": terminal, "matches_form": form}
+                        {"n": n, "weights": weights, "terminal": terminal, "matches_form": form}
                     )
     return table
 

@@ -12,6 +12,7 @@ from typing import Sequence
 from qhv import ideals
 from qhv.group_actions import Derivation, Sl2Triple, TorusAction, apply
 from qhv.polyring import Polynomial, VariableContext
+from qhv.ruled import FIBERS, HIRZEBRUCH, DivisorClass, Lattice, intersect
 from qhv.singular import CyclicQuotient
 
 
@@ -116,6 +117,73 @@ def matches_terminal_form_by_unit_scan(q: CyclicQuotient) -> bool:
                 if (rest[0] + rest[1]) % n == 0:
                     return True
     return False
+
+
+def _box(lat: Lattice, bound: int):
+    """Every class with 0 <= p, q <= bound (a, b on F_n) and |mi| <= bound."""
+    span = range(bound + 1)
+    return itertools.product(span, span, *[range(-bound, bound + 1)] * (lat.rank - 2))
+
+
+def irreducible_curve_classes_by_box(lat: Lattice, bound: int) -> list[DivisorClass]:
+    """Irreducible curve classes by one pass over the whole box.
+
+    Hirzebruch: C0, F and the classes a C0 + b F with a >= 1, b >= n a that
+    move.  Quadric blow-ups: the (-1)-classes of the box and the moving
+    classes meeting each of them nonnegatively.  A class moves when its
+    square is positive, or 0 with coprime coordinates.
+    """
+    form = lat.form
+
+    def moves(d, square):
+        return square > 0 or square == 0 and gcd(*d) == 1
+
+    if lat.kind == HIRZEBRUCH:
+        n = lat.param
+        return [
+            DivisorClass(lat, d)
+            for d in _box(lat, bound)
+            if d in ((1, 0), (0, 1)) or d[0] >= 1 and d[1] >= n * d[0] and moves(d, form(d, d))
+        ]
+    box = list(_box(lat, bound))
+    exceptional = [d for d in box if form(d, d) == -1 and form(d, lat.minus_k) == 1]
+    nef = [
+        d for d in box
+        if moves(d, form(d, d)) and all(form(d, e) >= 0 for e in exceptional)
+    ]
+    return [DivisorClass(lat, d) for d in sorted(exceptional + nef)]
+
+
+def homology_cases_by_intersect(fiber: str, bound: int) -> dict:
+    """The homology-lemma report, each product taken by ``intersect``.
+
+    Per trace, the witness is the box curve class whose product with the
+    trace is <= 0, preferring product 0, then small coordinates.
+    """
+    lat = FIBERS[fiber]
+    candidates = irreducible_curve_classes_by_box(lat, bound)
+    if fiber == "blowup1":
+        e1, c1, c3 = (DivisorClass(lat, c) for c in ((0, 0, -1), (1, 0, 1), (0, 1, 1)))
+        traces = [(c1, e1), (e1, c3), (e1,)]
+    else:
+        traces = [(d,) for d in candidates if intersect(d, d) == -1]
+    cases = []
+    for trace in traces:
+        best = None
+        for cand in candidates:
+            value = sum(intersect(t, cand) for t in trace)
+            if value <= 0 and (best is None or (-value, cand.coords) < (-best[1], best[0].coords)):
+                best = (cand, value)
+        cases.append(
+            {
+                "trace": [str(t) for t in trace],
+                "witness": None if best is None else str(best[0]),
+                "product": None if best is None else best[1],
+                "found": best is not None,
+            }
+        )
+    passed = all(case["found"] for case in cases)
+    return {"fiber": fiber, "bound": bound, "passed": passed, "cases": cases}
 
 
 def monomials_up_to_degree(ring: VariableContext, degree: int) -> list[Polynomial]:

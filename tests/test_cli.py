@@ -601,3 +601,34 @@ def test_command_loads_only_what_its_suites_use(command):
     done = subprocess.run([sys.executable, "-c", LOADED, *command.split()], cwd=src,
                           capture_output=True, text=True, timeout=60, check=True)
     assert set(done.stdout.split()) == {"qhv.cli"} | MODULES[command]
+
+
+# Advances suite ARG to its first check in a fresh interpreter and prints the
+# qhv modules loaded by then.
+FIRST_CHECK = """
+import argparse, sys
+from qhv import cli
+next(cli.SUITES[sys.argv[1]](cli.build_config(argparse.Namespace(), {})))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("qhv."))))
+"""
+#: The modules each suite loads before it yields its first check.
+SUITE_MODULES = {
+    "verify-quadric": CHARTS,
+    "verify-f4": CHARTS,
+    "verify-quotient": CHARTS,
+    "equivariance": CHARTS,
+    "singular-locus": CHARTS,
+    "terminal": {"qhv.singular"},
+    "wps": {"qhv.singular"},
+    "bundle-normalize": {"qhv.ruled"},
+    "dp-homology": {"qhv.ruled"},
+}
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_suite_loads_its_modules_before_its_first_check(suite):
+    # so no check's duration_ms includes loading a library module
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", FIRST_CHECK, suite], cwd=src,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert set(done.stdout.split()) == {"qhv.cli"} | SUITE_MODULES[suite]

@@ -7,15 +7,18 @@ from math import gcd
 
 import pytest
 
+from oracles import homology_cases_by_intersect, irreducible_curve_classes_by_box
 from qhv.ruled import (
     A0,
     AINF,
+    FIBERS,
     BundleState,
     DivisorClass,
     E0,
     EINF,
     LatticeMismatch,
     QUADRIC_BLOWUP,
+    _walk,
     construct_twisted,
     figure1_normalize,
     hirzebruch,
@@ -165,6 +168,47 @@ class TestMinusOneCurves:
         for r in (1, 2):
             for d in irreducible_curve_classes(quadric_blowup(r)):
                 assert intersect(d, d) >= -1
+
+
+class TestScansAgainstBoxOracles:
+    def test_irreducible_classes_equal_the_box_scan(self):
+        lattices = [hirzebruch(n) for n in range(8)] + [quadric_blowup(r) for r in range(3)]
+        for lat, bound in itertools.product(lattices, range(10)):
+            assert irreducible_curve_classes(lat, bound) == irreducible_curve_classes_by_box(
+                lat, bound
+            ), (lat.kind, lat.param, bound)
+
+    def test_homology_cases_equal_the_intersect_search(self):
+        for fiber, bound in itertools.product(FIBERS, range(10)):
+            assert homology_lemma_cases(fiber, bound) == homology_cases_by_intersect(
+                fiber, bound
+            ), (fiber, bound)
+
+    def test_walk_equals_the_filtered_product(self):
+        # random spans (some empty) and integer rows with many zero
+        # coefficients; an all-zero row is added to every second system
+        rng = random.Random(2718)
+        for trial in range(400):
+            rank = rng.randint(1, 4)
+            spans = []
+            for _ in range(rank):
+                lo = rng.randint(-4, 3)
+                spans.append(range(lo, lo + rng.randint(0, 6)))
+            rows = [
+                tuple(rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(rank))
+                for _ in range(rng.randint(0, 4))
+            ]
+            if trial % 2:
+                rows.insert(rng.randint(0, len(rows)), (0,) * rank)
+            expected = [
+                u for u in itertools.product(*spans)
+                if all(sum(c * x for c, x in zip(row, u)) >= 0 for row in rows)
+            ]
+            assert _walk(spans, rows) == expected, (spans, rows)
+
+    def test_all_zero_row_always_holds(self):
+        spans = [range(-2, 3), range(0, 2), range(-1, 1)]
+        assert _walk(spans, [(0, 0, 0)]) == list(itertools.product(*spans))
 
 
 class TestHomologyLemmaCases:

@@ -13,7 +13,6 @@ from qhv.singular import (
     NonIsolatedQuotient,
     classify_terminal_types,
     is_terminal,
-    matches_terminal_form,
     wps_singularity_report,
 )
 from oracles import age, matches_terminal_form_by_unit_scan
@@ -21,6 +20,11 @@ from oracles import age, matches_terminal_form_by_unit_scan
 
 def units(n):
     return [w for w in range(1, n) if gcd(w, n) == 1]
+
+
+def matches_terminal_form(q):
+    """The closed form the table reads on the weights, on a quotient."""
+    return singular._has_terminal_form(q.n, q.weights)
 
 
 def orbit(n, weights):
@@ -36,7 +40,8 @@ class TestAge:
         assert age(CyclicQuotient(3, (1, 1, 1)), 1) == 1
 
     def test_is_terminal_is_the_age_criterion(self):
-        # is_terminal sums the ages inline; compare it with the oracle's ages
+        # is_terminal runs the age criterion on the weights; compare it with
+        # the oracle's ages
         for n in range(2, 21):
             for ws in itertools.product(units(n), repeat=3):
                 q = CyclicQuotient(n, ws)
@@ -126,16 +131,17 @@ class TestClassification:
                 assert matches_terminal_form(q) == matches_terminal_form_by_unit_scan(q)
 
     def test_representatives_reach_every_orbit(self, monkeypatch):
-        original = singular.matches_terminal_form
+        # the table calls the closed form on the weights of each representative
+        original = singular._has_terminal_form
         visited = []
 
-        def record(q):
-            visited.append(q)
-            return original(q)
+        def record(n, weights):
+            visited.append((n, weights))
+            return original(n, weights)
 
-        monkeypatch.setattr(singular, "matches_terminal_form", record)
+        monkeypatch.setattr(singular, "_has_terminal_form", record)
         assert classify_terminal_types(30) == []
-        reached = {(q.n, t) for q in visited for t in orbit(q.n, q.weights)}
+        reached = {(n, t) for n, weights in visited for t in orbit(n, weights)}
         for n in range(2, 31):
             for ws in itertools.combinations_with_replacement(units(n), 3):
                 assert (n, ws) in reached, (n, ws)
@@ -143,13 +149,41 @@ class TestClassification:
         # a criterion that is wrong on one orbit only shows up in the table
         wrong = orbit(7, (1, 2, 4))
 
-        def flipped(q):
-            return original(q) != (q.n == 7 and tuple(sorted(q.weights)) in wrong)
+        def flipped(n, weights):
+            return original(n, weights) != (n == 7 and tuple(sorted(weights)) in wrong)
 
-        monkeypatch.setattr(singular, "matches_terminal_form", flipped)
+        monkeypatch.setattr(singular, "_has_terminal_form", flipped)
         table = classify_terminal_types(10)
         assert table
         assert all(r["n"] == 7 and tuple(sorted(r["weights"])) in wrong for r in table)
+
+    @pytest.mark.parametrize("flip", [None, "_ages_exceed_one", "_has_terminal_form"])
+    def test_table_equals_the_quotient_reference(self, monkeypatch, flip):
+        # the table against rows built from CyclicQuotient, is_terminal and
+        # matches_terminal_form; flipping either criterion on one orbit
+        # reaches both sides alike
+        if flip:
+            original = getattr(singular, flip)
+            wrong = orbit(13, (1, 3, 9))
+
+            def flipped(n, weights):
+                return original(n, weights) != (n == 13 and tuple(sorted(weights)) in wrong)
+
+            monkeypatch.setattr(singular, flip, flipped)
+        reference = []
+        for n in range(2, 41):
+            us = units(n)
+            for i, a in enumerate(us):
+                for b in us[i:]:
+                    q = CyclicQuotient(n, (1, a, b))
+                    terminal, form = is_terminal(q), matches_terminal_form(q)
+                    if terminal != form:
+                        reference.append(
+                            {"n": n, "weights": q.weights, "terminal": terminal,
+                             "matches_form": form}
+                        )
+        assert classify_terminal_types(40) == reference
+        assert bool(reference) == bool(flip)
 
 
 class TestWps:
