@@ -27,9 +27,8 @@ asserts is an exact polynomial identity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .group_actions import (
     EMBEDDING_COMPONENTS,
@@ -70,16 +69,14 @@ class ConstructionError(PolyError):
     fails its invariance checks."""
 
 
-@dataclass(frozen=True, eq=False)
-class ChartModel:
+class ChartModel(NamedTuple):
     """One affine-base chart of a degeneration: its ideal and its torus."""
 
     ideal: Ideal
     torus: TorusAction
 
 
-@dataclass(frozen=True, eq=False)
-class GluedFamily:
+class GluedFamily(NamedTuple):
     """Two charts glued over the punctured base.
 
     Construction does not check the gluing; :func:`verify_gluing` does.
@@ -93,8 +90,7 @@ class GluedFamily:
 # -- chart families -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChartFamily:
+class ChartFamily(NamedTuple):
     """One chart family: its ring, the marked coordinate that the twist acts
     on, that coordinate's degree in w (g = w^2 on the F4 quotient), its twist
     rule, its generators in the coordinates and t, which stands for l^k w^2

@@ -29,12 +29,18 @@ zero; it is checked, and the triple is the same for every twist k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from . import ideals
-from .polyring import PolyError, Polynomial, SubstitutionMap, VariableContext, derivative
+from .polyring import (
+    FrozenSlots,
+    PolyError,
+    Polynomial,
+    SubstitutionMap,
+    VariableContext,
+    derivative,
+)
 
 _XYZ = VariableContext(("x", "y", "z"))
 _x, _y, _z = (_XYZ.var(n) for n in "xyz")
@@ -59,24 +65,26 @@ QUADRIC_CHART_RING = _XYZ.extend(("w", "l"), invertible=("l",))
 F4_CHART_RING = VariableContext((*EMBEDDING_COMPONENTS, "g", "l"), invertible={"l"})
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(FrozenSlots):
     """Variable-to-polynomial assignment extended by the Leibniz rule."""
 
-    ring: VariableContext
-    images: Mapping[str, Polynomial] = field(hash=False)
+    __slots__ = ("ring", "images")
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", dict(self.images))
-        missing = set(self.ring.names) - set(self.images)
+    def __init__(self, ring: VariableContext, images: Mapping[str, Polynomial]):
+        images = dict(images)
+        missing = set(ring.names) - set(images)
         if missing:
             raise PolyError(f"derivation lacks images for {sorted(missing)}")
-        unknown = set(self.images) - set(self.ring.names)
+        unknown = set(images) - set(ring.names)
         if unknown:
             raise PolyError(f"derivation has images for unknown variables {sorted(unknown)}")
-        for name, img in self.images.items():
-            if img.ring != self.ring:
+        for name, img in images.items():
+            if img.ring != ring:
                 raise PolyError(f"image of {name!r} lives in a different context")
+        self._freeze(ring, images)
+
+    def __hash__(self):
+        return hash(self.ring)
 
 
 def apply(D: Derivation, p: Polynomial) -> Polynomial:
@@ -172,14 +180,16 @@ def check_ideal_invariance(I: ideals.Ideal, T: Sl2Triple) -> bool:
     return all(ideals.contains(I, apply(D, g)) for D in T for g in I.generators)
 
 
-@dataclass(frozen=True)
-class TorusAction:
+class TorusAction(FrozenSlots):
     """Diagonal one-parameter scaling: each variable scales by xi^weight."""
 
-    weights: Mapping[str, int] = field(hash=False)
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
+    def __init__(self, weights: Mapping[str, int]):
+        self._freeze(dict(weights))
+
+    def __hash__(self):
+        return hash(frozenset(self.weights.items()))
 
     def weight(self, p: Polynomial) -> int | None:
         """The common weight of p's terms, or None when two terms disagree.

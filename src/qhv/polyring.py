@@ -17,8 +17,8 @@ e.g. ``4*x*z - y^2 - l^3*w^2``) is the canonical form that reports carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -32,25 +32,50 @@ class ContextMismatch(PolyError):
     """Operands live in different variable contexts."""
 
 
-@dataclass(frozen=True)
-class VariableContext:
+class FrozenSlots:
+    """Base of the immutable slotted classes: the constructor fills the slots,
+    in order, through :meth:`_freeze`; any later assignment or deletion
+    raises.  Two instances are equal when they have the same type and equal
+    slots; each subclass hashes what its equality reads."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values) -> None:
+        for slot, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, slot, value)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class VariableContext(tuple):
     """Ordered variable set with invertibility flags, ordered grevlex.
 
-    Contexts compare by value, so two independently built contexts with the
-    same data are interchangeable.
+    The pair ``(names, invertible)``: a tuple of names and the frozenset of
+    the invertible ones.  Contexts compare and hash by value, so two
+    independently built contexts with the same data are interchangeable.
     """
 
-    names: tuple[str, ...]
-    invertible: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "invertible", frozenset(self.invertible))
-        if len(set(self.names)) != len(self.names):
-            raise PolyError(f"duplicate variable names in {self.names}")
-        unknown = self.invertible - set(self.names)
+    def __new__(cls, names: Iterable[str], invertible: Iterable[str] = frozenset()):
+        names, invertible = tuple(names), frozenset(invertible)
+        if len(set(names)) != len(names):
+            raise PolyError(f"duplicate variable names in {names}")
+        unknown = invertible - set(names)
         if unknown:
             raise PolyError(f"invertible variables not in context: {sorted(unknown)}")
+        return tuple.__new__(cls, (names, invertible))
+
+    names = property(itemgetter(0))
+    invertible = property(itemgetter(1))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -269,49 +294,55 @@ def map_exponents(
     return out
 
 
-@dataclass(frozen=True)
-class SubstitutionMap:
+class SubstitutionMap(FrozenSlots):
     """Simultaneous substitution sending each source variable to a polynomial.
 
     Every source variable must be assigned; images live in one target
     context (which may equal the source).  Images of invertible source
     variables must be unit monomials so that negative exponents resolve.
+    ``_monomial`` is the map on exponents when every image is a single
+    term, else None; it follows from the rest, so maps are equal exactly
+    when their source, target and assignments are.
     """
 
-    source: VariableContext
-    target: VariableContext
-    assignments: Mapping[str, Polynomial] = field(hash=False)
-    #: the map on exponents when every image is a single term, else None
-    _monomial: tuple[MonomialImage, ...] | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
+    __slots__ = ("source", "target", "assignments", "_monomial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignments", dict(self.assignments))
-        missing = set(self.source.names) - set(self.assignments)
+    def __init__(
+        self,
+        source: VariableContext,
+        target: VariableContext,
+        assignments: Mapping[str, Polynomial],
+    ):
+        assignments = dict(assignments)
+        missing = set(source.names) - set(assignments)
         if missing:
             raise PolyError(f"unassigned variables: {sorted(missing)}")
-        extra = set(self.assignments) - set(self.source.names)
+        extra = set(assignments) - set(source.names)
         if extra:
             raise PolyError(f"assignments for unknown variables: {sorted(extra)}")
-        for name, img in self.assignments.items():
-            if img.ring != self.target:
+        for name, img in assignments.items():
+            if img.ring != target:
                 raise PolyError(f"image of {name!r} lives outside the target context")
             # Invertible variables need single-term images so negative powers
             # can resolve; inverting a non-invertible monomial fails at apply
             # time, when a negative exponent actually occurs.
-            if name in self.source.invertible and len(img.terms) != 1:
+            if name in source.invertible and len(img.terms) != 1:
                 raise PolyError(
                     f"invertible variable {name!r} must map to a unit monomial, got "
                     f"{format_polynomial(img)}"
                 )
-        if all(len(img.terms) == 1 for img in self.assignments.values()):
+        monomial = None
+        if all(len(img.terms) == 1 for img in assignments.values()):
             monomial = []
-            for i, name in enumerate(self.source.names):
-                ((exp, coeff),) = self.assignments[name].terms.items()
+            for i, name in enumerate(source.names):
+                ((exp, coeff),) = assignments[name].terms.items()
                 image = tuple((j, v) for j, v in enumerate(exp) if v)
                 monomial.append((i, None if coeff == 1 else coeff, image))
-            object.__setattr__(self, "_monomial", tuple(monomial))
+            monomial = tuple(monomial)
+        self._freeze(source, target, assignments, monomial)
+
+    def __hash__(self):
+        return hash((self.source, self.target))
 
     def __call__(self, name: str) -> Polynomial:
         return self.assignments[name]

@@ -15,8 +15,9 @@ basis class.  The form, -K and the printing read that data.
 The scans stay in a coordinate box of side ``bound`` but visit only the
 classes they can keep: -K.D = 1 fixes the last coordinate of a (-1)-class,
 and each inequality D.e >= 0 on a nef class bounds the last coordinate it
-reads.  They work on coordinate tuples and build a :class:`DivisorClass`
-only for the classes they return.
+reads.  They work on coordinate tuples: :func:`minus_one_curves` builds a
+:class:`DivisorClass` only for the classes it returns, and the homology
+lemma builds one only for the traces and witnesses it prints.
 
 On top of the lattices: enumeration of (-1)-classes, the case analysis that
 exhibits a curve meeting a candidate divisor trace nonpositively (the
@@ -30,21 +31,15 @@ trivial bundle, one fiber index per step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from operator import mul
-from typing import Sequence
+from operator import itemgetter, mul
+from typing import NamedTuple, Sequence
 
 HIRZEBRUCH = "hirzebruch"
 QUADRIC_BLOWUP = "quadric_blowup"
 
 
-class LatticeMismatch(ValueError):
-    """Operands live in different intersection lattices."""
-
-
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """An intersection lattice, described by its data.
 
     ``entries`` are the Gram entries (i, j, value) of the intersection form on
@@ -97,17 +92,19 @@ def quadric_blowup(r: int) -> Lattice:
 FIBERS = {"sigma1": hirzebruch(1), "blowup1": quadric_blowup(1), "blowup2": quadric_blowup(2)}
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    lattice: Lattice
-    coords: tuple[int, ...]
+class DivisorClass(tuple):
+    """A class of a lattice: the pair ``(lattice, coords)``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != self.lattice.rank:
-            raise ValueError(
-                f"expected {self.lattice.rank} coordinates, got {self.coords}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, lattice: Lattice, coords: Sequence[int]):
+        coords = tuple(coords)
+        if len(coords) != lattice.rank:
+            raise ValueError(f"expected {lattice.rank} coordinates, got {coords}")
+        return tuple.__new__(cls, (lattice, coords))
+
+    lattice = property(itemgetter(0))
+    coords = property(itemgetter(1))
 
     def __str__(self):
         pieces = []
@@ -121,13 +118,6 @@ class DivisorClass:
             return "0"
         head = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
         return head + "".join(f" {s} {m}" for s, m in pieces[1:])
-
-
-def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
-    """Value of the lattice intersection form."""
-    if d1.lattice != d2.lattice:
-        raise LatticeMismatch("classes live in different lattices")
-    return d1.lattice.form(d1.coords, d2.coords)
 
 
 def _spans(lat: Lattice, bound: int) -> list[range]:
@@ -216,8 +206,8 @@ def minus_one_curves(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
     return [DivisorClass(lat, d) for d in _minus_one_coords(lat, bound)]
 
 
-def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass]:
-    """Classes of irreducible curves with coordinates bounded by ``bound``.
+def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[tuple[int, ...]]:
+    """Coordinates of the classes of irreducible curves, bounded by ``bound``.
 
     The curves of negative square, and the nef classes that move in an
     irreducible family.  A nef class moves when its square is positive
@@ -230,7 +220,7 @@ def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass
     meets the rulings f1 and f2 in q and p, so it meets them nonnegatively
     too.  The nef classes are walked in :func:`_spans`, each inequality
     D.e >= 0 bounding the last coordinate it reads.  Classes come in
-    coordinate order.
+    coordinate order, as coordinate tuples.
     """
     if lat.kind == HIRZEBRUCH:
         negative = [(1, 0)] if lat.param and bound else []
@@ -238,7 +228,7 @@ def irreducible_curve_classes(lat: Lattice, bound: int = 3) -> list[DivisorClass
         negative = _minus_one_coords(lat, bound)
     nef = _walk(_spans(lat, bound), [_functional(lat, e) for e in negative])
     movable = [d for d in nef if (square := lat.form(d, d)) > 0 or square == 0 and gcd(*d) == 1]
-    return [DivisorClass(lat, d) for d in sorted(negative + movable)]
+    return sorted(negative + movable)
 
 
 def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
@@ -255,26 +245,23 @@ def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
     lat = FIBERS[fiber]
     candidates = irreducible_curve_classes(lat, bound)
     if fiber == "blowup1":
-        e1 = DivisorClass(lat, (0, 0, -1))
-        c1 = DivisorClass(lat, (1, 0, 1))
-        c3 = DivisorClass(lat, (0, 1, 1))
+        e1, c1, c3 = (0, 0, -1), (1, 0, 1), (0, 1, 1)
         traces = [(c1, e1), (e1, c3), (e1,)]
     else:  # each (-1)-class; on sigma1 that is the (-1)-section alone
-        traces = [(d,) for d in candidates if intersect(d, d) == -1]
+        traces = [(d,) for d in candidates if lat.form(d, d) == -1]
 
     cases = []
     passed = True
     for trace in traces:
-        row = _functional(lat, [sum(c) for c in zip(*(t.coords for t in trace))])
+        row = _functional(lat, [sum(c) for c in zip(*trace)])
         # prefer product 0, then small coords
-        scored = [(-value, d.coords, d) for d in candidates if (value := _dot(row, d.coords)) <= 0]
-        best = min(scored, default=None)
+        best = min(((-value, d) for d in candidates if (value := _dot(row, d)) <= 0), default=None)
         ok = best is not None
         passed = passed and ok
         cases.append(
             {
-                "trace": [str(t) for t in trace],
-                "witness": str(best[2]) if ok else None,
+                "trace": [str(DivisorClass(lat, t)) for t in trace],
+                "witness": str(DivisorClass(lat, best[1])) if ok else None,
                 "product": -best[0] if ok else None,
                 "found": ok,
             }
@@ -299,27 +286,30 @@ _STEPS = {E0: (1, 0), EINF: (0, 1), A0: (-1, 0), AINF: (0, -1)}
 _UNDOES = {A0: E0, AINF: EINF}
 
 
-@dataclass(frozen=True)
-class BundleState:
+class BundleState(tuple):
     """Combinatorial record of a twisted P1-bundle over a Hirzebruch base.
 
-    The fiber index is derived from the counters.  A boundary divisor carries
-    two invariant curves exactly while its twist counter is positive (the
-    construction adds a second invariant section).  The counters are
-    nonnegative, so a positive fiber index means a positive counter: the
-    normal-form walk always has a step to take.
+    The tuple ``(base_n, k0, k_inf, transcript)``: the base index, the two
+    twist counters and the steps taken.  The fiber index is derived from the
+    counters.  A boundary divisor carries two invariant curves exactly while
+    its twist counter is positive (the construction adds a second invariant
+    section).  The counters are nonnegative, so a positive fiber index means
+    a positive counter: the normal-form walk always has a step to take.
     """
 
-    base_n: int
-    k0: int
-    k_inf: int
-    transcript: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k0 < 0 or self.k_inf < 0:
+    def __new__(cls, base_n: int, k0: int, k_inf: int, transcript: tuple[str, ...] = ()):
+        if k0 < 0 or k_inf < 0:
             raise ValueError("twist counters must be nonnegative")
-        if self.base_n < 1:
+        if base_n < 1:
             raise ValueError("the construction needs a base index >= 1")
+        return tuple.__new__(cls, (base_n, k0, k_inf, transcript))
+
+    base_n = property(itemgetter(0))
+    k0 = property(itemgetter(1))
+    k_inf = property(itemgetter(2))
+    transcript = property(itemgetter(3))
 
     @property
     def fiber_m(self) -> int:

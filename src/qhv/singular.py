@@ -18,8 +18,8 @@ every orbit, and compares it with the closed form of the right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 
 
 class NonIsolatedQuotient(ValueError):
@@ -27,19 +27,21 @@ class NonIsolatedQuotient(ValueError):
     for isolated cyclic quotients does not apply."""
 
 
-@dataclass(frozen=True)
-class CyclicQuotient:
-    """Singularity of type (1/n)(w1, w2, w3); weights stored reduced mod n."""
+class CyclicQuotient(tuple):
+    """Singularity of type (1/n)(w1, w2, w3): the pair ``(n, weights)``, with
+    the weights stored reduced mod n."""
 
-    n: int
-    weights: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"group order must be at least 2, got {self.n}")
-        if len(self.weights) != 3:
+    def __new__(cls, n: int, weights: tuple[int, int, int]):
+        if n < 2:
+            raise ValueError(f"group order must be at least 2, got {n}")
+        if len(weights) != 3:
             raise ValueError("exactly three weights are required")
-        object.__setattr__(self, "weights", tuple(w % self.n for w in self.weights))
+        return tuple.__new__(cls, (n, tuple(w % n for w in weights)))
+
+    n = property(itemgetter(0))
+    weights = property(itemgetter(1))
 
     @property
     def isolated(self) -> bool:

@@ -12,7 +12,7 @@ from typing import Sequence
 from qhv import ideals
 from qhv.group_actions import Derivation, Sl2Triple, TorusAction, apply
 from qhv.polyring import Polynomial, VariableContext
-from qhv.ruled import FIBERS, HIRZEBRUCH, DivisorClass, Lattice, intersect
+from qhv.ruled import FIBERS, HIRZEBRUCH, DivisorClass, Lattice
 from qhv.singular import CyclicQuotient
 
 
@@ -117,6 +117,21 @@ def matches_terminal_form_by_unit_scan(q: CyclicQuotient) -> bool:
                 if (rest[0] + rest[1]) % n == 0:
                     return True
     return False
+
+
+class LatticeMismatch(ValueError):
+    """Operands live in different intersection lattices."""
+
+
+def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
+    """Value of the lattice intersection form on two classes of one lattice.
+
+    The package reads the form on coordinate tuples (``Lattice.form``); this
+    is the same form on whole classes, for stating facts about them.
+    """
+    if d1.lattice != d2.lattice:
+        raise LatticeMismatch("classes live in different lattices")
+    return d1.lattice.form(d1.coords, d2.coords)
 
 
 def _box(lat: Lattice, bound: int):

@@ -42,7 +42,6 @@ from qhv.ruled import (
     construct_twisted,
     figure1_normalize,
     homology_lemma_cases,
-    intersect,
     minus_one_curves,
     quadric_blowup,
     replay_reversed,
@@ -51,6 +50,7 @@ from qhv.singular import CyclicQuotient, classify_terminal_types, is_terminal, w
 from linalg_oracle import is_member_bounded, is_member_up_to
 from oracles import (
     brackets_hold_on_monomials,
+    intersect,
     is_groebner_basis,
     leibniz_holds,
     monomials_up_to_degree,

@@ -569,14 +569,18 @@ class TestReportShape:
         assert report["witnesses"] == [{"error": "check failed without detail"}]
 
 
-# Runs ``qhv ARG...`` in a fresh interpreter and prints the qhv modules it loaded.
+# Runs ``qhv ARG...`` in a fresh interpreter and prints the qhv modules it
+# loaded, and ``dataclasses`` or ``inspect`` if it loaded either: the package
+# defines its records without them, and every process would pay their import.
 LOADED = """
 import contextlib, io, sys
+preloaded = set(sys.modules)
 from qhv import cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m.startswith("qhv."))))
+print(" ".join(sorted(m for m in set(sys.modules) - preloaded
+                      if m.startswith("qhv.") or m in ("dataclasses", "inspect"))))
 """
 CHARTS = {"qhv.degenerations", "qhv.group_actions", "qhv.ideals", "qhv.polyring"}
 #: The modules each command loads besides ``qhv.cli``; "" is the bare import.
@@ -601,6 +605,15 @@ def test_command_loads_only_what_its_suites_use(command):
     done = subprocess.run([sys.executable, "-c", LOADED, *command.split()], cwd=src,
                           capture_output=True, text=True, timeout=60, check=True)
     assert set(done.stdout.split()) == {"qhv.cli"} | MODULES[command]
+
+
+def test_library_path_loads_no_dataclasses():
+    # the imports of the benchmark worker's library calls
+    src = Path(cli.__file__).resolve().parents[1]
+    script = LOADED.replace("from qhv import cli", "import qhv.ideals, qhv.polyring, qhv.ruled")
+    done = subprocess.run([sys.executable, "-c", script], cwd=src,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert set(done.stdout.split()) == {"qhv.ideals", "qhv.polyring", "qhv.ruled"}
 
 
 # Advances suite ARG to its first check in a fresh interpreter and prints the

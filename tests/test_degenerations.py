@@ -1,6 +1,5 @@
 """Chart construction, gluing, adjudication, quotient and singular loci."""
 
-import dataclasses
 import json
 import math
 import random
@@ -245,8 +244,8 @@ class TestGluing:
 
 
 def _with_infinity_generators(fam, generators):
-    chart_inf = dataclasses.replace(fam.chart_inf, ideal=Ideal(generators))
-    return dataclasses.replace(fam, chart_inf=chart_inf)
+    chart_inf = fam.chart_inf._replace(ideal=Ideal(generators))
+    return fam._replace(chart_inf=chart_inf)
 
 
 class TestGluingCertificate:
@@ -282,7 +281,7 @@ class TestGluingCertificate:
         images[spec.marked] = ring.monomial(
             1, {spec.marked: 1, "l": spec.degree * (k + l + 2) // 2}
         )
-        wrong = dataclasses.replace(fam, gluing=SubstitutionMap(ring, ring, images))
+        wrong = fam._replace(gluing=SubstitutionMap(ring, ring, images))
         assert verify_gluing(wrong)[0] is False
 
 
@@ -380,7 +379,7 @@ class TestSl2OncePerFamily:
         ring = quadric.twist_free()[0].ring
         bad = ring.var("x") - ring.var("t")
         monkeypatch.setitem(
-            FAMILIES, "quadric", dataclasses.replace(quadric, twist_free=lambda: (bad,))
+            FAMILIES, "quadric", quadric._replace(twist_free=lambda: (bad,))
         )
         for k in (1, 3, 5):
             for chart_id in (ZERO, INFINITY):

@@ -13,8 +13,8 @@ when that function reads the name it binds.  A name in a literal
 name; a slot that is only ever assigned is state nothing reads.  The same holds for stored names: a
 module-level assignment counts as used when the package reads it as a name
 or its name occurs in the text of ``perfbench/*.py`` (dunder names are
-exempt), a dataclass field when the package reads an attribute of that
-name, and a key of the run configuration ``cli._CONFIG_KEYS`` when a suite
+exempt), a record field when the package reads an attribute of that name,
+and a key of the run configuration ``cli._CONFIG_KEYS`` when a suite
 (``cli.suite_*``) reads it as ``cfg["<key>"]``.
 """
 
@@ -148,28 +148,61 @@ def test_every_module_level_name_is_read():
     assert not unread, f"module-level names nothing reads: {unread}"
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-        for d in node.decorator_list
-    )
+#: NamedTuples the package reads whole, by iteration or unpacking, never by
+#: field name: ``check_ideal_invariance`` runs ``for D in T``.
+ITERATED_RECORDS = {"Sl2Triple"}
+
+
+def _record_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
+    """The fields of a record class, with their line numbers.
+
+    A ``NamedTuple`` declares its fields as annotations; a ``tuple`` subclass
+    exposes its items as ``name = property(itemgetter(i))``; a slotted class
+    stores them in its literal ``__slots__``.
+    """
+    bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+    if "NamedTuple" in bases:
+        if node.name in ITERATED_RECORDS:
+            return []
+        return [
+            (stmt.lineno, stmt.target.id)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        ]
+    fields = []
+    for stmt in node.body:
+        if not isinstance(stmt, ast.Assign):
+            continue
+        for target in stmt.targets:
+            if not isinstance(target, ast.Name):
+                continue
+            if target.id == "__slots__":
+                fields += [(stmt.lineno, elt.value) for elt in stmt.value.elts]
+            elif (
+                "tuple" in bases
+                and isinstance(stmt.value, ast.Call)
+                and isinstance(stmt.value.func, ast.Name)
+                and stmt.value.func.id == "property"
+            ):
+                fields.append((stmt.lineno, target.id))
+    return fields
 
 
 def test_every_dataclass_field_is_read():
+    # The package defines no dataclass; its records are NamedTuples, tuple
+    # subclasses with item properties, and slotted classes.
     trees = _trees()
     read = _loaded(trees, ast.Attribute)
     fields = [
-        f"{module}:{stmt.lineno} {node.name}.{stmt.target.id}"
+        (f"{module}:{lineno} {node.name}.{name}", name)
         for module, tree in trees.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        if isinstance(node, ast.ClassDef)
+        for lineno, name in _record_fields(node)
     ]
-    assert fields, "no dataclass field in src/qhv"
-    unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
-    assert not unread, f"dataclass fields nothing reads: {unread}"
+    assert fields, "no record field in src/qhv"
+    unread = [where for where, name in fields if name not in read]
+    assert not unread, f"record fields nothing reads: {unread}"
 
 
 def test_every_config_key_is_read_by_a_suite():

@@ -7,7 +7,12 @@ from math import gcd
 
 import pytest
 
-from oracles import homology_cases_by_intersect, irreducible_curve_classes_by_box
+from oracles import (
+    LatticeMismatch,
+    homology_cases_by_intersect,
+    intersect,
+    irreducible_curve_classes_by_box,
+)
 from qhv.ruled import (
     A0,
     AINF,
@@ -16,14 +21,12 @@ from qhv.ruled import (
     DivisorClass,
     E0,
     EINF,
-    LatticeMismatch,
     QUADRIC_BLOWUP,
     _walk,
     construct_twisted,
     figure1_normalize,
     hirzebruch,
     homology_lemma_cases,
-    intersect,
     irreducible_curve_classes,
     minus_one_curves,
     quadric_blowup,
@@ -105,11 +108,9 @@ class TestIntersectionForm:
         # negative square, and its square is -n
         for n in range(1, 6):
             lat = hirzebruch(n)
-            negative = [
-                d for d in irreducible_curve_classes(lat) if intersect(d, d) < 0
-            ]
-            assert [d.coords for d in negative] == [(1, 0)]
-            assert intersect(negative[0], negative[0]) == -n
+            negative = [d for d in irreducible_curve_classes(lat) if lat.form(d, d) < 0]
+            assert negative == [(1, 0)]
+            assert lat.form(negative[0], negative[0]) == -n
 
 
 class TestMinusOneCurves:
@@ -151,7 +152,9 @@ class TestMinusOneCurves:
             assert minus_one_curves(lat, bound) == reference
             if lat.kind == QUADRIC_BLOWUP:
                 scanned = [
-                    d for d in irreducible_curve_classes(lat, bound) if intersect(d, d) == -1
+                    DivisorClass(lat, d)
+                    for d in irreducible_curve_classes(lat, bound)
+                    if lat.form(d, d) == -1
                 ]
                 assert scanned == reference
 
@@ -160,23 +163,23 @@ class TestMinusOneCurves:
         lattices = [hirzebruch(n) for n in range(6)] + [quadric_blowup(r) for r in range(3)]
         for lat in lattices:
             for d in irreducible_curve_classes(lat):
-                assert intersect(d, d) != 0 or gcd(*d.coords) == 1, str(d)
+                assert lat.form(d, d) != 0 or gcd(*d) == 1, d
 
     def test_general_position_no_minus_two_classes(self):
         # genericity of the blown-up points, encoded in the lattice model:
         # no irreducible class has self-intersection below -1
         for r in (1, 2):
-            for d in irreducible_curve_classes(quadric_blowup(r)):
-                assert intersect(d, d) >= -1
+            lat = quadric_blowup(r)
+            for d in irreducible_curve_classes(lat):
+                assert lat.form(d, d) >= -1
 
 
 class TestScansAgainstBoxOracles:
     def test_irreducible_classes_equal_the_box_scan(self):
         lattices = [hirzebruch(n) for n in range(8)] + [quadric_blowup(r) for r in range(3)]
         for lat, bound in itertools.product(lattices, range(10)):
-            assert irreducible_curve_classes(lat, bound) == irreducible_curve_classes_by_box(
-                lat, bound
-            ), (lat.kind, lat.param, bound)
+            by_box = [d.coords for d in irreducible_curve_classes_by_box(lat, bound)]
+            assert irreducible_curve_classes(lat, bound) == by_box, (lat.kind, lat.param, bound)
 
     def test_homology_cases_equal_the_intersect_search(self):
         for fiber, bound in itertools.product(FIBERS, range(10)):
