@@ -30,11 +30,11 @@ zero; it is checked, and the triple is the same for every twist k.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from . import ideals
 from .polyring import (
-    FrozenSlots,
     PolyError,
     Polynomial,
     SubstitutionMap,
@@ -65,12 +65,12 @@ QUADRIC_CHART_RING = _XYZ.extend(("w", "l"), invertible=("l",))
 F4_CHART_RING = VariableContext((*EMBEDDING_COMPONENTS, "g", "l"), invertible={"l"})
 
 
-class Derivation(FrozenSlots):
+class Derivation(tuple):
     """Variable-to-polynomial assignment extended by the Leibniz rule."""
 
-    __slots__ = ("ring", "images")
+    __slots__ = ()
 
-    def __init__(self, ring: VariableContext, images: Mapping[str, Polynomial]):
+    def __new__(cls, ring: VariableContext, images: Mapping[str, Polynomial]):
         images = dict(images)
         missing = set(ring.names) - set(images)
         if missing:
@@ -81,7 +81,10 @@ class Derivation(FrozenSlots):
         for name, img in images.items():
             if img.ring != ring:
                 raise PolyError(f"image of {name!r} lives in a different context")
-        self._freeze(ring, images)
+        return tuple.__new__(cls, (ring, images))
+
+    ring = property(itemgetter(0))
+    images = property(itemgetter(1))
 
     def __hash__(self):
         return hash(self.ring)
@@ -180,13 +183,15 @@ def check_ideal_invariance(I: ideals.Ideal, T: Sl2Triple) -> bool:
     return all(ideals.contains(I, apply(D, g)) for D in T for g in I.generators)
 
 
-class TorusAction(FrozenSlots):
+class TorusAction(tuple):
     """Diagonal one-parameter scaling: each variable scales by xi^weight."""
 
-    __slots__ = ("weights",)
+    __slots__ = ()
 
-    def __init__(self, weights: Mapping[str, int]):
-        self._freeze(dict(weights))
+    def __new__(cls, weights: Mapping[str, int]):
+        return tuple.__new__(cls, (dict(weights),))
+
+    weights = property(itemgetter(0))
 
     def __hash__(self):
         return hash(frozenset(self.weights.items()))

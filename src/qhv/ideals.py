@@ -74,18 +74,17 @@ class ResourceLimitExceeded(RuntimeError):
 
 
 class _Counter:
-    __slots__ = ("steps", "limit", "ring")
+    __slots__ = ("steps", "ring")
 
     def __init__(self, ring: VariableContext):
         self.steps = 0
-        self.limit = STEP_BUDGET
         self.ring = ring
 
     def tick(self, n: int = 1):
         self.steps += n
-        if self.steps > self.limit:
+        if self.steps > STEP_BUDGET:
             raise ResourceLimitExceeded(
-                f"step budget of {self.limit} exceeded after {self.steps} steps "
+                f"step budget of {STEP_BUDGET} exceeded after {self.steps} steps "
                 f"over the variables {', '.join(self.ring.names)}"
             )
 

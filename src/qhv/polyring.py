@@ -32,29 +32,6 @@ class ContextMismatch(PolyError):
     """Operands live in different variable contexts."""
 
 
-class FrozenSlots:
-    """Base of the immutable slotted classes: the constructor fills the slots,
-    in order, through :meth:`_freeze`; any later assignment or deletion
-    raises.  Two instances are equal when they have the same type and equal
-    slots; each subclass hashes what its equality reads."""
-
-    __slots__ = ()
-
-    def _freeze(self, *values) -> None:
-        for slot, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, slot, value)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-
 class VariableContext(tuple):
     """Ordered variable set with invertibility flags, ordered grevlex.
 
@@ -101,10 +78,7 @@ class VariableContext(tuple):
         return self.const(1)
 
     def const(self, value) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, {(0,) * len(self.names): c})
+        return Polynomial(self, {(0,) * len(self.names): value})
 
     def var(self, name: str) -> "Polynomial":
         return self.monomial(1, {name: 1})
@@ -294,7 +268,7 @@ def map_exponents(
     return out
 
 
-class SubstitutionMap(FrozenSlots):
+class SubstitutionMap(tuple):
     """Simultaneous substitution sending each source variable to a polynomial.
 
     Every source variable must be assigned; images live in one target
@@ -305,10 +279,10 @@ class SubstitutionMap(FrozenSlots):
     when their source, target and assignments are.
     """
 
-    __slots__ = ("source", "target", "assignments", "_monomial")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         source: VariableContext,
         target: VariableContext,
         assignments: Mapping[str, Polynomial],
@@ -339,7 +313,12 @@ class SubstitutionMap(FrozenSlots):
                 image = tuple((j, v) for j, v in enumerate(exp) if v)
                 monomial.append((i, None if coeff == 1 else coeff, image))
             monomial = tuple(monomial)
-        self._freeze(source, target, assignments, monomial)
+        return tuple.__new__(cls, (source, target, assignments, monomial))
+
+    source = property(itemgetter(0))
+    target = property(itemgetter(1))
+    assignments = property(itemgetter(2))
+    _monomial = property(itemgetter(3))
 
     def __hash__(self):
         return hash((self.source, self.target))
@@ -379,10 +358,6 @@ class SubstitutionMap(FrozenSlots):
 # -- text format -------------------------------------------------------------
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Canonical text form: terms in descending monomial order."""
     if not p.terms:
@@ -397,11 +372,11 @@ def format_polynomial(p: Polynomial) -> str:
             factors.append(name if e == 1 else f"{name}^{e}")
         mag = abs(coeff)
         if not factors:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_format_coeff(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         pieces.append(("-" if coeff < 0 else "+", body))
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body

@@ -61,6 +61,12 @@ def test_fields_cannot_be_assigned(record):
 
 
 @pytest.mark.parametrize("record", RECORDS)
+def test_records_are_tuples(record):
+    make, _ = RECORDS[record]
+    assert isinstance(make(), tuple)
+
+
+@pytest.mark.parametrize("record", RECORDS)
 def test_separately_built_records_are_equal(record):
     make, _ = RECORDS[record]
     a, b = make(), make()
