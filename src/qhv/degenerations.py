@@ -17,10 +17,12 @@ asserts is an exact polynomial identity:
 * the six-generator chart ideal of the F4 family is derived once, as the
   elimination kernel of the quadratic parametrization in the twist-free
   coordinates (a, .., f, t), and dressed by t -> l^k g for each twist k; the
-  hand-recorded generator lists are adjudicated against it member by member;
+  hand-recorded generator lists are adjudicated against it member by member,
+  each verdict decided once, on the twist-free polynomials;
 * the F4 chart is the quotient of the quadric chart by the sign involution of
   ``w``: every derived generator pulls back into the quadric ideal through
-  ``g -> w^2`` and the pullback only involves even powers of ``w``;
+  ``g -> w^2`` (decided once, twist-free) and the pullback only involves
+  even powers of ``w``;
 * the singular locus of each quadric chart is certified per standard affine
   chart through its Jacobian ideal.
 """
@@ -237,18 +239,22 @@ def f4_chart(k: int, chart_id: str = ZERO) -> ChartModel:
     return _chart("f4", k, chart_id, lambda: derive_f4_ideal(k))
 
 
-def reference_f4_generators(k: int) -> list[Polynomial]:
-    """The hand-recorded six-generator list for twist k (a claim, not ground truth)."""
+def _twist_free_rows(variant: bool = False) -> list[Polynomial]:
+    """The reference rows, or the variant's, in the twist-free coordinates."""
     a, b, c, e, f, t = (_F4_FREE.var(n) for n in _F4_FREE.names)
-    rows = [
+    return [
         3 * e * e - 8 * c * f + 4 * f * t,
         c * e - 6 * b * f + e * t,
         3 * b * e - 48 * a * f + 2 * c * t + 2 * t * t,
         c * c - 36 * a * f + 2 * c * t + t * t,
-        b * c - 6 * a * e + b * t,
+        b * c - 6 * a * (c if variant else e) + b * t,
         3 * b * b - 8 * a * c + 4 * a * t,
     ]
-    return [_dress("f4", p, k) for p in rows]
+
+
+def reference_f4_generators(k: int) -> list[Polynomial]:
+    """The hand-recorded six-generator list for twist k (a claim, not ground truth)."""
+    return [_dress("f4", p, k) for p in _twist_free_rows()]
 
 
 def variant_f4_generators() -> list[Polynomial]:
@@ -258,10 +264,29 @@ def variant_f4_generators() -> list[Polynomial]:
     index 4; the adjudication decides which rows are kernel members instead
     of editing them.
     """
-    rows = reference_f4_generators(1)
-    a, b, c, t = (_F4_FREE.var(n) for n in "abct")
-    rows[4] = _dress("f4", b * c - 6 * a * c + b * t, 1)
-    return rows
+    return [_dress("f4", p, 1) for p in _twist_free_rows(variant=True)]
+
+
+@lru_cache(maxsize=None)
+def _f4_memberships() -> dict[str, tuple[bool, ...]]:
+    """The adjudication's verdicts, decided once on the twist-free polynomials.
+
+    Per source: each reference and variant row in the twist-free kernel, and
+    each kernel generator in the ideal of the reference rows.  They are the
+    verdicts at every twist k.  Under ``t -> l^k g``, Q[g, l] and Q[g, l^±1]
+    are torsion-free, so flat, over the principal ideal domain Q[t], and
+    faithfully flat, as no h(l^k g) with h nonconstant is a unit.  Base
+    change to Q[a, .., f] keeps both, and a faithfully flat A -> B has
+    I·B ∩ A = I (Matsumura, *Commutative Ring Theory*, Thm 7.5).  So each
+    verdict holds in the polynomial and the Laurent chart ring alike, with
+    no saturation in l assumed.
+    """
+    kernel, reference = Ideal(_twist_free_f4_generators()), Ideal(_twist_free_rows())
+    return {
+        "reference": tuple(contains(kernel, p) for p in reference.generators),
+        "variant": tuple(contains(kernel, p) for p in _twist_free_rows(variant=True)),
+        "derived": tuple(contains(reference, g) for g in kernel.generators),
+    }
 
 
 def adjudicate_f4_generators(k: int) -> tuple[bool, list[dict]]:
@@ -271,22 +296,21 @@ def adjudicate_f4_generators(k: int) -> tuple[bool, list[dict]]:
     at twist k (and, at twist 1, per variant generator) in the derived
     ideal, then one per derived generator in the ideal the reference list
     spans.  ``matched`` says the reference and derived rows all hold; the
-    variant rows are reported, not required.
+    variant rows are reported, not required.  Each verdict is the twist-free
+    one (see :func:`_f4_memberships`); a twist only dresses what is printed.
     """
-    derived = derive_f4_ideal(k)
-    reference = reference_f4_generators(k)
-
-    def rows_for(source: str, polys: list[Polynomial], ideal: Ideal) -> list[dict]:
-        return [
-            {"source": source, "index": i, "generator": str(p), "member": contains(ideal, p)}
-            for i, p in enumerate(polys)
-        ]
-
-    rows = rows_for("reference", reference, derived)
+    derived = derive_f4_ideal(k).generators  # raises on a negative twist
+    sources = [("reference", reference_f4_generators(k))]
     if k == 1:
-        rows += rows_for("variant", variant_f4_generators(), derived)
-    rows += rows_for("derived", derived.generators, Ideal(reference))
-    matched = all(r["member"] for r in rows if r["source"] in ("reference", "derived"))
+        sources.append(("variant", variant_f4_generators()))
+    sources.append(("derived", derived))
+    verdicts = _f4_memberships()
+    rows = [
+        {"source": source, "index": i, "generator": str(p), "member": verdicts[source][i]}
+        for source, polys in sources
+        for i, p in enumerate(polys)
+    ]
+    matched = all(r["member"] for r in rows if r["source"] != "variant")
     return matched, rows
 
 
@@ -339,6 +363,10 @@ def verify_gluing(fam: GluedFamily) -> tuple[bool, list[dict]]:
     return images == fam.chart_inf.ideal.generators, witnesses
 
 
+#: One scaling map per (torus, ring): the equivariance checks share chart tori.
+_scaling_map = lru_cache(maxsize=None)(TorusAction.scaling_map)
+
+
 def verify_equivariance(fam: GluedFamily) -> tuple[bool, list[dict]]:
     """Torus action then gluing equals gluing then torus action.
 
@@ -349,8 +377,8 @@ def verify_equivariance(fam: GluedFamily) -> tuple[bool, list[dict]]:
     moves (see :func:`_check_sl2`).
     """
     ring = fam.chart0.ideal.ring
-    scale0 = fam.chart0.torus.scaling_map(ring)
-    scale_inf = fam.chart_inf.torus.scaling_map(ring)
+    scale0 = _scaling_map(fam.chart0.torus, ring)
+    scale_inf = _scaling_map(fam.chart_inf.torus, ring)
     ext = scale0.source
     glue_ext = SubstitutionMap(
         ext,
@@ -376,20 +404,19 @@ def verify_equivariance(fam: GluedFamily) -> tuple[bool, list[dict]]:
 # -- embedding and quotient identities ----------------------------------------
 
 
-def _embedding_map(g_image: Polynomial) -> SubstitutionMap:
-    """a -> x^2, .., f -> z^2 into the quadric chart ring, l fixed, g -> g_image."""
-    ring = QUADRIC_CHART_RING
+def _embedding_map(ring: VariableContext, t_image: Polynomial) -> SubstitutionMap:
+    """a -> x^2, .., f -> z^2 and t -> t_image, from the twist-free ring into ``ring``."""
     images = {n: convert_context(p, ring) for n, p in EMBEDDING_COMPONENTS.items()}
-    images.update(g=g_image, l=ring.var("l"))
-    return SubstitutionMap(F4_CHART_RING, ring, images)
+    return SubstitutionMap(_F4_FREE, ring, {**images, "t": t_image})
 
 
-def embedding_substitution(k: int) -> SubstitutionMap:
-    """a -> x^2, .., f -> z^2, g -> l^-k (4xz - y^2): the chart parametrization."""
+@lru_cache(maxsize=None)
+def _embedding_images() -> tuple[Polynomial, ...]:
+    """Each twist-free generator under a -> x^2, .., f -> z^2, t -> 4xz - y^2:
+    the twist-k parametrization g -> l^-k (4xz - y^2) after t -> l^k g."""
     ring = QUADRIC_CHART_RING
-    return _embedding_map(
-        ring.monomial(1, {"l": -k}) * convert_context(QUADRIC_INVARIANT, ring)
-    )
+    phi = _embedding_map(ring, convert_context(QUADRIC_INVARIANT, ring))
+    return tuple(phi.apply(g) for g in _twist_free_f4_generators())
 
 
 def verify_embedding(k: int) -> tuple[bool, list[dict]]:
@@ -397,17 +424,25 @@ def verify_embedding(k: int) -> tuple[bool, list[dict]]:
 
     Returns ``(passed, witnesses)`` with one witness per generator.
     """
-    phi = embedding_substitution(k)
-    witnesses = []
-    for gen in derive_f4_ideal(k).generators:
-        value = phi.apply(gen)
-        witnesses.append({"generator": str(gen), "image": str(value), "zero": value.is_zero()})
+    generators = derive_f4_ideal(k).generators  # raises on a negative twist
+    witnesses = [
+        {"generator": str(gen), "image": str(value), "zero": value.is_zero()}
+        for gen, value in zip(generators, _embedding_images())
+    ]
     return all(w["zero"] for w in witnesses), witnesses
 
 
-def quotient_substitution() -> SubstitutionMap:
-    """The double-cover pullback a -> x^2, .., f -> z^2, g -> w^2."""
-    return _embedding_map(QUADRIC_CHART_RING.monomial(1, {"w": 2}))
+@lru_cache(maxsize=None)
+def _quotient_pullbacks() -> tuple[tuple[Polynomial, bool], ...]:
+    """Each twist-free generator under a -> x^2, .., f -> z^2, t -> t, and
+    whether it lies in (4xz - y^2 - t).  After g -> w^2 the F4 dressing is
+    the quadric one, t -> l^k w^2, which makes 4xz - y^2 - t the twist-k
+    equation and, faithfully flat (see :func:`_f4_memberships`), keeps the
+    verdict."""
+    sigma = _embedding_map(_QUADRIC_FREE, _QUADRIC_FREE.var("t"))
+    quadric = Ideal([_TWIST_FREE_QUADRIC])
+    pullbacks = [sigma.apply(g) for g in _twist_free_f4_generators()]
+    return tuple((p, contains(quadric, p)) for p in pullbacks)
 
 
 def verify_quotient(k: int) -> tuple[bool, list[dict]]:
@@ -415,21 +450,20 @@ def verify_quotient(k: int) -> tuple[bool, list[dict]]:
 
     Every derived generator pulls back through g -> w^2 into the quadric
     chart ideal (formed for any twist >= 0 here), and every pullback is fixed
-    by w -> -w: over Q, every term has even degree in w.  Returns
-    ``(passed, witnesses)`` with one witness per generator.
+    by w -> -w: over Q, every term has even degree in w.  The pullback is
+    the twist-free one (see :func:`_quotient_pullbacks`) dressed by t -> l^k
+    w^2.  Returns ``(passed, witnesses)`` with one witness per generator.
     """
     generators = derive_f4_ideal(k).generators  # raises on a negative twist
     i = QUADRIC_CHART_RING.index("w")
-    quad = Ideal([quadric_generator(k)])
-    sigma = quotient_substitution()
     witnesses = []
-    for gen in generators:
-        pullback = sigma.apply(gen)
+    for gen, (free, member) in zip(generators, _quotient_pullbacks()):
+        pullback = _dress("quadric", free, k)
         witnesses.append(
             {
                 "generator": str(gen),
                 "pullback": str(pullback),
-                "in_quadric_ideal": contains(quad, pullback),
+                "in_quadric_ideal": member,
                 "sign_invariant": all(e[i] % 2 == 0 for e in pullback.terms),
             }
         )
@@ -468,9 +502,10 @@ def _locus_of_chart(equation: Polynomial) -> dict:
     J = jacobian_ideal(equation, chart_ring.names)
     if contains_one(J):
         return {"status": "smooth"}
+    basis = Ideal(J.groebner_basis())  # the same unique contractions, in fewer steps
     powers = {}
     for name in chart_ring.names:
-        (h,) = eliminate(J, set(chart_ring.names) - {name}).generators
+        (h,) = eliminate(basis, set(chart_ring.names) - {name}).generators
         powers[name] = h.total_degree() if len(h.terms) == 1 else None
     if all(v is not None for v in powers.values()):
         return {"status": "single_point_origin", "vanishing_powers": powers}

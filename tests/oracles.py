@@ -10,8 +10,18 @@ from operator import le
 from typing import Sequence
 
 from qhv import ideals
-from qhv.group_actions import Derivation, Sl2Triple, TorusAction, apply
-from qhv.polyring import Polynomial, VariableContext
+from qhv.degenerations import derive_f4_ideal, quadric_generator
+from qhv.group_actions import (
+    EMBEDDING_COMPONENTS,
+    F4_CHART_RING,
+    QUADRIC_CHART_RING,
+    QUADRIC_INVARIANT,
+    Derivation,
+    Sl2Triple,
+    TorusAction,
+    apply,
+)
+from qhv.polyring import Polynomial, SubstitutionMap, VariableContext
 from qhv.ruled import FIBERS, HIRZEBRUCH, DivisorClass, Lattice
 from qhv.singular import CyclicQuotient
 
@@ -238,3 +248,91 @@ def scaling_identity_holds(p: Polynomial, A: TorusAction) -> bool:
     scale = A.scaling_map(p.ring)
     lifted = ideals.convert_context(p, scale.source)
     return scale.apply(lifted) == scale.source.monomial(1, {"xi": d}) * lifted
+
+
+# -- the F4 checks twist by twist ------------------------------------------------
+
+
+def _embedding_map(g_image: Polynomial) -> SubstitutionMap:
+    """a -> x^2, .., f -> z^2 into the quadric chart ring, l fixed, g -> g_image."""
+    ring = QUADRIC_CHART_RING
+    images = {n: ideals.convert_context(p, ring) for n, p in EMBEDDING_COMPONENTS.items()}
+    images.update(g=g_image, l=ring.var("l"))
+    return SubstitutionMap(F4_CHART_RING, ring, images)
+
+
+def embedding_substitution(k: int) -> SubstitutionMap:
+    """a -> x^2, .., f -> z^2, g -> l^-k (4xz - y^2): the chart parametrization."""
+    ring = QUADRIC_CHART_RING
+    return _embedding_map(
+        ring.monomial(1, {"l": -k}) * ideals.convert_context(QUADRIC_INVARIANT, ring)
+    )
+
+
+def quotient_substitution() -> SubstitutionMap:
+    """The double-cover pullback a -> x^2, .., f -> z^2, g -> w^2."""
+    return _embedding_map(QUADRIC_CHART_RING.monomial(1, {"w": 2}))
+
+
+def hand_recorded_f4_rows(k: int, variant: bool = False) -> list[Polynomial]:
+    """The hand-recorded rows at twist k, written in the chart ring with
+    t = l^k g; the variant has -6ac in place of -6ae in the row at index 4."""
+    a, b, c, e, f = (F4_CHART_RING.var(n) for n in "abcef")
+    t = F4_CHART_RING.monomial(1, {"l": k, "g": 1})
+    return [
+        3 * e * e - 8 * c * f + 4 * f * t,
+        c * e - 6 * b * f + e * t,
+        3 * b * e - 48 * a * f + 2 * c * t + 2 * t * t,
+        c * c - 36 * a * f + 2 * c * t + t * t,
+        b * c - 6 * a * (c if variant else e) + b * t,
+        3 * b * b - 8 * a * c + 4 * a * t,
+    ]
+
+
+def adjudicate_f4_per_twist(k: int) -> tuple[bool, list[dict]]:
+    """The adjudication's report, each verdict decided by the engine at twist k."""
+    derived = derive_f4_ideal(k)
+    reference = hand_recorded_f4_rows(k)
+
+    def rows_for(source: str, polys: Sequence[Polynomial], ideal: ideals.Ideal) -> list[dict]:
+        return [
+            {"source": source, "index": i, "generator": str(p), "member": ideals.contains(ideal, p)}
+            for i, p in enumerate(polys)
+        ]
+
+    rows = rows_for("reference", reference, derived)
+    if k == 1:
+        rows += rows_for("variant", hand_recorded_f4_rows(1, variant=True), derived)
+    rows += rows_for("derived", derived.generators, ideals.Ideal(reference))
+    matched = all(r["member"] for r in rows if r["source"] in ("reference", "derived"))
+    return matched, rows
+
+
+def verify_embedding_per_twist(k: int) -> tuple[bool, list[dict]]:
+    """The embedding check's report, each generator substituted at twist k."""
+    phi = embedding_substitution(k)
+    witnesses = []
+    for gen in derive_f4_ideal(k).generators:
+        value = phi.apply(gen)
+        witnesses.append({"generator": str(gen), "image": str(value), "zero": value.is_zero()})
+    return all(w["zero"] for w in witnesses), witnesses
+
+
+def verify_quotient_per_twist(k: int) -> tuple[bool, list[dict]]:
+    """The quotient check's report, each pullback formed and decided at twist k."""
+    i = QUADRIC_CHART_RING.index("w")
+    quad = ideals.Ideal([quadric_generator(k)])
+    sigma = quotient_substitution()
+    witnesses = []
+    for gen in derive_f4_ideal(k).generators:
+        pullback = sigma.apply(gen)
+        witnesses.append(
+            {
+                "generator": str(gen),
+                "pullback": str(pullback),
+                "in_quadric_ideal": ideals.contains(quad, pullback),
+                "sign_invariant": all(e[i] % 2 == 0 for e in pullback.terms),
+            }
+        )
+    passed = all(w["in_quadric_ideal"] and w["sign_invariant"] for w in witnesses)
+    return passed, witnesses

@@ -201,8 +201,9 @@ class TestDeterminism:
         caches = {id(obj): obj for module in modules for obj in vars(module).values()
                   if hasattr(obj, "cache_clear")}.values()
         assert sorted(cache.__name__ for cache in caches) == [
-            "_check_sl2", "_twist_free_f4_generators", "derive_f4_ideal", "f4_chart",
-            "quadric_chart",
+            "_check_sl2", "_embedding_images", "_f4_memberships", "_quotient_pullbacks",
+            "_twist_free_f4_generators", "derive_f4_ideal", "f4_chart", "quadric_chart",
+            "scaling_map",
         ]
         cold = []
         for check in self.checks():

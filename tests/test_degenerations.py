@@ -15,7 +15,6 @@ from qhv.degenerations import (
     ZERO,
     adjudicate_f4_generators,
     derive_f4_ideal,
-    embedding_substitution,
     f4_chart,
     glued_family,
     gluing_map,
@@ -41,6 +40,12 @@ from qhv.ideals import (
 )
 from qhv.polyring import Polynomial, SubstitutionMap, VariableContext
 from linalg_oracle import is_member_up_to
+from oracles import (
+    adjudicate_f4_per_twist,
+    embedding_substitution,
+    verify_embedding_per_twist,
+    verify_quotient_per_twist,
+)
 from polytext import parse
 
 R = QUADRIC_CHART_RING
@@ -408,6 +413,14 @@ def test_check_returns_verdict_and_witness_rows(name):
     passed, witnesses = result = CHECKS[name]()
     assert (type(result), type(passed), type(witnesses)) == (tuple, bool, list)
     assert witnesses and all(type(w) is dict for w in witnesses)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_twist_free_reports_equal_the_per_twist_route(k):
+    # the twist-free verdicts and images, dressed at k, against the engine at k
+    assert adjudicate_f4_generators(k) == adjudicate_f4_per_twist(k)
+    assert verify_embedding(k) == verify_embedding_per_twist(k)
+    assert verify_quotient(k) == verify_quotient_per_twist(k)
 
 
 class TestQuotient:
