@@ -49,7 +49,6 @@ from .ideals import (
     Ideal,
     contains,
     contains_one,
-    convert_context,
     eliminate,
     jacobian_ideal,
     minimal_generators,
@@ -60,6 +59,7 @@ from .polyring import (
     Polynomial,
     SubstitutionMap,
     VariableContext,
+    convert_context,
 )
 
 ZERO = "zero"
@@ -142,12 +142,16 @@ def _check_nonnegative(*twists: int) -> None:
             raise ConstructionError(f"twist must be nonnegative, got {k}")
 
 
-def _dress(name: str, p: Polynomial, k: int) -> Polynomial:
-    """Substitute t -> l^k marked^(2/degree) into a twist-free generator."""
+@lru_cache(maxsize=None)
+def _dressing(name: str, source: VariableContext, k: int) -> SubstitutionMap:
+    """t -> l^k marked^(2/degree) from a twist-free ring into the chart ring."""
     family = FAMILIES[name]
-    images = {n: family.ring.var(n) for n in p.ring.names if n != "t"}
-    images["t"] = family.ring.monomial(1, {"l": k, family.marked: 2 // family.degree})
-    return SubstitutionMap(p.ring, family.ring, images).apply(p)
+    return source.monomial_map(family.ring, {"t": {"l": k, family.marked: 2 // family.degree}})
+
+
+def _dress(name: str, p: Polynomial, k: int) -> Polynomial:
+    """A twist-free generator of family ``name``, dressed for twist k."""
+    return _dressing(name, p.ring, k).apply(p)
 
 
 @lru_cache(maxsize=None)
@@ -324,11 +328,8 @@ def gluing_map(family: str, k: int, l: int) -> SubstitutionMap:
     l^((k+l)/2) on the quadric family, g -> g l^(k+l) on the F4 family.
     """
     fam = _family(family, k, l)
-    ring = fam.ring
-    images = {n: ring.var(n) for n in ring.names}
-    images[fam.marked] = ring.monomial(1, {fam.marked: 1, "l": fam.degree * (k + l) // 2})
-    images["l"] = ring.monomial(1, {"l": -1})
-    return SubstitutionMap(ring, ring, images)
+    twist = {fam.marked: 1, "l": fam.degree * (k + l) // 2}
+    return fam.ring.monomial_map(fam.ring, {fam.marked: twist, "l": {"l": -1}})
 
 
 def glued_family(family: str, k: int, l: int) -> GluedFamily:
@@ -478,12 +479,8 @@ def _affine_chart(gen: Polynomial, unit_var: str) -> Polynomial:
     """Specialize one projective coordinate to 1; the base parameter becomes
     an ordinary (non-invertible) chart coordinate so the Jacobian ideal sees
     the central fiber."""
-    src = gen.ring
-    keep = tuple(n for n in src.names if n != unit_var)
-    chart = VariableContext(keep)
-    images = {n: chart.var(n) for n in keep}
-    images[unit_var] = chart.one()
-    return SubstitutionMap(src, chart, images).apply(gen)
+    chart = VariableContext(n for n in gen.ring.names if n != unit_var)
+    return gen.ring.monomial_map(chart, {unit_var: {}}).apply(gen)
 
 
 def _locus_of_chart(equation: Polynomial) -> dict:

@@ -209,9 +209,7 @@ class TorusAction(tuple):
     def scaling_map(self, ring: VariableContext) -> SubstitutionMap:
         """v -> xi^w(v) * v on the ring extended by invertible xi, fixing xi."""
         ext = ring.extend(("xi",), invertible=("xi",))
-        images = {n: ext.monomial(1, {"xi": self.weights.get(n, 0), n: 1}) for n in ring.names}
-        images["xi"] = ext.var("xi")
-        return SubstitutionMap(ext, ext, images)
+        return ext.monomial_map(ext, {n: {n: 1, "xi": self.weights.get(n, 0)} for n in ring.names})
 
 
 def check_semi_invariance(I: ideals.Ideal, A: TorusAction) -> bool:

@@ -60,8 +60,8 @@ from .polyring import (
     PolyError,
     ContextMismatch,
     VariableContext,
+    convert_context,
     derivative,
-    map_exponents,
 )
 
 #: Reduction steps one engine call may take.  The largest call of ``qhv all``
@@ -484,20 +484,6 @@ def primitive_integer_form(p: Polynomial) -> Polynomial:
 
 def contains(I: Ideal, p: Polynomial) -> bool:
     return normal_form(p, I).is_zero()
-
-
-def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:
-    """Rewrite p in a context that contains all variables in its support.
-
-    The renaming is the monomial map sending each variable to its namesake,
-    applied on exponents.
-    """
-    images = [
-        (i, None, ((target.index(name), 1),))  # index raises for a missing variable
-        for i, name in enumerate(p.ring.names)
-        if name in target.names or any(exp[i] for exp in p.terms)
-    ]
-    return Polynomial(target, map_exponents(p.terms, images, len(target.names)))
 
 
 def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:

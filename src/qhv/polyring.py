@@ -9,10 +9,12 @@ exact: there is no floating point anywhere in this package.  The Groebner
 engine of :mod:`qhv.ideals` computes in the polynomial ring and refuses
 negative exponents.
 
-The module also provides simultaneous substitution maps whose images may be
-Laurent monomial multiples (:class:`SubstitutionMap`) and partial
-derivatives.  There is no text reader: ``str`` (:func:`format_polynomial`,
-e.g. ``4*x*z - y^2 - l^3*w^2``) is the canonical form that reports carry.
+The module also owns every change of variables: substitution maps, whose
+images may be Laurent monomial multiples (:class:`SubstitutionMap`; the
+monomial ones come from :meth:`VariableContext.monomial_map`), and
+:func:`convert_context`.  Beside them are partial derivatives and printing:
+``str`` (:func:`format_polynomial`, e.g. ``4*x*z - y^2 - l^3*w^2``) is the
+canonical form that reports carry; there is no text reader.
 """
 
 from __future__ import annotations
@@ -91,6 +93,14 @@ class VariableContext(tuple):
 
     def from_terms(self, terms: Mapping[Exponent, Fraction]) -> "Polynomial":
         return Polynomial(self, dict(terms))
+
+    def monomial_map(self, target: "VariableContext", powers: Mapping) -> "SubstitutionMap":
+        """The map into ``target`` sending each variable named in ``powers`` to
+        the coefficient-1 target monomial with the exponents ``powers`` gives
+        it (``{}`` is 1), and every other variable to its namesake."""
+        images = {n: target.monomial(1, e) for n, e in powers.items()}
+        images.update((n, target.var(n)) for n in self.names if n not in powers)
+        return SubstitutionMap(self, target, images)
 
 
 class Polynomial:
@@ -353,6 +363,14 @@ class SubstitutionMap(tuple):
                     term = term * self.assignments[name] ** e
             result = result + term
         return result
+
+
+def convert_context(p: Polynomial, target: VariableContext) -> Polynomial:
+    """Rewrite p in a context that holds every variable of its support (else
+    ``index`` raises): the namesake monomial map, applied on exponents."""
+    images = [(i, None, ((target.index(name), 1),)) for i, name in enumerate(p.ring.names)
+              if name in target.names or any(exp[i] for exp in p.terms)]
+    return Polynomial(target, map_exponents(p.terms, images, len(target.names)))
 
 
 # -- text format -------------------------------------------------------------

@@ -21,7 +21,7 @@ from qhv.group_actions import (
     TorusAction,
     apply,
 )
-from qhv.polyring import Polynomial, SubstitutionMap, VariableContext
+from qhv.polyring import Polynomial, SubstitutionMap, VariableContext, convert_context
 from qhv.ruled import FIBERS, HIRZEBRUCH, DivisorClass, Lattice
 from qhv.singular import CyclicQuotient
 
@@ -246,7 +246,7 @@ def scaling_identity_holds(p: Polynomial, A: TorusAction) -> bool:
     if d is None:
         return False
     scale = A.scaling_map(p.ring)
-    lifted = ideals.convert_context(p, scale.source)
+    lifted = convert_context(p, scale.source)
     return scale.apply(lifted) == scale.source.monomial(1, {"xi": d}) * lifted
 
 
@@ -256,7 +256,7 @@ def scaling_identity_holds(p: Polynomial, A: TorusAction) -> bool:
 def _embedding_map(g_image: Polynomial) -> SubstitutionMap:
     """a -> x^2, .., f -> z^2 into the quadric chart ring, l fixed, g -> g_image."""
     ring = QUADRIC_CHART_RING
-    images = {n: ideals.convert_context(p, ring) for n, p in EMBEDDING_COMPONENTS.items()}
+    images = {n: convert_context(p, ring) for n, p in EMBEDDING_COMPONENTS.items()}
     images.update(g=g_image, l=ring.var("l"))
     return SubstitutionMap(F4_CHART_RING, ring, images)
 
@@ -265,7 +265,7 @@ def embedding_substitution(k: int) -> SubstitutionMap:
     """a -> x^2, .., f -> z^2, g -> l^-k (4xz - y^2): the chart parametrization."""
     ring = QUADRIC_CHART_RING
     return _embedding_map(
-        ring.monomial(1, {"l": -k}) * ideals.convert_context(QUADRIC_INVARIANT, ring)
+        ring.monomial(1, {"l": -k}) * convert_context(QUADRIC_INVARIANT, ring)
     )
 
 

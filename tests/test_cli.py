@@ -26,6 +26,13 @@ GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 DEFAULT = {key: default for key, (_, default, _) in cli._CONFIG_KEYS.items()}
 
 
+def package_caches():
+    """Every cache in the package, found by its ``cache_clear``, not listed."""
+    modules = (polyring, ideals, group_actions, degenerations, singular, ruled, cli)
+    return {id(obj): obj for module in modules for obj in vars(module).values()
+            if hasattr(obj, "cache_clear")}.values()
+
+
 class TestBasics:
     def test_quadric_single_pair(self, capsys):
         code, lines, _ = run_cli(capsys, "verify", "quadric", "--k", "3", "--l", "1")
@@ -144,6 +151,15 @@ class TestGluingVerifiedOnce:
         assert all(p["status"] == "pass" for p in gluings)
 
 
+def test_all_builds_one_dressing_map_per_twist(capsys):
+    # `qhv all` dresses 93 polynomials through 11 (family, source ring, twist) keys
+    for cache in package_caches():
+        cache.cache_clear()
+    assert run_cli(capsys, "all")[0] == 0
+    info = degenerations._dressing.cache_info()
+    assert (info.misses, info.hits) == (11, 82)
+
+
 class TestStreaming:
     def test_each_report_emitted_before_next_check(self, monkeypatch):
         events = []
@@ -197,13 +213,11 @@ class TestDeterminism:
         # charts every cached basis, before each check.  The caches are
         # found, not listed, so a new one fails the name check until it is
         # added there, and never escapes the cold pass.
-        modules = (polyring, ideals, group_actions, degenerations, singular, ruled, cli)
-        caches = {id(obj): obj for module in modules for obj in vars(module).values()
-                  if hasattr(obj, "cache_clear")}.values()
+        caches = package_caches()
         assert sorted(cache.__name__ for cache in caches) == [
-            "_check_sl2", "_embedding_images", "_f4_memberships", "_quotient_pullbacks",
-            "_twist_free_f4_generators", "derive_f4_ideal", "f4_chart", "quadric_chart",
-            "scaling_map",
+            "_check_sl2", "_dressing", "_embedding_images", "_f4_memberships",
+            "_quotient_pullbacks", "_twist_free_f4_generators", "derive_f4_ideal", "f4_chart",
+            "quadric_chart", "scaling_map",
         ]
         cold = []
         for check in self.checks():

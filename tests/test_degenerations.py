@@ -33,12 +33,11 @@ from qhv.ideals import (
     Ideal,
     contains,
     jacobian_ideal,
-    convert_context,
     eliminate,
     gauss_jordan,
     primitive_integer_form,
 )
-from qhv.polyring import Polynomial, SubstitutionMap, VariableContext
+from qhv.polyring import Polynomial, SubstitutionMap, VariableContext, convert_context
 from linalg_oracle import is_member_up_to
 from oracles import (
     adjudicate_f4_per_twist,

@@ -214,6 +214,47 @@ class TestSubstitution:
             assert inv.apply(fwd.apply(p)) == p
 
 
+class TestMonomialMap:
+    """``VariableContext.monomial_map`` against the maps it replaces, built by hand."""
+
+    CHART = VariableContext(("x", "y", "z", "l"))
+
+    def test_namesakes_by_default(self):
+        wide = R.extend(("t",))
+        namesakes = {n: wide.var(n) for n in R.names}
+        assert R.monomial_map(wide, {}) == SubstitutionMap(R, wide, namesakes)
+        p = P("4*x*z - y^2 - l^-3*w^2")
+        assert R.monomial_map(R, {}).apply(p) == p
+
+    def test_exponent_overrides(self):
+        glue = R.monomial_map(R, {"w": {"w": 1, "l": 2}, "l": {"l": -1}})
+        images = {"x": P("x"), "y": P("y"), "z": P("z"), "w": P("w*l^2"), "l": P("l^-1")}
+        assert glue == SubstitutionMap(R, R, images)
+        assert glue.apply(P("4*x*z - y^2 - l^3*w^2")) == P("4*x*z - y^2 - l*w^2")
+
+    def test_empty_powers_send_a_variable_to_one(self):
+        affine = R.monomial_map(self.CHART, {"w": {}})
+        assert affine("w") == self.CHART.one()
+        assert affine.apply(P("4*x*z - y^2 - l^3*w^2")) == parse(self.CHART, "4*x*z - y^2 - l^3")
+
+    @pytest.mark.parametrize(
+        "target, powers",
+        [(R, {"q": {"x": 1}}), (R, {"x": {"q": 1}}), (VariableContext(("x", "y")), {})],
+        ids=["unknown-source", "unknown-target", "no-namesake"],
+    )
+    def test_unknown_name_raises(self, target, powers):
+        with pytest.raises(PolyError):
+            R.monomial_map(target, powers)
+
+    def test_non_unit_image_of_an_invertible_variable_is_rejected(self):
+        # l is a unit of R; neither x nor the chart's plain l is one of its target
+        for sub, image in ((R.monomial_map(R, {"l": {"x": 1}}), P("x^2*y")),
+                           (R.monomial_map(self.CHART, {"w": {}}), parse(self.CHART, "l^2*y"))):
+            assert sub.apply(P("y*l^2")) == image
+            with pytest.raises(PolyError, match="non-invertible"):
+                sub.apply(P("y*l^-1"))
+
+
 #: Target ring of the random monomial maps: two plain and two Laurent variables.
 T = VariableContext(("u", "v", "m", "n"), invertible={"m", "n"})
 
