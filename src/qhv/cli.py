@@ -30,7 +30,7 @@ from functools import partial
 from itertools import product
 from pathlib import Path
 
-_dumps = partial(json.dumps, separators=(",", ":"))
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _run_check(name: str, params: dict, body) -> dict:

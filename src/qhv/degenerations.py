@@ -243,17 +243,18 @@ def f4_chart(k: int, chart_id: str = ZERO) -> ChartModel:
     return _chart("f4", k, chart_id, lambda: derive_f4_ideal(k))
 
 
-def _twist_free_rows(variant: bool = False) -> list[Polynomial]:
+@lru_cache(maxsize=None)
+def _twist_free_rows(variant: bool = False) -> tuple[Polynomial, ...]:
     """The reference rows, or the variant's, in the twist-free coordinates."""
     a, b, c, e, f, t = (_F4_FREE.var(n) for n in _F4_FREE.names)
-    return [
+    return (
         3 * e * e - 8 * c * f + 4 * f * t,
         c * e - 6 * b * f + e * t,
         3 * b * e - 48 * a * f + 2 * c * t + 2 * t * t,
         c * c - 36 * a * f + 2 * c * t + t * t,
         b * c - 6 * a * (c if variant else e) + b * t,
         3 * b * b - 8 * a * c + 4 * a * t,
-    ]
+    )
 
 
 def reference_f4_generators(k: int) -> list[Polynomial]:

@@ -92,12 +92,14 @@ class Derivation(tuple):
 
 def apply(D: Derivation, p: Polynomial) -> Polynomial:
     """Leibniz extension of D applied to p: the sum over the variables v of
-    dp/dv * D(v); valid on Laurent exponents."""
+    dp/dv * D(v); valid on Laurent exponents.  Only the variables that occur
+    in p have a nonzero dp/dv."""
     if p.ring != D.ring:
         raise PolyError("polynomial does not live in the derivation's ring")
     result = D.ring.zero()
-    for name, img in D.images.items():
-        if not img.is_zero():
+    for name, occurs in zip(D.ring.names, map(any, zip(*p.terms))):
+        img = D.images[name]
+        if occurs and img:
             result = result + derivative(p, name) * img
     return result
 

@@ -1,11 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero ``Fraction``
-coefficients, attached to a :class:`VariableContext` that fixes the variable
+A polynomial is a map from exponent vectors to nonzero rational
+coefficients, each an ``int`` when it is an integer and a ``Fraction``
+otherwise, attached to a :class:`VariableContext` that fixes the variable
 set and which variables are invertible; monomials are ordered grevlex.
 Invertible (Laurent) variables may carry negative exponents; all other
 variables are restricted to exponents >= 0.  Everything is immutable and
-exact: there is no floating point anywhere in this package.  The Groebner
+exact: a coefficient that is not a ``numbers.Rational`` (a float, say) is
+refused, and there is no floating point anywhere in this package.  The Groebner
 engine of :mod:`qhv.ideals` computes in the polynomial ring and refuses
 negative exponents.
 
@@ -20,10 +22,13 @@ canonical form that reports carry; there is no text reader.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
+from numbers import Rational
+from operator import add, itemgetter, neg
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
+#: A stored coefficient: an ``int`` when integral, else a ``Fraction``.
+Coefficient = int | Fraction
 
 
 class PolyError(ValueError):
@@ -66,7 +71,7 @@ class VariableContext(tuple):
 
     def monomial_key(self, exp: Exponent):
         """Grevlex sort key; larger key means larger monomial."""
-        return (sum(exp), tuple(-e for e in reversed(exp)))
+        return (sum(exp), tuple(map(neg, exp[::-1])))
 
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
         return VariableContext(self.names + tuple(names), self.invertible | frozenset(invertible))
@@ -89,9 +94,9 @@ class VariableContext(tuple):
         exp = [0] * len(self.names)
         for name, e in powers.items():
             exp[self.index(name)] = e
-        return Polynomial(self, {tuple(exp): Fraction(coeff)})
+        return Polynomial(self, {tuple(exp): coeff})
 
-    def from_terms(self, terms: Mapping[Exponent, Fraction]) -> "Polynomial":
+    def from_terms(self, terms: Mapping[Exponent, Rational]) -> "Polynomial":
         return Polynomial(self, dict(terms))
 
     def monomial_map(self, target: "VariableContext", powers: Mapping) -> "SubstitutionMap":
@@ -103,32 +108,51 @@ class VariableContext(tuple):
         return SubstitutionMap(self, target, images)
 
 
+def _exact(c) -> Coefficient:
+    """The rational c as an ``int`` when it is an integer, else as a ``Fraction``."""
+    if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise PolyError(f"coefficient {c!r} is not rational")
+        c = Fraction(c)
+    n, d = c.as_integer_ratio()
+    return n if d == 1 else c
+
+
+def _check_exponent(ring: VariableContext, exp: Exponent):
+    """Raise unless exp has one entry per variable of ring, negative ones
+    only on invertible variables."""
+    if len(exp) != len(ring.names):
+        raise PolyError(f"exponent vector {exp} does not match {ring.names}")
+    for name, e in zip(ring.names, exp):
+        if e < 0 and name not in ring.invertible:
+            raise PolyError(f"negative exponent on non-invertible variable {name!r}")
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q attached to a VariableContext.
 
     The constructor drops zero coefficients, so stored terms never have
-    one; arithmetic only accumulates and leaves cancellation to it.
-    Exponents on non-invertible variables are >= 0.  Equality is exact
-    equality of the normalized term maps within one context.  The printed
-    form is cached on first use; equality and hashing ignore it.
+    one; arithmetic only accumulates and leaves cancellation to it.  It
+    stores an integral coefficient as ``int`` and any other as a
+    ``Fraction``, and raises :class:`PolyError` on a coefficient that is not
+    a ``numbers.Rational``.  Exponents on non-invertible variables are >= 0.
+    Equality is exact equality of the normalized term maps within one
+    context.  The printed form is cached on first use; equality and hashing
+    ignore it.
     """
 
     __slots__ = ("ring", "terms", "_text")
 
-    def __init__(self, ring: VariableContext, terms: Mapping[Exponent, Fraction]):
+    def __init__(self, ring: VariableContext, terms: Mapping[Exponent, Rational]):
         n = len(ring.names)
-        clean: dict[Exponent, Fraction] = {}
-        for exp, coeff in terms.items():
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if c == 0:
-                continue
-            if len(exp) != n:
-                raise PolyError(f"exponent vector {exp} does not match {ring.names}")
-            if n and min(exp) < 0:
-                for name, e in zip(ring.names, exp):
-                    if e < 0 and name not in ring.invertible:
-                        raise PolyError(f"negative exponent on non-invertible variable {name!r}")
-            clean[tuple(exp)] = c
+        clean: dict[Exponent, Coefficient] = {}
+        for exp, c in terms.items():
+            if type(c) is not int:
+                c = _exact(c)
+            if c:
+                if len(exp) != n or n and min(exp) < 0:
+                    _check_exponent(ring, exp)
+                clean[exp] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
 
@@ -145,7 +169,7 @@ class Polynomial:
             return 0
         return max(sum(exp) for exp in self.terms)
 
-    def leading_term(self) -> tuple[Exponent, Fraction]:
+    def leading_term(self) -> tuple[Exponent, Coefficient]:
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
         exp = max(self.terms, key=self.ring.monomial_key)
@@ -182,10 +206,10 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coefficient] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
         return Polynomial(self.ring, out)
 
@@ -199,7 +223,7 @@ class Polynomial:
             if len(self.terms) != 1:
                 raise PolyError("negative power of a polynomial that is not one term")
             ((exp, coeff),) = self.terms.items()
-            return Polynomial(self.ring, {tuple(e * power for e in exp): coeff**power})
+            return Polynomial(self.ring, {tuple(e * power for e in exp): Fraction(coeff) ** power})
         result = self.ring.one()
         base = self
         n = power
@@ -248,12 +272,12 @@ def derivative(p: Polynomial, name: str) -> Polynomial:
 #: Where a monomial map sends one source variable: the variable's index, the
 #: image's coefficient (``None`` for 1) and the image's exponent as sparse
 #: ``(target index, power)`` pairs.
-MonomialImage = tuple[int, Fraction | None, tuple[tuple[int, int], ...]]
+MonomialImage = tuple[int, Coefficient | None, tuple[tuple[int, int], ...]]
 
 
 def map_exponents(
-    terms: Mapping[Exponent, Fraction], images: Sequence[MonomialImage], width: int
-) -> dict[Exponent, Fraction]:
+    terms: Mapping[Exponent, Coefficient], images: Sequence[MonomialImage], width: int
+) -> dict[Exponent, Coefficient]:
     """Terms under a monomial map, computed on exponents.
 
     A term ``c x^e`` goes to ``c prod(c_i^e_i)`` at the exponent
@@ -263,14 +287,14 @@ def map_exponents(
     are added, so the result may hold zero coefficients, which
     :class:`Polynomial` drops.
     """
-    out: dict[Exponent, Fraction] = {}
+    out: dict[Exponent, Coefficient] = {}
     for exp, c in terms.items():
         nexp = [0] * width
         for i, ci, image in images:
             e = exp[i]
             if e:
                 if ci is not None:
-                    c = c * ci ** e
+                    c = c * (ci**e if e > 0 else Fraction(ci) ** e)
                 for j, v in image:
                     nexp[j] += e * v
         key = tuple(nexp)
@@ -381,7 +405,8 @@ def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    for exp in sorted(p.terms, key=p.ring.monomial_key, reverse=True):
+    # descending grevlex, as sorting by monomial_key with reverse=True
+    for exp in sorted(p.terms, key=lambda e: (-sum(e), e[::-1])):
         coeff = p.terms[exp]
         factors = []
         for name, e in zip(p.ring.names, exp):

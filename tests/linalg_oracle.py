@@ -36,7 +36,7 @@ def _system_is_consistent(columns: list[dict], rhs: dict) -> bool:
             continue
         rows[pivot], rows[src] = rows[src], rows[pivot]
         pv = rows[pivot][col]
-        rows[pivot] = [v / pv for v in rows[pivot]]
+        rows[pivot] = [Fraction(v) / pv for v in rows[pivot]]
         for r in range(len(rows)):
             if r != pivot and rows[r][col] != 0:
                 factor = rows[r][col]

@@ -44,7 +44,7 @@ def _remainder(p: Polynomial, basis: Sequence[Polynomial], key=None) -> Polynomi
             gexp, gcoeff = _leading_term(g, key)
             if all(a <= b for a, b in zip(gexp, exp)):
                 shift = tuple(b - a for a, b in zip(gexp, exp))
-                p = p - ring.from_terms({shift: coeff / gcoeff}) * g
+                p = p - ring.from_terms({shift: Fraction(coeff) / gcoeff}) * g
                 break
         else:
             lead = ring.from_terms({exp: coeff})
@@ -57,8 +57,8 @@ def _s_polynomial(f: Polynomial, g: Polynomial, key=None) -> Polynomial:
     """(L/lt(f))·f/lc(f) − (L/lt(g))·g/lc(g), with L the lcm of the leading monomials."""
     (fexp, fcoeff), (gexp, gcoeff) = _leading_term(f, key), _leading_term(g, key)
     lcm = tuple(max(a, b) for a, b in zip(fexp, gexp))
-    fmul = f.ring.from_terms({tuple(a - b for a, b in zip(lcm, fexp)): 1 / fcoeff})
-    gmul = g.ring.from_terms({tuple(a - b for a, b in zip(lcm, gexp)): 1 / gcoeff})
+    fmul = f.ring.from_terms({tuple(a - b for a, b in zip(lcm, fexp)): Fraction(1) / fcoeff})
+    gmul = g.ring.from_terms({tuple(a - b for a, b in zip(lcm, gexp)): Fraction(1) / gcoeff})
     return fmul * f - gmul * g
 
 
@@ -101,7 +101,7 @@ def textbook_groebner_basis(generators: Sequence[Polynomial], key=None) -> list[
     for g in minimal:
         r = _remainder(g, [h for h in minimal if h is not g], key)
         lc = _leading_term(r, key)[1]
-        reduced.append(ring.from_terms({e: c / lc for e, c in r.terms.items()}))
+        reduced.append(ring.from_terms({e: Fraction(c) / lc for e, c in r.terms.items()}))
     return reduced
 
 

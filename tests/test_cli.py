@@ -216,8 +216,8 @@ class TestDeterminism:
         caches = package_caches()
         assert sorted(cache.__name__ for cache in caches) == [
             "_check_sl2", "_dressing", "_embedding_images", "_f4_memberships",
-            "_quotient_pullbacks", "_twist_free_f4_generators", "derive_f4_ideal", "f4_chart",
-            "quadric_chart", "scaling_map",
+            "_quotient_pullbacks", "_twist_free_f4_generators", "_twist_free_rows",
+            "derive_f4_ideal", "f4_chart", "quadric_chart", "scaling_map",
         ]
         cold = []
         for check in self.checks():

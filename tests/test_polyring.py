@@ -63,9 +63,29 @@ class TestArithmetic:
         assert Polynomial(R, {(1, 0, 0, 0, -2): 3}) == P("3*x*l^-2")
 
     def test_constructor_stores_fractions(self):
-        p = Polynomial(R, {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): Fraction(1, 2), (0, 0, 1, 0, 0): 0})
-        assert p.terms == {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): Fraction(1, 2)}
-        assert all(type(c) is Fraction for c in p.terms.values())
+        # an integral coefficient is stored as int, any other rational as Fraction
+        p = Polynomial(R, {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): Fraction(1, 2),
+                           (0, 0, 1, 0, 0): 0, (0, 0, 0, 1, 0): Fraction(6, 3),
+                           (0, 0, 0, 0, 1): Fraction(0)})
+        assert p.terms == {(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 1, 0): 2}
+        assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+        q = P("1/2*x - 3/4*y") * 4 + P("1/3*z")
+        assert [type(c) for c in q.terms.values()] == [int, int, Fraction]
+
+    def test_no_float_coefficient(self):
+        # "there is no floating point anywhere": a float is refused, not rounded
+        x = P("x")
+        for make in (lambda: R.const(0.1), lambda: R.monomial(0.5, {"x": 1}),
+                     lambda: x * 0.5, lambda: 0.5 * x, lambda: x + 0.25,
+                     lambda: Polynomial(R, {(1, 0, 0, 0, 0): 1.0})):
+            with pytest.raises(PolyError, match="not rational"):
+                make()
+
+    def test_negative_powers_stay_exact(self):
+        l = R.var("l")
+        assert (3 * l) ** -2 == P("1/9*l^-2")
+        assert ((3 * l) ** -2).terms == {(0, 0, 0, 0, -2): Fraction(1, 9)}
+        assert (P("1/3*l") ** -2).terms == {(0, 0, 0, 0, -2): 9}
 
     def test_context_mismatch(self):
         other = VariableContext(("x", "y"))
@@ -335,6 +355,14 @@ class TestExponentPath:
             with pytest.raises(PolyError):
                 route(P("x*l^-1"))
 
+    def test_coefficient_under_a_negative_exponent_stays_exact(self):
+        images = {n: R.var(n) for n in R.names}
+        images["l"] = P("3*l")
+        sub = SubstitutionMap(R, R, images)
+        assert sub._monomial is not None
+        assert sub.apply(P("x*l^-1 + l^-2")) == P("1/3*x*l^-1 + 1/9*l^-2")
+        assert sub.apply(P("x*l^-1 + l^-2")) == sub._expand(P("x*l^-1 + l^-2"))
+
     def test_non_monomial_image_takes_the_expansion(self):
         images = {n: R.var(n) for n in R.names}
         images["x"] = P("x + y")
@@ -358,7 +386,7 @@ class TestUnitsAndNormalForms:
             assert all(c.denominator == 1 for c in coeffs)
             assert math.gcd(*(c.numerator for c in coeffs)) == 1
             assert q.leading_term()[1] > 0
-            ratio = q.leading_term()[1] / p.leading_term()[1]
+            ratio = Fraction(q.leading_term()[1]) / p.leading_term()[1]
             assert q == p * ratio
 
 
