@@ -21,8 +21,9 @@ asserts is an exact polynomial identity:
   each verdict decided once, on the twist-free polynomials;
 * the F4 chart is the quotient of the quadric chart by the sign involution of
   ``w``: every derived generator pulls back into the quadric ideal through
-  ``g -> w^2`` (decided once, twist-free) and the pullback only involves
-  even powers of ``w``;
+  ``g -> w^2`` and the pullback only involves even powers of ``w``; the
+  membership is read off the generator's embedding image, once and
+  twist-free, with no normal form;
 * the singular locus of each quadric chart is certified per standard affine
   chart through its Jacobian ideal.
 """
@@ -437,14 +438,16 @@ def verify_embedding(k: int) -> tuple[bool, list[dict]]:
 @lru_cache(maxsize=None)
 def _quotient_pullbacks() -> tuple[tuple[Polynomial, bool], ...]:
     """Each twist-free generator under a -> x^2, .., f -> z^2, t -> t, and
-    whether it lies in (4xz - y^2 - t).  After g -> w^2 the F4 dressing is
-    the quadric one, t -> l^k w^2, which makes 4xz - y^2 - t the twist-k
-    equation and, faithfully flat (see :func:`_f4_memberships`), keeps the
-    verdict."""
+    whether it lies in (4xz - y^2 - t).  That equation is monic of degree 1
+    in t, so dividing a pullback p by it leaves p at t = 4xz - y^2, and p is
+    a member exactly when that value, the generator's embedding image, is 0:
+    the verdict is read off :func:`_embedding_images`, with no normal form.
+    After g -> w^2 the F4 dressing is the quadric one, t -> l^k w^2, which
+    makes 4xz - y^2 - t the twist-k equation and, faithfully flat (see
+    :func:`_f4_memberships`), keeps the verdict."""
     sigma = _embedding_map(_QUADRIC_FREE, _QUADRIC_FREE.var("t"))
-    quadric = Ideal([_TWIST_FREE_QUADRIC])
-    pullbacks = [sigma.apply(g) for g in _twist_free_f4_generators()]
-    return tuple((p, contains(quadric, p)) for p in pullbacks)
+    generators = _twist_free_f4_generators()
+    return tuple((sigma.apply(g), not image) for g, image in zip(generators, _embedding_images()))
 
 
 def verify_quotient(k: int) -> tuple[bool, list[dict]]:

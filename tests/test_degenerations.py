@@ -452,6 +452,38 @@ class TestQuotient:
                 exp[R.index("w")] % 2 == 0 for exp in pullback.terms
             )
 
+    @pytest.fixture
+    def cold_quotient(self):
+        caches = (degenerations._embedding_images, degenerations._quotient_pullbacks)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_verdict_is_membership_and_false_off_the_kernel(self, monkeypatch, cold_quotient):
+        # the reference rows lie in the kernel, the variant's row 4 does not
+        rows = degenerations._twist_free_rows()
+        rows += degenerations._twist_free_rows(variant=True)
+        monkeypatch.setattr(degenerations, "_twist_free_f4_generators", lambda: rows)
+        quadric = Ideal([degenerations._TWIST_FREE_QUADRIC])
+        verdicts = degenerations._quotient_pullbacks()
+        assert len(verdicts) == len(rows) == 12
+        for pullback, member in verdicts:
+            assert member == contains(quadric, pullback)
+        assert [i for i, (_, member) in enumerate(verdicts) if not member] == [10]
+
+    def test_membership_decided_without_normal_form(self, monkeypatch, cold_quotient):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return contains(*args)
+
+        monkeypatch.setattr(degenerations, "contains", counting)
+        assert verify_quotient(1)[0]
+        assert calls == []
+
 
 class TestSingularLoci:
     def test_twist_one_smooth_everywhere(self):
