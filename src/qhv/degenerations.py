@@ -49,7 +49,6 @@ from .group_actions import (
 from .ideals import (
     Ideal,
     contains,
-    contains_one,
     eliminate,
     jacobian_ideal,
     minimal_generators,
@@ -61,6 +60,7 @@ from .polyring import (
     SubstitutionMap,
     VariableContext,
     convert_context,
+    grevlex,
 )
 
 ZERO = "zero"
@@ -222,7 +222,7 @@ def _twist_free_f4_generators() -> tuple[Polynomial, ...]:
     graph.append(-convert_context(_TWIST_FREE_QUADRIC, R))
     kernel = eliminate(Ideal(graph), QUADRIC_INVARIANT.ring.names)
     quadrics = minimal_generators(kernel.generators)
-    quadrics.sort(key=lambda g: _F4_FREE.monomial_key(g.leading_term()[0]), reverse=True)
+    quadrics.sort(key=lambda g: grevlex(g.leading_term()[0]))
     return tuple(primitive_integer_form(g) for g in quadrics)
 
 
@@ -323,11 +323,13 @@ def adjudicate_f4_generators(k: int) -> tuple[bool, list[dict]]:
 # -- gluing -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def gluing_map(family: str, k: int, l: int) -> SubstitutionMap:
     """Chart transition: l -> l^-1 and the marked coordinate twisted by l.
 
     The marked coordinate goes to itself times l^(degree (k+l)/2): w -> w
     l^((k+l)/2) on the quadric family, g -> g l^(k+l) on the F4 family.
+    Cached: the gluing and the equivariance check of a pair share one map.
     """
     fam = _family(family, k, l)
     twist = {fam.marked: 1, "l": fam.degree * (k + l) // 2}
@@ -488,11 +490,11 @@ def _affine_chart(gen: Polynomial, unit_var: str) -> Polynomial:
 
 
 def _locus_of_chart(equation: Polynomial) -> dict:
-    """Smooth when 1 is in the Jacobian ideal J; else singular exactly at the
-    origin when J holds a power v^m_v of each variable v.  Then J holds every
-    monomial of degree M = sum(m_v - 1) + 1, so for f in J with constant term
-    c it holds (f - c)^M, and expanding c^M = (f - (f - c))^M puts c^M in J:
-    c = 0, as 1 is not in J.  So V(J) is the origin and nothing else.
+    """Smooth when the Jacobian ideal J has the reduced basis [1]; else singular
+    exactly at the origin when J holds a power v^m_v of each variable v.  Then
+    J holds every monomial of degree M = sum(m_v - 1) + 1, so for f in J with
+    constant term c it holds (f - c)^M, and expanding c^M = (f - (f - c))^M
+    puts c^M in J: c = 0, as 1 is not in J.  So V(J) is the origin alone.
 
     Q[v] is a principal ideal domain, so the contraction of J to Q[v] has a
     single reduced Groebner generator h, and v^m is in J exactly when h
@@ -500,10 +502,10 @@ def _locus_of_chart(equation: Polynomial) -> dict:
     and no power of v is in J otherwise.
     """
     chart_ring = equation.ring
-    J = jacobian_ideal(equation, chart_ring.names)
-    if contains_one(J):
+    # eliminating from the reduced basis gives the same unique contractions, in fewer steps
+    basis = Ideal(jacobian_ideal(equation, chart_ring.names).groebner_basis())
+    if basis.generators == (chart_ring.one(),):
         return {"status": "smooth"}
-    basis = Ideal(J.groebner_basis())  # the same unique contractions, in fewer steps
     powers = {}
     for name in chart_ring.names:
         (h,) = eliminate(basis, set(chart_ring.names) - {name}).generators

@@ -62,6 +62,7 @@ from .polyring import (
     VariableContext,
     convert_context,
     derivative,
+    grevlex,
 )
 
 #: Reduction steps one engine call may take.  The largest call of ``qhv all``
@@ -101,7 +102,8 @@ _EXP_LIMIT = 1 << (FIELD_BITS - 1)
 class _Packing:
     """The monomial codes of one ring: each exponent vector as one integer.
 
-    ``nb = 0`` orders codes grevlex, as ``ring.monomial_key`` does.  Only
+    ``nb = 0`` orders codes grevlex: a larger code is a larger monomial, so
+    it has the smaller :func:`~qhv.polyring.grevlex` key.  Only
     :func:`eliminate` passes nb > 0, the elimination order of the first nb
     variables: the degree in them decides first, then grevlex, so a monomial
     involving one of them beats every monomial that avoids them (Cox, Little
@@ -542,23 +544,16 @@ def gauss_jordan(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return rows
 
 
-def contains_one(I: Ideal) -> bool:
-    """True when I is the unit ideal (the chart is smooth for Jacobian ideals)."""
-    return contains(I, I.ring.one())
-
-
 def minimal_generators(polys: Sequence[Polynomial]) -> list[Polynomial]:
-    """Greedy minimal generating subset, scanning by ascending total degree.
+    """Greedy minimal generating subset, scanning by ascending leading
+    monomial; grevlex compares total degree first.
 
     A candidate already contained in the ideal of the kept ones is dropped.
-    Deterministic: ties are broken by the context's monomial order on
-    leading terms.
+    Deterministic: the sort is stable, so equal leading monomials keep their
+    order.
     """
-    ring = polys[0].ring
-    ordered = sorted(
-        (p for p in polys if not p.is_zero()),
-        key=lambda p: (p.total_degree(), ring.monomial_key(p.leading_term()[0])),
-    )
+    nonzero = [p for p in polys if p]
+    ordered = sorted(nonzero, key=lambda p: grevlex(p.leading_term()[0]), reverse=True)
     kept: list[Polynomial] = []
     for p in ordered:
         if kept and contains(Ideal(kept), p):

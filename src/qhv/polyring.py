@@ -3,13 +3,13 @@
 A polynomial is a map from exponent vectors to nonzero rational
 coefficients, each an ``int`` when it is an integer and a ``Fraction``
 otherwise, attached to a :class:`VariableContext` that fixes the variable
-set and which variables are invertible; monomials are ordered grevlex.
-Invertible (Laurent) variables may carry negative exponents; all other
-variables are restricted to exponents >= 0.  Everything is immutable and
-exact: a coefficient that is not a ``numbers.Rational`` (a float, say) is
-refused, and there is no floating point anywhere in this package.  The Groebner
-engine of :mod:`qhv.ideals` computes in the polynomial ring and refuses
-negative exponents.
+set and which variables are invertible; monomials are ordered grevlex
+(:func:`grevlex`).  Invertible (Laurent) variables may carry negative
+exponents; all other variables are restricted to exponents >= 0.
+Everything is immutable and exact: a coefficient that is not a
+``numbers.Rational`` (a float, say) is refused, and there is no floating
+point anywhere in this package.  The Groebner engine of :mod:`qhv.ideals`
+computes in the polynomial ring and refuses negative exponents.
 
 The module also owns every change of variables: substitution maps, whose
 images may be Laurent monomial multiples (:class:`SubstitutionMap`; the
@@ -23,12 +23,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from operator import add, itemgetter, neg
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 #: A stored coefficient: an ``int`` when integral, else a ``Fraction``.
 Coefficient = int | Fraction
+
+
+def grevlex(exp: Exponent) -> tuple:
+    """The grevlex sort key of every ring: the larger monomial has the smaller key."""
+    return (-sum(exp), exp[::-1])
 
 
 class PolyError(ValueError):
@@ -68,10 +73,6 @@ class VariableContext(tuple):
             return self.names.index(name)
         except ValueError:
             raise PolyError(f"unknown variable {name!r} in context {self.names}") from None
-
-    def monomial_key(self, exp: Exponent):
-        """Grevlex sort key; larger key means larger monomial."""
-        return (sum(exp), tuple(map(neg, exp[::-1])))
 
     def extend(self, names: Iterable[str], invertible: Iterable[str] = ()) -> "VariableContext":
         return VariableContext(self.names + tuple(names), self.invertible | frozenset(invertible))
@@ -172,7 +173,7 @@ class Polynomial:
     def leading_term(self) -> tuple[Exponent, Coefficient]:
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")
-        exp = max(self.terms, key=self.ring.monomial_key)
+        exp = min(self.terms, key=grevlex)
         return exp, self.terms[exp]
 
     # -- arithmetic --------------------------------------------------------
@@ -405,8 +406,7 @@ def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     pieces = []
-    # descending grevlex, as sorting by monomial_key with reverse=True
-    for exp in sorted(p.terms, key=lambda e: (-sum(e), e[::-1])):
+    for exp in sorted(p.terms, key=grevlex):
         coeff = p.terms[exp]
         factors = []
         for name, e in zip(p.ring.names, exp):

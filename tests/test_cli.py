@@ -160,6 +160,15 @@ def test_all_builds_one_dressing_map_per_twist(capsys):
     assert (info.misses, info.hits) == (11, 82)
 
 
+def test_all_builds_one_gluing_map_per_pair(capsys):
+    # the gluing and the equivariance check of each of the 41 pairs share one map
+    for cache in package_caches():
+        cache.cache_clear()
+    assert run_cli(capsys, "all")[0] == 0
+    info = degenerations.gluing_map.cache_info()
+    assert (info.misses, info.hits) == (41, 41)
+
+
 class TestStreaming:
     def test_each_report_emitted_before_next_check(self, monkeypatch):
         events = []
@@ -217,7 +226,7 @@ class TestDeterminism:
         assert sorted(cache.__name__ for cache in caches) == [
             "_check_sl2", "_dressing", "_embedding_images", "_f4_memberships",
             "_quotient_pullbacks", "_twist_free_f4_generators", "_twist_free_rows",
-            "derive_f4_ideal", "f4_chart", "quadric_chart", "scaling_map",
+            "derive_f4_ideal", "f4_chart", "gluing_map", "quadric_chart", "scaling_map",
         ]
         cold = []
         for check in self.checks():

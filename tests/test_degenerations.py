@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhv import cli, degenerations, group_actions
+from qhv import cli, degenerations, group_actions, ideals
 from qhv.degenerations import (
     FAMILIES,
     ConstructionError,
@@ -37,7 +37,7 @@ from qhv.ideals import (
     gauss_jordan,
     primitive_integer_form,
 )
-from qhv.polyring import Polynomial, SubstitutionMap, VariableContext, convert_context
+from qhv.polyring import Polynomial, SubstitutionMap, VariableContext, convert_context, grevlex
 from linalg_oracle import is_member_up_to
 from oracles import (
     adjudicate_f4_per_twist,
@@ -128,12 +128,12 @@ class TestDeriveF4:
             assert math.gcd(*(c.numerator for c in coeffs)) == 1
             assert g.leading_term()[1] > 0
         leads = [g.leading_term()[0] for g in gens]
-        keys = [ring.monomial_key(m) for m in leads]
-        assert all(a > b for a, b in zip(keys, keys[1:]))
+        keys = [grevlex(m) for m in leads]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # descending leading monomials
         for i, g in enumerate(gens):
             assert not any(m in g.terms for j, m in enumerate(leads) if j != i)
         # the reference route: Gauss-Jordan over the coefficient rows
-        monoms = sorted({m for g in gens for m in g.terms}, key=ring.monomial_key, reverse=True)
+        monoms = sorted({m for g in gens for m in g.terms}, key=grevlex)
         rows = gauss_jordan([[g.terms.get(m, Fraction(0)) for m in monoms] for g in gens])
         echelon = [primitive_integer_form(Polynomial(ring, dict(zip(monoms, row)))) for row in rows]
         assert tuple(echelon) == gens
@@ -505,6 +505,14 @@ class TestSingularLoci:
         }
         for chart in ("x", "y", "z"):
             assert charts[chart]["status"] == "smooth"
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_unit_ideal_read_off_the_reduced_basis(self, monkeypatch, k):
+        # smoothness is the reduced basis [1], so no chart takes a normal form
+        calls, original = [], ideals.normal_form
+        monkeypatch.setattr(ideals, "normal_form", lambda *a: calls.append(a) or original(*a))
+        assert quadric_singular_loci(k)[0]
+        assert calls == []
 
     def test_twist_zero_smooth_everywhere(self):
         # 4xz - y^2 = w^2 is a smooth quadric; the w-chart point needs k >= 2

@@ -15,7 +15,6 @@ from qhv.ideals import (
     Ideal,
     ResourceLimitExceeded,
     contains,
-    contains_one,
     eliminate,
     gauss_jordan,
     jacobian_ideal,
@@ -461,12 +460,12 @@ class TestJacobian:
         # twist-1 chart equation on the w = 1 chart: the l-partial is a unit
         C = VariableContext(("x", "y", "z", "l"))
         J = jacobian_ideal(parse(C, "4*x*z - y^2 - l"), C.names)
-        assert contains_one(J)
+        assert J.groebner_basis() == (C.one(),)
 
     def test_twist3_chart_singular_at_origin(self):
         C = VariableContext(("x", "y", "z", "l"))
         J = jacobian_ideal(parse(C, "4*x*z - y^2 - l^3"), C.names)
-        assert not contains_one(J)
+        assert J.groebner_basis() != (C.one(),)
         for v, power in (("x", 1), ("y", 1), ("z", 1), ("l", 2)):
             assert contains(J, C.monomial(1, {v: power}))
 

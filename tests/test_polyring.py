@@ -3,7 +3,9 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from functools import cmp_to_key
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from qhv.polyring import (
     VariableContext,
     derivative,
     format_polynomial,
+    grevlex,
 )
 from qhv.ideals import primitive_integer_form
 from polytext import ParseError, parse
@@ -452,3 +455,31 @@ class TestTextFormat:
         assert str(q) == str(p)
         with pytest.raises(AttributeError):
             p._text = "x"
+
+
+def textbook_grevlex(a, b) -> int:
+    """Grevlex as a comparison, -1 when a is the larger monomial: the larger
+    total degree wins, then the smaller exponent of the last variable where
+    the two differ."""
+    if sum(a) != sum(b):
+        return -1 if sum(a) > sum(b) else 1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return -1 if x < y else 1
+    return 0
+
+
+class TestGrevlex:
+    def test_key_sorts_as_the_textbook_order(self):
+        rng = random.Random(40)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 8))]
+            assert sorted(exps, key=grevlex) == sorted(exps, key=cmp_to_key(textbook_grevlex))
+
+    def test_leading_term_is_printed_first(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            p = random_polynomial(rng, R, max_terms=6, allow_laurent=True)
+            exp, coeff = p.leading_term()
+            assert re.split(r" [+-] ", str(p))[0] == str(R.from_terms({exp: coeff})), p
