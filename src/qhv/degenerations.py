@@ -48,11 +48,11 @@ from .group_actions import (
 )
 from .ideals import (
     Ideal,
-    contains,
     eliminate,
     jacobian_ideal,
     minimal_generators,
     primitive_integer_form,
+    span_coordinates,
 )
 from .polyring import (
     PolyError,
@@ -278,21 +278,21 @@ def _f4_memberships() -> dict[str, tuple[bool, ...]]:
     """The adjudication's verdicts, decided once on the twist-free polynomials.
 
     Per source: each reference and variant row in the twist-free kernel, and
-    each kernel generator in the ideal of the reference rows.  They are the
-    verdicts at every twist k.  Under ``t -> l^k g``, Q[g, l] and Q[g, l^±1]
-    are torsion-free, so flat, over the principal ideal domain Q[t], and
-    faithfully flat, as no h(l^k g) with h nonconstant is a unit.  Base
-    change to Q[a, .., f] keeps both, and a faithfully flat A -> B has
-    I·B ∩ A = I (Matsumura, *Commutative Ring Theory*, Thm 7.5).  So each
-    verdict holds in the polynomial and the Laurent chart ring alike, with
-    no saturation in l assumed.
+    each kernel generator in the ideal of the reference rows: one
+    :func:`span_coordinates` solve each, all being forms of degree 2 in
+    (a, .., f, t).  They are the verdicts at every twist k.  Under ``t ->
+    l^k g``, Q[g, l] and Q[g, l^±1] are torsion-free, so flat, over the
+    principal ideal domain Q[t], and faithfully flat, as no h(l^k g) with h
+    nonconstant is a unit.  Base change to Q[a, .., f] keeps both, and a
+    faithfully flat A -> B has I·B ∩ A = I (Matsumura, *Commutative Ring
+    Theory*, Thm 7.5).  So each verdict holds in the polynomial and the
+    Laurent chart ring alike, with no saturation in l assumed.
     """
-    kernel, reference = Ideal(_twist_free_f4_generators()), Ideal(_twist_free_rows())
-    return {
-        "reference": tuple(contains(kernel, p) for p in reference.generators),
-        "variant": tuple(contains(kernel, p) for p in _twist_free_rows(variant=True)),
-        "derived": tuple(contains(reference, g) for g in kernel.generators),
-    }
+    kernel, reference = _twist_free_f4_generators(), _twist_free_rows()
+    questions = {"reference": (reference, kernel), "derived": (kernel, reference),
+                 "variant": (_twist_free_rows(variant=True), kernel)}
+    return {source: tuple(c is not None for c in span_coordinates(*question))
+            for source, question in questions.items()}
 
 
 def adjudicate_f4_generators(k: int) -> tuple[bool, list[dict]]:

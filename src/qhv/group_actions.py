@@ -21,16 +21,15 @@ forward through the quadratic embedding
 
     a = x^2, b = 2xy, c = 2xz + y^2, e = 2yz, f = z^2, g = l^-k (4xz - y^2)
 
-by differentiating each coordinate function and re-expressing the result in
-the basis (a, .., f, 4xz - y^2) of the quadrics.  The components (a, .., f)
-span an sl2-stable summand, so the coordinate on the invariant 4xz - y^2 is
-zero; it is checked, and the triple is the same for every twist k.
+by differentiating each coordinate function and re-expressing the result,
+by :func:`ideals.span_coordinates`, in the basis (a, .., f, 4xz - y^2) of the
+quadrics; (a, .., f) span an sl2-stable summand, so the coordinate on the
+invariant is zero.  It is checked, and the triple serves every twist k.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping, NamedTuple
 
 from . import ideals
@@ -138,21 +137,6 @@ def sl2_v2_triple(ring: VariableContext = QUADRIC_CHART_RING) -> Sl2Triple:
     return _triple(ring, {"x": y, "y": 2 * z}, {"x": -2 * x, "z": 2 * z}, {"y": 2 * x, "z": y})
 
 
-def _express_in_embedding(images: list[Polynomial]) -> list[list[Fraction]]:
-    """Coordinates of each quadratic form in the basis (a,b,c,e,f, invariant),
-    from one reduction of the matrix augmented by all the forms."""
-    basis = list(EMBEDDING_COMPONENTS.values()) + [QUADRIC_INVARIANT]
-    monoms = sorted({m for p in basis + images for m in p.terms})
-    if len(monoms) != 6:
-        raise PolyError("image is not a quadratic form in (x, y, z)")
-    columns = basis + images
-    augmented = [[c.terms.get(m, Fraction(0)) for c in columns] for m in monoms]
-    reduced = ideals.gauss_jordan(augmented)
-    if [row[:6] for row in reduced] != [[int(i == j) for j in range(6)] for i in range(6)]:
-        raise PolyError("singular re-expression system")
-    return [[row[6 + k] for row in reduced] for k in range(len(images))]
-
-
 def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
     """Triple on (a, .., f) obtained by push-forward through the embedding.
 
@@ -165,13 +149,12 @@ def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
 
     def push(D: Derivation) -> dict[str, Polynomial]:
         images = {}
-        coordinates = _express_in_embedding([apply(D, c) for c in EMBEDDING_COMPONENTS.values()])
-        for name, (*coords, invariant) in zip(EMBEDDING_COMPONENTS, coordinates):
-            if invariant != 0:
+        basis = [*EMBEDDING_COMPONENTS.values(), QUADRIC_INVARIANT]
+        coordinates = ideals.span_coordinates([apply(D, c) for c in basis[:-1]], basis)
+        for name, coords in zip(EMBEDDING_COMPONENTS, coordinates):
+            if coords is None or coords.pop() != 0:
                 raise PolyError(f"image of {name!r} leaves the span of (a, .., f)")
-            images[name] = sum(
-                (ring.var(t) * coeff for coeff, t in zip(coords, EMBEDDING_COMPONENTS)), ring.zero()
-            )
+            images[name] = sum(map(mul, map(ring.var, EMBEDDING_COMPONENTS), coords), ring.zero())
         return images
 
     return _triple(ring, *map(push, sl2_v2_triple(_XYZ)))
@@ -181,8 +164,11 @@ def sl2_v4_triple(ring: VariableContext = F4_CHART_RING) -> Sl2Triple:
 
 
 def check_ideal_invariance(I: ideals.Ideal, T: Sl2Triple) -> bool:
-    """True iff every operator image of every generator lies in I."""
-    return all(ideals.contains(I, apply(D, g)) for D in T for g in I.generators)
+    """True iff every operator image of every generator lies in I, decided
+    as a Q-combination of the generators, which must be linearly independent;
+    a False verdict is exact for forms of one degree, and raises otherwise."""
+    images = [apply(D, g) for D in T for g in I.generators]
+    return None not in ideals.span_coordinates(images, I.generators)
 
 
 class TorusAction(tuple):

@@ -544,6 +544,23 @@ def gauss_jordan(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return rows
 
 
+def span_coordinates(targets: Sequence[Polynomial], basis: Sequence[Polynomial]) -> list:
+    """Each target's coordinates in ``basis``, or None off its Q-span, from one reduction
+    of the [basis | targets] matrix; a dependent basis raises ``PolyError``.  Among forms
+    of one degree d, None means "not in the ideal", which meets degree d in the span of
+    its generators (Cox, Little and O'Shea, ch. 8); a None among mixed degrees raises."""
+    n, columns = len(basis), [*basis, *targets]
+    monoms = {m for p in columns for m in p.terms}
+    reduced = gauss_jordan([[p.terms.get(m, 0) for p in columns] for m in monoms])
+    if [row[:n] for row in reduced[:n]] != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise PolyError("singular re-expression system")
+    tails = ([row[j] for row in reduced] for j in range(n, len(columns)))
+    coordinates = [None if any(col[n:]) else col[:n] for col in tails]
+    if None in coordinates and len({sum(m) for m in monoms}) > 1:
+        raise PolyError("a target leaves the span, and the forms differ in degree")
+    return coordinates
+
+
 def minimal_generators(polys: Sequence[Polynomial]) -> list[Polynomial]:
     """Greedy minimal generating subset, scanning by ascending leading
     monomial; grevlex compares total degree first.

@@ -91,6 +91,19 @@ MUTANTS = {
         "    content = 1",
         ("tests/test_polyring.py::TestUnitsAndNormalForms::test_primitive_integer_form",),
     ),
+    "span-always-inside": Mutant(
+        "src/qhv/ideals.py",
+        "[None if any(col[n:]) else col[:n] for col in tails]",
+        "[col[:n] for col in tails]",
+        ("tests/test_group_actions.py::TestInvarianceChecks::test_noninvariant_ideal",
+         "tests/test_degenerations.py::TestDeriveF4::test_adjudication_flags_variant_discrepancy"),
+    ),
+    "span-degree-guard-dropped": Mutant(
+        "src/qhv/ideals.py",
+        "if None in coordinates and len(",
+        "if False and len(",
+        ("tests/test_ideals.py::TestSpanCoordinates::test_degree_guard",),
+    ),
     "reduction-without-multiplier": Mutant(
         "src/qhv/ideals.py",
         "work[target] = -coeff * gc",

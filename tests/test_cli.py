@@ -169,6 +169,33 @@ def test_all_builds_one_gluing_map_per_pair(capsys):
     assert (info.misses, info.hits) == (41, 41)
 
 
+def test_all_engine_calls(capsys, monkeypatch):
+    # the chart suites decide their memberships by span coordinates: the only
+    # normal forms left are those of minimal_generators, deriving the F4 kernel
+    for cache in package_caches():
+        cache.cache_clear()
+    bases, normal_forms, inside = [], [], []
+    buchberger, normal_form = ideals._buchberger, ideals.normal_form
+    minimal_generators = degenerations.minimal_generators
+
+    def minimal(polys):
+        inside.append(True)
+        try:
+            return minimal_generators(polys)
+        finally:
+            inside.pop()
+
+    def counted_normal_form(*args):
+        normal_forms.append(bool(inside))
+        return normal_form(*args)
+
+    monkeypatch.setattr(ideals, "_buchberger", lambda *a: bases.append(a) or buchberger(*a))
+    monkeypatch.setattr(ideals, "normal_form", counted_normal_form)
+    monkeypatch.setattr(degenerations, "minimal_generators", minimal)
+    assert run_cli(capsys, "all")[0] == 0
+    assert (len(bases), normal_forms) == (42, [True] * 5)
+
+
 class TestStreaming:
     def test_each_report_emitted_before_next_check(self, monkeypatch):
         events = []

@@ -36,6 +36,7 @@ from qhv.ideals import (
     eliminate,
     gauss_jordan,
     primitive_integer_form,
+    span_coordinates,
 )
 from qhv.polyring import Polynomial, SubstitutionMap, VariableContext, convert_context, grevlex
 from linalg_oracle import is_member_up_to
@@ -150,6 +151,23 @@ class TestDeriveF4:
         # exactly one transcription deviates from the kernel
         assert flags == [True, True, True, True, False, True]
         assert "6*a*c" in variant_rows[4]["generator"]
+
+    def test_memberships_equal_the_engine_verdicts(self):
+        kernel = Ideal(degenerations._twist_free_f4_generators())
+        reference = Ideal(degenerations._twist_free_rows())
+        variant = degenerations._twist_free_rows(variant=True)
+        assert degenerations._f4_memberships() == {
+            "reference": tuple(contains(kernel, p) for p in reference.generators),
+            "variant": tuple(contains(kernel, p) for p in variant),
+            "derived": tuple(contains(reference, g) for g in kernel.generators),
+        }
+
+    def test_memberships_are_questions_about_quadrics(self):
+        # the grading that makes a span verdict False exactly off the ideal
+        forms = (degenerations._twist_free_f4_generators() + degenerations._twist_free_rows()
+                 + degenerations._twist_free_rows(variant=True))
+        assert {p.ring.names for p in forms} == {("a", "b", "c", "e", "f", "t")}
+        assert {sum(exp) for p in forms for exp in p.terms} == {2}
 
     def test_variant_nonmember_by_independent_oracle(self):
         bad = variant_f4_generators()[4]
@@ -378,6 +396,17 @@ class TestSl2OncePerFamily:
         assert sorted(rings["sl2_v2_triple"]) == [("x", "y", "z"), ("x", "y", "z", "t")]
         assert rings["sl2_v4_triple"] == [("a", "b", "c", "e", "f", "t")]
 
+    @pytest.mark.parametrize("name", ["quadric", "f4"])
+    def test_image_verdicts_equal_the_engine_verdicts(self, name):
+        # every image the once-per-family check decides, with its coordinates
+        family = FAMILIES[name]
+        gens = family.twist_free()
+        images = [apply(D, g) for D in family.sl2(gens[0].ring) for g in gens]
+        coordinates = span_coordinates(images, gens)
+        assert [c is not None for c in coordinates] == [contains(Ideal(gens), p) for p in images]
+        for image, coords in zip(images, coordinates):
+            assert sum((c * g for c, g in zip(coords, gens)), image.ring.zero()) == image
+
     def test_noninvariant_presentation_fails_every_chart(self, monkeypatch, capsys):
         quadric = FAMILIES["quadric"]
         ring = quadric.twist_free()[0].ring
@@ -474,13 +503,11 @@ class TestQuotient:
         assert [i for i, (_, member) in enumerate(verdicts) if not member] == [10]
 
     def test_membership_decided_without_normal_form(self, monkeypatch, cold_quotient):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return contains(*args)
-
-        monkeypatch.setattr(degenerations, "contains", counting)
+        # the kernel's derivation runs normal forms of its own, so it is warmed
+        # first; a normal form from anywhere after that is counted
+        degenerations._twist_free_f4_generators()
+        calls, original = [], ideals.normal_form
+        monkeypatch.setattr(ideals, "normal_form", lambda *a: calls.append(a) or original(*a))
         assert verify_quotient(1)[0]
         assert calls == []
 

@@ -230,6 +230,12 @@ class TestInvarianceChecks:
     def test_noninvariant_ideal(self):
         assert not check_ideal_invariance(Ideal([P("x")]), sl2_v2_triple())
 
+    def test_non_member_among_mixed_degrees_raises(self):
+        # E(x + w^2) = y is outside the span, and the grading that would make
+        # that a non-member verdict does not hold
+        with pytest.raises(PolyError, match="differ in degree"):
+            check_ideal_invariance(Ideal([P("x + w^2")]), sl2_v2_triple())
+
     def test_unit_ideal_trivially_invariant(self):
         assert check_ideal_invariance(Ideal([R.one()]), sl2_v2_triple())
 

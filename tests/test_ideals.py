@@ -1,6 +1,7 @@
 """Groebner engine: bases, normal forms, elimination, Jacobian ideals."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -20,8 +21,9 @@ from qhv.ideals import (
     jacobian_ideal,
     minimal_generators,
     normal_form,
+    span_coordinates,
 )
-from qhv.polyring import PolyError, VariableContext, convert_context
+from qhv.polyring import PolyError, Polynomial, VariableContext, convert_context
 from linalg_oracle import is_member_bounded, is_member_up_to
 from oracles import _remainder, is_groebner_basis, textbook_groebner_basis
 from polytext import parse
@@ -481,6 +483,72 @@ class TestGaussJordan:
         rows = [[F(0), F(2), F(4)], [F(1), F(1), F(1)], [F(2), F(4), F(6)]]
         assert gauss_jordan(rows) == [[1, 0, -1], [0, 1, 2], [0, 0, 0]]
         assert rows[0] == [0, 2, 4]  # the input is left as it was
+
+
+class TestSpanCoordinates:
+    @staticmethod
+    def forms(rng, ring, degree, count, monoms=None):
+        """``count`` linearly independent random forms of one degree, on
+        ``monoms`` (every monomial of that degree by default); a ring of n
+        variables has at least n monomials of each positive degree."""
+        if monoms is None:
+            monoms = [m for m in itertools.product(range(degree + 1), repeat=len(ring.names))
+                      if sum(m) == degree]
+        while True:
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                     for _ in monoms] for _ in range(count)]
+            if all(any(row) for row in gauss_jordan(rows)):  # rank == count
+                return [Polynomial(ring, dict(zip(monoms, row))) for row in rows]
+
+    @staticmethod
+    def combination(coeffs, basis):
+        return sum((c * b for c, b in zip(coeffs, basis)), basis[0].ring.zero())
+
+    def test_coordinates_multiply_back(self):
+        rng = random.Random(4101)
+        for _ in range(40):
+            ring, degree = random_ring(rng, 3), rng.randint(1, 3)
+            basis = self.forms(rng, ring, degree, rng.randint(1, len(ring.names)))
+            weights = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+            target = self.combination(weights, basis)
+            (coords,) = span_coordinates([target], basis)
+            assert coords == weights
+            assert self.combination(coords, basis) == target
+
+    def test_target_outside_the_span(self):
+        rng = random.Random(4102)
+        for _ in range(20):
+            ring = random_ring(rng, 3)
+            monoms = [m for m in itertools.product(range(3), repeat=len(ring.names)) if sum(m) == 2]
+            missing = monoms.pop(rng.randrange(len(monoms)))
+            basis = self.forms(rng, ring, 2, rng.randint(1, len(ring.names)), monoms)
+            inside = self.combination([1] * len(basis), basis)
+            outside = inside + Polynomial(ring, {missing: 1})
+            assert span_coordinates([outside, inside], basis) == [None, [1] * len(basis)]
+
+    def test_dependent_basis_raises(self):
+        f, g = P("x^2 + y*z"), P("3*x*z - y^2")
+        with pytest.raises(PolyError, match="singular re-expression system"):
+            span_coordinates([f], [f, g, 2 * f - Fraction(1, 3) * g])
+        with pytest.raises(PolyError, match="singular re-expression system"):
+            span_coordinates([f], [f, R.zero()])
+
+    def test_degree_guard(self):
+        # a non-member verdict needs one degree; a member verdict does not
+        with pytest.raises(PolyError, match="differ in degree"):
+            span_coordinates([P("x^2")], [P("x + y^2")])
+        assert span_coordinates([P("y")], [P("x")]) == [None]
+        assert span_coordinates([P("2*x + 2*y^2"), R.zero()], [P("x + y^2")]) == [[2], [0]]
+
+    def test_agrees_with_the_engine_on_quadric_ideals(self):
+        rng = random.Random(4103)
+        for _ in range(30):
+            ring = random_ring(rng, 4)
+            basis = self.forms(rng, ring, 2, rng.randint(1, len(ring.names)))
+            weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+            targets = [self.combination(weights, basis), *self.forms(rng, ring, 2, 3)]
+            verdicts = [c is not None for c in span_coordinates(targets, basis)]
+            assert verdicts == [contains(Ideal(basis), t) for t in targets]
 
 
 class TestMinimalGenerators:
