@@ -11,7 +11,8 @@ coefficients, positive leading coefficient): reductions cross-multiply
 instead of dividing, so no ``Fraction`` arithmetic runs in the reduction
 loop.  ``Fraction`` appears only at the boundary, when the reduced basis is
 made monic over Q and when :func:`normal_form` divides its integer remainder
-by the accumulated multiplier.
+by the accumulated multiplier, and there only for a quotient that is not an
+integer: an integral coefficient stays an ``int``.
 The engine computes in the polynomial ring: an invertible variable counts
 as an ordinary one, and a negative exponent in a generator or a
 :func:`normal_form` input raises :class:`PolyError`.  Over a ring with an
@@ -29,11 +30,13 @@ engine's order, and a divisor test is one subtraction and one mask (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  A signature is an integer in the same way
 (:func:`_buchberger`).  Exponent tuples return only at the boundary: the
-monic basis, the normal form, and the lcm of an S-pair, which is not linear
-in the exponents.  Within one Buchberger run the reduction remembers, for
-each monomial it has reduced, the index below which no basis element
-divides it; the basis only grows by appending, so the scan for a reducer
-resumes there and picks the same reducer as a scan from the start.
+monic basis, which decodes each distinct code of the basis once, the normal
+form, and the leading monomial of each new basis element, for the code of
+the lcm of each S-pair it queues: an lcm is not linear in the exponents.
+Within one Buchberger run the reduction remembers, for each monomial it has
+reduced, the index below which no basis element divides it; the basis only
+grows by appending, so the scan for a reducer resumes there and picks the
+same reducer as a scan from the start.
 
 Each engine call (one basis computation or one normal form) counts its
 reduction steps against the fixed limit :data:`STEP_BUDGET` and raises
@@ -55,6 +58,7 @@ from operator import itemgetter, lshift
 from typing import Iterable, Sequence
 
 from .polyring import (
+    Coefficient,
     Exponent,
     Polynomial,
     PolyError,
@@ -161,10 +165,26 @@ class _Packing:
         self.check(bits)
         return tuple((bits >> pos) & (_EXP_LIMIT - 1) for pos in self.pos)
 
-    def monic(self, reducer: _Reducer, start: int = 0) -> dict[Exponent, Fraction]:
-        """The reducer's monic term map over Q, on the variables from ``start`` on."""
-        lead, _, lc, tail = reducer
-        return {self.decode(m)[start:]: Fraction(c, lc) for m, c in ((lead, lc), *tail)}
+    def monic(
+        self, reducers: Sequence[_Reducer], start: int = 0
+    ) -> list[dict[Exponent, Coefficient]]:
+        """The reducers' monic term maps over Q, on the variables from ``start`` on.
+
+        A basis shares most of its monomials among its elements, so each
+        code is decoded once for the whole basis; a coefficient c/lc stays an
+        ``int`` when lc divides c.
+        """
+        exps: dict[int, Exponent] = {}
+        maps = []
+        for lead, _, lc, tail in reducers:
+            terms = {}
+            for m, c in ((lead, lc), *tail):
+                exp = exps.get(m)
+                if exp is None:
+                    exp = exps[m] = self.decode(m)[start:]
+                terms[exp] = _quotient(c, lc)
+            maps.append(terms)
+        return maps
 
 
 class Ideal:
@@ -193,7 +213,7 @@ class Ideal:
         if self._basis is None:
             pk = _Packing(self.ring)
             self._reducers = _buchberger(self.generators, pk, _Counter(self.ring))
-            self._basis = tuple(Polynomial(self.ring, pk.monic(r)) for r in self._reducers)
+            self._basis = tuple(Polynomial(self.ring, t) for t in pk.monic(self._reducers))
         return self._basis
 
     def __repr__(self):
@@ -207,6 +227,12 @@ class Ideal:
 #: terms as (code, coefficient) pairs, with coprime integer coefficients and
 #: a positive leading coefficient.
 _Reducer = tuple[int, int, int, tuple[tuple[int, int], ...]]
+
+
+def _quotient(c: int, d: int) -> Coefficient:
+    """c/d over Q: an ``int`` when d divides c, else a ``Fraction``."""
+    q, r = divmod(c, d)
+    return Fraction(c, d) if r else q
 
 
 def _integer_terms(terms: dict[Exponent, Fraction]) -> tuple[dict[Exponent, int], int]:
@@ -261,7 +287,7 @@ def _reduce_terms(
     monomials below the one it removes, so the remainder's terms come out in
     descending order.
     """
-    bits, guard = pk.bits, pk.guard
+    mask, guard = pk.mask, pk.guard
     limit, n, offsets = bound or (None, 0, ())
     work = dict(terms)
     heap = [-m for m in work]
@@ -273,7 +299,7 @@ def _reduce_terms(
         coeff = work.pop(lead, None)
         if coeff is None:
             continue
-        lead_bits = bits(lead)
+        lead_bits = -lead & mask  # pk.bits(lead)
         if lead_bits & guard:
             pk.check(lead_bits)
         if limit is not None:
@@ -327,6 +353,14 @@ def _engine_codes(p: Polynomial, pk: _Packing) -> tuple[dict[int, int], int]:
     return {pk.encode(e): c for e, c in terms.items()}, denom
 
 
+def _divisible(bits: int, divisors: list[int], guard: int) -> bool:
+    """Whether a divisor-test bit pattern in ``divisors`` divides ``bits``."""
+    for d in divisors:
+        if not (bits - d) & guard:
+            return True
+    return False
+
+
 def _buchberger(
     generators: Sequence[Polynomial], pk: _Packing, counter: _Counter
 ) -> list[_Reducer]:
@@ -355,38 +389,19 @@ def _buchberger(
     term_maps = [_engine_codes(p, pk)[0] for p in generators if not p.is_zero()]
     inputs = [_reducer(max(terms), terms, pk) for terms in term_maps]
     n = len(inputs)
-    bits, guard = pk.bits, pk.guard
+    mask, guard = pk.mask, pk.guard
+    width, pos, nb, block = FIELD_BITS * len(pk.pos), pk.pos, pk.nb, pk.shift
     basis: list[_Reducer] = []
     # sig(g) - code(lt(g))·n: g shifted to lead the monomial of code m has
     # the signature offset + m·n, and (T - offset)/n is the lead of (T/sig(g))·g
     offsets: list[int] = []
     leads: list[Exponent] = []  # exponent tuples of the leading monomials, for the lcms
     # per signature index: (bits of the signature's monomial, basis position)
-    # of its elements, and the bits of its known syzygy signatures
+    # of its elements, and the bits of its known syzygy signatures.  The
+    # signature m·e_i has the monomial m·lt(f_i), of code T // n, and index
+    # T % n; its bits are -(T // n) & mask, as pk.bits gives them.
     elements: list[list[tuple[int, int]]] = [[] for _ in inputs]
     syzygies: list[list[int]] = [[] for _ in inputs]
-
-    def monomial_bits(sig: int) -> int:
-        """The divisor-test bits of m·lt(f_i) for the signature m·e_i.
-
-        Its fields are sums of two that fit, so a field that does not fit
-        shows in its guard bit and has not spilled into the next field.
-        """
-        sig_bits = bits(sig // n)
-        if sig_bits & guard:
-            pk.check(sig_bits)
-        return sig_bits
-
-    def is_syzygy(index: int, sig_bits: int) -> bool:
-        for z in syzygies[index]:
-            if not (sig_bits - z) & guard:
-                return True
-        return False
-
-    def note_syzygy(sig: int):
-        index, sig_bits = sig % n, monomial_bits(sig)
-        if not is_syzygy(index, sig_bits):
-            syzygies[index].append(sig_bits)
 
     # memo[m] = i: no element of basis[:i] divides the monomial of code m.
     # The loop only appends to basis, so a recorded index stays exact.
@@ -399,8 +414,12 @@ def _buchberger(
         if sig == last:
             continue
         last = sig
-        index, sig_bits = sig % n, monomial_bits(sig)
-        if is_syzygy(index, sig_bits):
+        # a queued signature's monomial fits: a generator's lead was encoded,
+        # and an S-pair's divides its Koszul signature's, checked below
+        q, index = divmod(sig, n)
+        sig_bits = -q & mask
+        zs = syzygies[index]
+        if _divisible(sig_bits, zs, guard):
             continue
         best = None  # the rewriter's basis position, None for T = e_index
         for g_bits, k in elements[index]:
@@ -419,22 +438,47 @@ def _buchberger(
         terms.update((m + shift, c) for m, c in tail)
         rem = _reduce_terms(terms, basis, pk, counter, memo, (sig, n, offsets))[0]
         if not rem:
-            note_syzygy(sig)
+            zs.append(sig_bits)  # no known syzygy divides it, as tested above
             continue
         top = next(iter(rem))
         if best is not None and top == lead:
             continue
-        offset, exp = sig - top * n, pk.decode(top)
-        for k, (lt, _, _, _) in enumerate(basis):
+        offset, exp, top_bits = sig - top * n, pk.decode(top), -top & mask
+        for k, (lt, lt_bits, _, _) in enumerate(basis):
             if offset == offsets[k]:
                 continue  # the two sides of the S-pair, and of the Koszul syzygy, tie
-            # both sides shifted to one lead: the larger signature is the larger offset
-            high = max(offset, offsets[k])
-            note_syzygy(high + (top + lt) * n)
-            lcm = pk.encode(tuple(map(max, exp, leads[k])))
-            pair = high + lcm * n
-            if not is_syzygy(pair % n, monomial_bits(pair)):
-                heappush(queue, pair)
+            # both sides shifted to one lead: the larger signature is the larger
+            # offset, q·n + i; the Koszul signature is that plus (top + lt)·n and
+            # the pair's that plus lcm·n, both of index i, so their bits are
+            # those of the leads' product and lcm, less q
+            q, i = divmod(max(offset, offsets[k]), n)
+            zs = syzygies[i]
+            koszul = (top_bits + lt_bits - q) & mask
+            # its fields are sums of two that fit, so a field that does not fit
+            # shows in its guard bit and has not spilled into the next field
+            if koszul & guard:
+                pk.check(koszul)
+            for z in zs:
+                if not (koszul - z) & guard:
+                    break
+            else:
+                zs.append(koszul)
+            # the lcm's bits are the fieldwise max of the leads' bits: the guard
+            # bits of (top_bits | guard) - lt_bits mark the fields where top's
+            # exponent is not below lt's, and ge widens each to a field mask
+            ge = ((top_bits | guard) - lt_bits) & guard
+            ge -= ge >> (FIELD_BITS - 1)
+            pair = (((top_bits & ge) | (lt_bits & ~ge)) - q) & mask
+            for z in zs:
+                if not (pair - z) & guard:
+                    break
+            else:
+                # pk.encode without its range check, which cannot fire: the lcm
+                # of two monomials that fit fits, and the pair's monomial
+                # divides the Koszul one, whose bits were checked
+                lcm = tuple(map(max, exp, leads[k]))
+                lcm = (sum(lcm[:nb]) << block) + (sum(lcm) << width) - sum(map(lshift, lcm, pos))
+                heappush(queue, (q + lcm) * n + i)
         elements[index].append((sig_bits, len(basis)))
         basis.append(_reducer(top, rem, pk))
         offsets.append(offset)
@@ -474,7 +518,7 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     I.groebner_basis()
     rem, scale = _reduce_terms(codes, I._reducers, pk, _Counter(I.ring), {})
     scale *= denom
-    return Polynomial(I.ring, {pk.decode(m): Fraction(c, scale) for m, c in rem.items()})
+    return Polynomial(I.ring, {pk.decode(m): _quotient(c, scale) for m, c in rem.items()})
 
 
 def primitive_integer_form(p: Polynomial) -> Polynomial:
@@ -509,7 +553,8 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     pk = _Packing(ring, len(block))
     reducers = _buchberger([convert_context(g, ring) for g in I.generators], pk, _Counter(ring))
     target = VariableContext(tuple(rest), I.ring.invertible & set(rest))
-    kept = [Polynomial(target, pk.monic(r, pk.nb)) for r in reducers if r[0] >> pk.shift == 0]
+    free = [r for r in reducers if r[0] >> pk.shift == 0]
+    kept = [Polynomial(target, terms) for terms in pk.monic(free, pk.nb)]
     return Ideal(kept or [target.zero()])
 
 

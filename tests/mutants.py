@@ -110,6 +110,23 @@ MUTANTS = {
         "work[target] = -gc",
         ("tests/test_ideals.py::TestNormalForm::test_two_non_unit_reducers_in_sequence",),
     ),
+    # the results stay the same, but the pairs the Koszul criterion drops
+    # are reduced, which the step pins count
+    "koszul-syzygy-unrecorded": Mutant(
+        "src/qhv/ideals.py",
+        "                zs.append(koszul)",
+        "                pass",
+        ("tests/test_ideals.py::TestKnownAnswers::test_step_count_pinned",
+         "tests/test_ideals.py::TestKnownAnswers::test_elimination_step_count_pinned",
+         "tests/test_ideals.py::TestKnownAnswers::test_graph_elimination_step_count_pinned"),
+    ),
+    "monic-floor-quotient": Mutant(
+        "src/qhv/ideals.py",
+        "return Fraction(c, d) if r else q",
+        "return q",
+        ("tests/test_ideals.py::TestKnownAnswers::test_reduced_basis",
+         "tests/test_ideals.py::TestKnownAnswers::test_katsura4_elimination"),
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from operator import le
@@ -123,6 +124,26 @@ class TestGroebner:
         for g in I.groebner_basis():
             assert g.leading_term()[1] == 1
         assert is_groebner_basis(I.groebner_basis())
+
+    def test_monic_basis_decodes_each_code_once(self, monkeypatch):
+        # katsura-4's 16 basis elements share 29 monomials; the hand-off from
+        # the engine's reducers decodes each of their codes once
+        decoded = Counter()
+        buchberger, decode = ideals._buchberger, ideals._Packing.decode
+
+        def counting_decode(pk, code):
+            decoded[code] += 1
+            return decode(pk, code)
+
+        def then_count(*args):
+            reducers = buchberger(*args)
+            monkeypatch.setattr(ideals._Packing, "decode", counting_decode)
+            return reducers
+
+        monkeypatch.setattr(ideals, "_buchberger", then_count)
+        basis = Ideal(katsura(4)).groebner_basis()
+        assert len(decoded) == len({e for g in basis for e in g.terms}) == 29
+        assert set(decoded.values()) == {1}
 
     def test_resource_limit(self, monkeypatch):
         monkeypatch.setattr(ideals, "STEP_BUDGET", 5)
