@@ -29,23 +29,25 @@ product is an integer sum, comparing codes compares monomials under the
 engine's order, and a divisor test is one subtraction and one mask (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  A signature is an integer in the same way
-(:func:`_buchberger`).  Exponent tuples return only at the boundary: the
-monic basis, which decodes each distinct code of the basis once, the normal
-form, and the leading monomial of each new basis element, for the code of
-the lcm of each S-pair it queues: an lcm is not linear in the exponents.
+(:func:`_buchberger`).  Exponent tuples appear only at the boundary: each
+input term is encoded once, and the monic basis decodes each distinct code
+of the basis once, as :func:`normal_form` decodes its remainder.  The S-pair
+loop forms the lcm of two leading monomials, which is not linear in the
+exponents, as the fieldwise maximum of their divisor-test bits.
 Within one Buchberger run the reduction remembers, for each monomial it has
 reduced, the index below which no basis element divides it; the basis only
 grows by appending, so the scan for a reducer resumes there and picks the
 same reducer as a scan from the start.
 
 Each engine call (one basis computation or one normal form) counts its
-reduction steps against the fixed limit :data:`STEP_BUDGET` and raises
-:class:`ResourceLimitExceeded` instead of truncating silently.  The limit is
-a constant, so a call's step count alone decides whether it succeeds: a
-cached basis always comes from a call that succeeded under the same limit,
-and no result depends on what ran earlier in the process.  An exponent of
-``2**31`` or more, given or reached in a monomial or a signature, raises the
-same error, naming the field width, instead of wrapping into the next field.
+reduction steps in its own :class:`_Packing`, against the fixed limit
+:data:`STEP_BUDGET`, and raises :class:`ResourceLimitExceeded` instead of
+truncating silently.  The limit is a constant, so a call's step count
+alone decides whether it succeeds: a cached basis always comes from a call
+that succeeded under the same limit, and no result depends on what ran
+earlier in the process.  An exponent of ``2**31`` or more, given or reached
+in a monomial or a signature, raises the same error, naming the field
+width, instead of wrapping into the next field.
 """
 
 from __future__ import annotations
@@ -78,22 +80,6 @@ class ResourceLimitExceeded(RuntimeError):
     """A Groebner computation exceeded its step budget or the exponent field width."""
 
 
-class _Counter:
-    __slots__ = ("steps", "ring")
-
-    def __init__(self, ring: VariableContext):
-        self.steps = 0
-        self.ring = ring
-
-    def tick(self, n: int = 1):
-        self.steps += n
-        if self.steps > STEP_BUDGET:
-            raise ResourceLimitExceeded(
-                f"step budget of {STEP_BUDGET} exceeded after {self.steps} steps "
-                f"over the variables {', '.join(self.ring.names)}"
-            )
-
-
 # -- monomial codes -----------------------------------------------------------
 
 #: Bits of one exponent field in a monomial code.  The top bit of each field
@@ -104,7 +90,8 @@ _EXP_LIMIT = 1 << (FIELD_BITS - 1)
 
 
 class _Packing:
-    """The monomial codes of one ring: each exponent vector as one integer.
+    """The monomial codes of one ring (each exponent vector as one integer),
+    and the step count of the one engine call that builds it.
 
     ``nb = 0`` orders codes grevlex: a larger code is a larger monomial, so
     it has the smaller :func:`~qhv.polyring.grevlex` key.  Only
@@ -120,13 +107,14 @@ class _Packing:
     S = B·(n+1) + bitlen(n) the weight w decides first; a grevlex code
     (nb = 0) is the grevlex part alone.  A code is linear in e, so a
     monomial product is an integer sum; it is injective, and integer order
-    is the order above.  ``bits(code)`` is ``-code & mask``, which is P(e),
-    and a monomial d divides m exactly when ``(bits(m) − bits(d)) & guard``
-    is 0, ``guard`` holding the top bit of each field: a field of m below
-    that of d borrows into its own guard bit.
+    is the order above.  ``bits(code)`` is ``-code & mask``, which is P(e);
+    ``code(bits)`` inverts it, and ``encode`` range-checks e and calls it.
+    A monomial d divides m exactly when ``(bits(m) − bits(d)) & guard`` is 0,
+    ``guard`` holding the top bit of each field: a field of m below that of
+    d borrows into its own guard bit.
     """
 
-    __slots__ = ("names", "nb", "pos", "shift", "mask", "guard")
+    __slots__ = ("names", "nb", "pos", "shift", "mask", "guard", "steps")
 
     def __init__(self, ring: VariableContext, nb: int = 0):
         n = len(ring.names)
@@ -136,6 +124,15 @@ class _Packing:
         self.shift = FIELD_BITS * (n + 1) + n.bit_length()
         self.mask = (1 << FIELD_BITS * n) - 1
         self.guard = sum(1 << (p + FIELD_BITS - 1) for p in self.pos)
+        self.steps = 0
+
+    def tick(self, n: int = 1):
+        self.steps += n
+        if self.steps > STEP_BUDGET:
+            raise ResourceLimitExceeded(
+                f"step budget of {STEP_BUDGET} exceeded after {self.steps} steps "
+                f"over the variables {', '.join(self.names)}"
+            )
 
     def _too_wide(self, name: str, e: int) -> ResourceLimitExceeded:
         return ResourceLimitExceeded(
@@ -146,8 +143,12 @@ class _Packing:
     def encode(self, exp: Exponent) -> int:
         if max(exp, default=0) >= _EXP_LIMIT:
             raise self._too_wide(*max(zip(self.names, exp), key=itemgetter(1)))
-        grevlex = (sum(exp) << FIELD_BITS * len(exp)) - sum(map(lshift, exp, self.pos))
-        return (sum(exp[: self.nb]) << self.shift) + grevlex
+        return self.code(sum(map(lshift, exp, self.pos)))
+
+    def code(self, bits: int) -> int:
+        """The code of the monomial e with P(e) = ``bits``; no field is range-checked."""
+        exp = [(bits >> pos) & (_EXP_LIMIT - 1) for pos in self.pos]
+        return (sum(exp[: self.nb]) << self.shift) + (sum(exp) << FIELD_BITS * len(exp)) - bits
 
     def bits(self, code: int) -> int:
         """P of the monomial with this code, the fields of the divisor test."""
@@ -212,7 +213,7 @@ class Ideal:
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
             pk = _Packing(self.ring)
-            self._reducers = _buchberger(self.generators, pk, _Counter(self.ring))
+            self._reducers = _buchberger(self.generators, pk)
             self._basis = tuple(Polynomial(self.ring, t) for t in pk.monic(self._reducers))
         return self._basis
 
@@ -262,7 +263,6 @@ def _reduce_terms(
     terms: dict[int, int],
     basis: Sequence[_Reducer],
     pk: _Packing,
-    counter: _Counter,
     memo: dict[int, int],
     bound: tuple[int, int, Sequence[int]] | None = None,
 ) -> tuple[dict[int, int], int]:
@@ -319,7 +319,7 @@ def _reduce_terms(
             emitted.append((lead, coeff, scale))
             continue
         shift = lead - lt
-        counter.tick(len(tail) + 1)
+        pk.tick(len(tail) + 1)
         d = gcd(coeff, lc)
         if d != lc:
             factor = lc // d
@@ -361,9 +361,7 @@ def _divisible(bits: int, divisors: list[int], guard: int) -> bool:
     return False
 
 
-def _buchberger(
-    generators: Sequence[Polynomial], pk: _Packing, counter: _Counter
-) -> list[_Reducer]:
+def _buchberger(generators: Sequence[Polynomial], pk: _Packing) -> list[_Reducer]:
     """Reducers of the reduced Groebner basis, sorted by leading monomial.
 
     A signature-based loop (Gao, Volny and Wang, Math. Comp. 85, 2016; Roune
@@ -389,13 +387,11 @@ def _buchberger(
     term_maps = [_engine_codes(p, pk)[0] for p in generators if not p.is_zero()]
     inputs = [_reducer(max(terms), terms, pk) for terms in term_maps]
     n = len(inputs)
-    mask, guard = pk.mask, pk.guard
-    width, pos, nb, block = FIELD_BITS * len(pk.pos), pk.pos, pk.nb, pk.shift
+    mask, guard, code = pk.mask, pk.guard, pk.code
     basis: list[_Reducer] = []
     # sig(g) - code(lt(g))·n: g shifted to lead the monomial of code m has
     # the signature offset + m·n, and (T - offset)/n is the lead of (T/sig(g))·g
     offsets: list[int] = []
-    leads: list[Exponent] = []  # exponent tuples of the leading monomials, for the lcms
     # per signature index: (bits of the signature's monomial, basis position)
     # of its elements, and the bits of its known syzygy signatures.  The
     # signature m·e_i has the monomial m·lt(f_i), of code T // n, and index
@@ -433,17 +429,17 @@ def _buchberger(
         else:
             lt, _, lc, tail = basis[best]
             lead, shift = best_lead, best_lead - lt
-        counter.tick()
+        pk.tick()
         terms = {lead: lc}
         terms.update((m + shift, c) for m, c in tail)
-        rem = _reduce_terms(terms, basis, pk, counter, memo, (sig, n, offsets))[0]
+        rem = _reduce_terms(terms, basis, pk, memo, (sig, n, offsets))[0]
         if not rem:
             zs.append(sig_bits)  # no known syzygy divides it, as tested above
             continue
         top = next(iter(rem))
         if best is not None and top == lead:
             continue
-        offset, exp, top_bits = sig - top * n, pk.decode(top), -top & mask
+        offset, top_bits = sig - top * n, -top & mask
         for k, (lt, lt_bits, _, _) in enumerate(basis):
             if offset == offsets[k]:
                 continue  # the two sides of the S-pair, and of the Koszul syzygy, tie
@@ -458,31 +454,22 @@ def _buchberger(
             # shows in its guard bit and has not spilled into the next field
             if koszul & guard:
                 pk.check(koszul)
-            for z in zs:
-                if not (koszul - z) & guard:
-                    break
-            else:
+            if not _divisible(koszul, zs, guard):
                 zs.append(koszul)
             # the lcm's bits are the fieldwise max of the leads' bits: the guard
             # bits of (top_bits | guard) - lt_bits mark the fields where top's
             # exponent is not below lt's, and ge widens each to a field mask
             ge = ((top_bits | guard) - lt_bits) & guard
             ge -= ge >> (FIELD_BITS - 1)
-            pair = (((top_bits & ge) | (lt_bits & ~ge)) - q) & mask
-            for z in zs:
-                if not (pair - z) & guard:
-                    break
-            else:
-                # pk.encode without its range check, which cannot fire: the lcm
-                # of two monomials that fit fits, and the pair's monomial
-                # divides the Koszul one, whose bits were checked
-                lcm = tuple(map(max, exp, leads[k]))
-                lcm = (sum(lcm[:nb]) << block) + (sum(lcm) << width) - sum(map(lshift, lcm, pos))
-                heappush(queue, (q + lcm) * n + i)
+            lcm = (top_bits & ge) | (lt_bits & ~ge)
+            # this test only keeps subsumed pairs out of the heap, since the
+            # test at pop time drops each of them too; the lcm of two leads
+            # that fit fits, so code needs no range check
+            if not _divisible((lcm - q) & mask, zs, guard):
+                heappush(queue, (q + code(lcm)) * n + i)
         elements[index].append((sig_bits, len(basis)))
         basis.append(_reducer(top, rem, pk))
         offsets.append(offset)
-        leads.append(exp)
 
     # minimalize: keep elements whose leading monomial no other kept one divides
     basis.sort(key=itemgetter(0))
@@ -497,7 +484,7 @@ def _buchberger(
     memo = {}
     reduced: list[_Reducer] = []
     for lt, _, lc, tail in minimal_basis:
-        rem, scale = _reduce_terms(dict(tail), minimal_basis, pk, counter, memo)
+        rem, scale = _reduce_terms(dict(tail), minimal_basis, pk, memo)
         reduced.append(_reducer(lt, {lt: lc * scale, **rem}, pk))
     return reduced
 
@@ -516,7 +503,7 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     pk = _Packing(I.ring)
     codes, denom = _engine_codes(p, pk)
     I.groebner_basis()
-    rem, scale = _reduce_terms(codes, I._reducers, pk, _Counter(I.ring), {})
+    rem, scale = _reduce_terms(codes, I._reducers, pk, {})
     scale *= denom
     return Polynomial(I.ring, {pk.decode(m): _quotient(c, scale) for m, c in rem.items()})
 
@@ -545,13 +532,11 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     unknown = drop_set - set(I.ring.names)
     if unknown:
         raise PolyError(f"cannot eliminate unknown variables {sorted(unknown)}")
-    if not drop_set:
-        return I
     block = [n for n in I.ring.names if n in drop_set]
     rest = [n for n in I.ring.names if n not in drop_set]
     ring = VariableContext(tuple(block + rest), I.ring.invertible)
     pk = _Packing(ring, len(block))
-    reducers = _buchberger([convert_context(g, ring) for g in I.generators], pk, _Counter(ring))
+    reducers = _buchberger([convert_context(g, ring) for g in I.generators], pk)
     target = VariableContext(tuple(rest), I.ring.invertible & set(rest))
     free = [r for r in reducers if r[0] >> pk.shift == 0]
     kept = [Polynomial(target, terms) for terms in pk.monic(free, pk.nb)]

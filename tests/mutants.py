@@ -120,6 +120,15 @@ MUTANTS = {
          "tests/test_ideals.py::TestKnownAnswers::test_elimination_step_count_pinned",
          "tests/test_ideals.py::TestKnownAnswers::test_graph_elimination_step_count_pinned"),
     ),
+    # every code loses its block weight, so eliminate orders grevlex and
+    # keeps every element of the basis
+    "code-block-weight-dropped": Mutant(
+        "src/qhv/ideals.py",
+        "return (sum(exp[: self.nb]) << self.shift) + (sum(exp)",
+        "return (sum(exp)",
+        ("tests/test_ideals.py::TestKnownAnswers::test_katsura4_elimination",
+         "tests/test_ideals.py::TestKnownAnswers::test_elimination_step_count_pinned"),
+    ),
     "monic-floor-quotient": Mutant(
         "src/qhv/ideals.py",
         "return Fraction(c, d) if r else q",

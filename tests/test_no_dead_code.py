@@ -190,7 +190,7 @@ def _record_fields(node: ast.ClassDef) -> list[tuple[int, str]]:
 
 def test_every_dataclass_field_is_read():
     # No dataclass: records are NamedTuples and tuple subclasses.  The slots of
-    # Polynomial, Ideal, _Packing and _Counter, which are not records, count too.
+    # Polynomial, Ideal and _Packing, which are not records, count too.
     trees = _trees()
     read = _loaded(trees, ast.Attribute)
     fields = [
