@@ -13,8 +13,8 @@ suite against ``DIR/<suite>.jsonl``, so ``all`` checks one file per suite;
 engine call runs under the fixed step limit ``ideals.STEP_BUDGET``; a check
 that exceeds it reports ``error``.
 
-Importing this module loads no other ``qhv`` module.  Each suite and the
-``family`` reader imports the library modules it uses when it runs, so a
+Importing this module, or reading the configuration, loads no other ``qhv``
+module.  Each suite imports the library modules it uses when it runs, so a
 command loads only the modules its suites use; ``all`` loads them all.  A
 suite loads its modules before it yields its first check, so no check's
 ``duration_ms`` includes loading one.
@@ -134,11 +134,14 @@ def suite_verify_quotient(cfg):
         yield "f4-quotient", {"k": k}, partial(dg.verify_quotient, k)
 
 
+#: The k and l config keys of each family of ``degenerations.FAMILIES``.
+_TWIST_KEYS = {"quadric": ("quadric-k", "quadric-l"), "f4": ("f4-k", "f4-l")}
+
+
 def suite_equivariance(cfg):
     from . import degenerations as dg
-    twists = {"quadric": (cfg["quadric-k"], cfg["quadric-l"]), "f4": (cfg["f4-k"], cfg["f4-l"])}
-    for family in twists if cfg["family"] == "both" else (cfg["family"],):
-        for k, l in product(*twists[family]):
+    for family in _TWIST_KEYS if cfg["family"] == "both" else (cfg["family"],):
+        for k, l in product(*(cfg[key] for key in _TWIST_KEYS[family])):
             params = {"family": family, "k": k, "l": l}
             yield "equivariance", params, partial(_glued, dg.verify_equivariance, family, k, l)
 
@@ -209,8 +212,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_family(text: str) -> str:
-    from . import degenerations as dg
-    if text not in ("both", *dg.FAMILIES):
+    if text not in ("both", *_TWIST_KEYS):
         raise ConfigError(f"unknown family {text!r}")
     return text
 

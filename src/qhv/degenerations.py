@@ -509,7 +509,7 @@ def _locus_of_chart(equation: Polynomial) -> dict:
     powers = {}
     for name in chart_ring.names:
         (h,) = eliminate(basis, set(chart_ring.names) - {name}).generators
-        powers[name] = h.total_degree() if len(h.terms) == 1 else None
+        powers[name] = sum(next(iter(h.terms))) if len(h.terms) == 1 else None
     if all(v is not None for v in powers.values()):
         return {"status": "single_point_origin", "vanishing_powers": powers}
     return {"status": "singular", "vanishing_powers": powers}

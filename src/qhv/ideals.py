@@ -39,15 +39,15 @@ reduced, the index below which no basis element divides it; the basis only
 grows by appending, so the scan for a reducer resumes there and picks the
 same reducer as a scan from the start.
 
-Each engine call (one basis computation or one normal form) counts its
-reduction steps in its own :class:`_Packing`, against the fixed limit
-:data:`STEP_BUDGET`, and raises :class:`ResourceLimitExceeded` instead of
-truncating silently.  The limit is a constant, so a call's step count
-alone decides whether it succeeds: a cached basis always comes from a call
-that succeeded under the same limit, and no result depends on what ran
-earlier in the process.  An exponent of ``2**31`` or more, given or reached
-in a monomial or a signature, raises the same error, naming the field
-width, instead of wrapping into the next field.
+Each engine run counts its reduction steps in its own :class:`_Packing`,
+against the fixed limit :data:`STEP_BUDGET`, and raises
+:class:`ResourceLimitExceeded` instead of truncating silently; a normal
+form computes its ideal's basis and then reduces, in one run each.  The
+limit is a constant and an :class:`Ideal` keeps nothing between calls, so
+a run's step count alone decides whether it succeeds, and no result
+depends on what ran earlier in the process.  An exponent of ``2**31`` or
+more, given or reached in a monomial or a signature, raises the same error,
+naming the field width, instead of wrapping into the next field.
 """
 
 from __future__ import annotations
@@ -189,15 +189,10 @@ class _Packing:
 
 
 class Ideal:
-    """Finite generator list with a write-once cached reduced Groebner basis.
+    """Finite generator list, and nothing else: :meth:`groebner_basis` and
+    :func:`normal_form` run the engine on the generators at each call."""
 
-    ``_basis`` is the reduced basis as monic polynomials over Q, ``None``
-    until computed; ``_reducers`` holds the same elements, in the same
-    order, as the engine's primitive integer reducers on monomial codes
-    (``_Reducer``), for :func:`normal_form`.
-    """
-
-    __slots__ = ("ring", "generators", "_basis", "_reducers")
+    __slots__ = ("ring", "generators")
 
     def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(generators)
@@ -207,15 +202,11 @@ class Ideal:
             raise ContextMismatch("ideal generators live in different contexts")
         self.ring = gens[0].ring
         self.generators = gens
-        self._basis: tuple[Polynomial, ...] | None = None
-        self._reducers: list[_Reducer] = []
 
     def groebner_basis(self) -> tuple[Polynomial, ...]:
-        if self._basis is None:
-            pk = _Packing(self.ring)
-            self._reducers = _buchberger(self.generators, pk)
-            self._basis = tuple(Polynomial(self.ring, t) for t in pk.monic(self._reducers))
-        return self._basis
+        """The reduced Groebner basis as monic polynomials over Q."""
+        pk = _Packing(self.ring)
+        return tuple(Polynomial(self.ring, t) for t in pk.monic(_buchberger(self.generators, pk)))
 
     def __repr__(self):
         return f"Ideal([{', '.join(str(g) for g in self.generators)}])"
@@ -495,15 +486,17 @@ def _buchberger(generators: Sequence[Polynomial], pk: _Packing) -> list[_Reducer
 def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     """Unique remainder of p modulo the reduced basis of I.
 
-    The remainder is taken in the polynomial ring: a p with a negative
-    exponent (a Laurent polynomial) raises ``PolyError``.
+    The engine computes that basis as reducers and reduces p by them, each
+    run in its own ``_Packing``; no monic basis is built.  The remainder is
+    taken in the polynomial ring: a p with a negative exponent (a Laurent
+    polynomial) raises ``PolyError``.
     """
     if p.ring != I.ring:
         raise ContextMismatch("polynomial and ideal contexts differ")
     pk = _Packing(I.ring)
     codes, denom = _engine_codes(p, pk)
-    I.groebner_basis()
-    rem, scale = _reduce_terms(codes, I._reducers, pk, {})
+    reducers = _buchberger(I.generators, _Packing(I.ring))
+    rem, scale = _reduce_terms(codes, reducers, pk, {})
     scale *= denom
     return Polynomial(I.ring, {pk.decode(m): _quotient(c, scale) for m, c in rem.items()})
 

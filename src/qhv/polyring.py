@@ -165,11 +165,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
-
     def leading_term(self) -> tuple[Exponent, Coefficient]:
         if not self.terms:
             raise PolyError("zero polynomial has no leading term")

@@ -136,6 +136,25 @@ MUTANTS = {
         ("tests/test_ideals.py::TestKnownAnswers::test_reduced_basis",
          "tests/test_ideals.py::TestKnownAnswers::test_katsura4_elimination"),
     ),
+    "normal-form-first-reducer": Mutant(
+        "src/qhv/ideals.py",
+        "_reduce_terms(codes, reducers, pk, {})",
+        "_reduce_terms(codes, reducers[:1], pk, {})",
+        ("tests/test_ideals.py::TestNormalForm::test_matches_oracle_division_on_random_ideals",),
+    ),
+    "triple-brackets-unchecked": Mutant(
+        "src/qhv/group_actions.py",
+        "in ((H, E, 2, E), (H, F, -2, F), (E, F, 1, H)):",
+        "in ():",
+        ("tests/test_group_actions.py::TestSl2Triples::test_broken_bracket_rejected",),
+    ),
+    "vanishing-power-one-less": Mutant(
+        "src/qhv/degenerations.py",
+        "sum(next(iter(h.terms))) if",
+        "sum(next(iter(h.terms))) - 1 if",
+        ("tests/test_degenerations.py::TestSingularLoci"
+         "::test_vanishing_powers_are_least_by_membership",),
+    ),
 }
 
 

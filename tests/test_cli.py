@@ -245,8 +245,8 @@ class TestDeterminism:
         assert stripped() == stripped()
 
     def test_report_independent_of_earlier_runs(self, capsys):
-        # The cold pass empties every cache in the package, and with the
-        # charts every cached basis, before each check.  The caches are
+        # The cold pass empties every cache in the package before each
+        # check; an Ideal keeps no basis between calls.  The caches are
         # found, not listed, so a new one fails the name check until it is
         # added there, and never escapes the cold pass.
         caches = package_caches()
@@ -565,6 +565,9 @@ class TestParameters:
         assert code == 2 and lines == []
         assert "config key 'family': unknown family 'neither'" in err
 
+    def test_family_names_are_those_of_the_charts(self):
+        assert cli._TWIST_KEYS.keys() == degenerations.FAMILIES.keys()
+
     def test_bad_family_flag_exit_2(self, capsys):
         code, lines, err = run_cli(capsys, "equivariance", "--family", "neither")
         assert code == 2 and lines == []
@@ -638,6 +641,7 @@ CHARTS = {"qhv.degenerations", "qhv.group_actions", "qhv.ideals", "qhv.polyring"
 MODULES = {
     "": set(),
     "terminal --n-max 5": {"qhv.singular"},
+    "terminal --n-max 5 --config F4_FILE": {"qhv.singular"},
     "wps": {"qhv.singular"},
     "dp-homology": {"qhv.ruled"},
     "bundle-normalize": {"qhv.ruled"},
@@ -651,9 +655,14 @@ MODULES = {
 
 
 @pytest.mark.parametrize("command", MODULES)
-def test_command_loads_only_what_its_suites_use(command):
+def test_command_loads_only_what_its_suites_use(command, tmp_path):
+    # F4_FILE is a config file naming a family, which the reader checks
+    # against cli's own table, not against degenerations
+    config = tmp_path / "f4.cfg"
+    config.write_text("family = f4\n")
+    argv = [str(config) if arg == "F4_FILE" else arg for arg in command.split()]
     src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-c", LOADED, *command.split()], cwd=src,
+    done = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=src,
                           capture_output=True, text=True, timeout=60, check=True)
     assert set(done.stdout.split()) == {"qhv.cli"} | MODULES[command]
 
