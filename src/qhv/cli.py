@@ -1,34 +1,31 @@
 """Batch verification driver.
 
 Runs named check suites over configured twist ranges and streams one JSON
-report per check (``--human`` switches to plain lines).  Exit code 0 means
-every check passed, 1 that some check failed or a golden comparison
-mismatched, 2 that the command line or config file could not be parsed.
+report per check as soon as it ends (``--human`` switches to plain lines).
+Exit code 0 means every check passed, 1 that some check failed or a golden
+comparison mismatched, 2 that the command line or config file could not be
+parsed.  The command line is read from one table, ``COMMANDS``.  Reports are
+deterministic for a fixed configuration; ``duration_ms`` is the only varying
+field and is ignored by golden comparisons (``--golden DIR`` compares each
+suite's reports against ``DIR/<suite>.jsonl``).  Every engine call runs under
+the fixed step limit ``ideals.STEP_BUDGET``; a check that exceeds it reports
+``error``.
 
-Each report is printed as soon as its check ends.  Reports are deterministic
-for a fixed configuration; ``duration_ms`` is the only varying field and is
-ignored by golden comparisons (``--golden DIR`` compares the reports of each
-suite against ``DIR/<suite>.jsonl``, so ``all`` checks one file per suite;
-``--update-golden`` rewrites those files and needs ``--golden``).  Every
-engine call runs under the fixed step limit ``ideals.STEP_BUDGET``; a check
-that exceeds it reports ``error``.
-
-Importing this module, or reading the configuration, loads no other ``qhv``
-module.  Each suite imports the library modules it uses when it runs, so a
-command loads only the modules its suites use; ``all`` loads them all.  A
-suite loads its modules before it yields its first check, so no check's
-``duration_ms`` includes loading one.
+Importing this module loads only ``json`` beyond ``sys``, ``os``, ``time``,
+``functools`` and ``itertools``; reading the configuration loads no other
+``qhv`` module.  Each suite imports the library modules it uses before it
+yields its first check, so a command loads only the modules its suites use,
+and no check's ``duration_ms`` includes loading one.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 import time
 from functools import partial
 from itertools import product
-from pathlib import Path
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -229,7 +226,8 @@ def read_config_file(path: str) -> dict:
     appear once, so no value goes unread."""
     values: dict[str, str] = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as file:
+            lines = file.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
@@ -261,10 +259,10 @@ _CONFIG_KEYS = {
 }
 
 
-def _flag_text(args, flag: str) -> str | None:
+def _flag_text(flags: dict, flag: str) -> str | None:
     """The text of ``--flag``, or None if it is not given.  Only ``--weights``
     may be repeated; its values join with ';'."""
-    given = getattr(args, flag, None)
+    given = flags.get(flag)
     if given is not None and len(given) > 1 and flag != "weights":
         raise ConfigError(f"flag --{flag} is given {len(given)} times")
     return None if given is None else ";".join(given)
@@ -278,9 +276,9 @@ def _read(what: str, reader, text: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def build_config(args, file_values: dict) -> dict:
+def build_config(flags: dict, file_values: dict) -> dict:
     cfg = {key: default for key, (_, default, _) in _CONFIG_KEYS.items()}
-    flag_values = [(key, _flag_text(args, flag)) for key, (_, _, flag) in _CONFIG_KEYS.items()
+    flag_values = [(key, _flag_text(flags, flag)) for key, (_, _, flag) in _CONFIG_KEYS.items()
                    if flag]
     # the file is read before the flags, so a flag cannot hide a bad file value
     for key, text in [*file_values.items(), *flag_values]:
@@ -289,7 +287,7 @@ def build_config(args, file_values: dict) -> dict:
         if text is not None:
             cfg[key] = _read(f"config key {key!r}", _CONFIG_KEYS[key][0], text)
     # --n, --k0 and --kinf each replace one entry of the bundle
-    texts = {flag: _flag_text(args, flag) for flag in ("n", "k0", "kinf")}
+    texts = {flag: _flag_text(flags, flag) for flag in ("n", "k0", "kinf")}
     cfg["bundle"] = tuple(old if text is None else _read(f"flag --{flag}", int, text)
                           for old, (flag, text) in zip(cfg["bundle"], texts.items()))
     return cfg
@@ -298,58 +296,74 @@ def build_config(args, file_values: dict) -> dict:
 # -- entry point -----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # The shared flags may appear before or after the subcommand; SUPPRESS
-    # keeps the subparser from clobbering values the main parser already set.
-    sup = argparse.SUPPRESS
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--human", action="store_true", default=sup,
-                        help="plain text output instead of JSON lines")
-    common.add_argument("--golden", metavar="DIR", default=sup,
-                        help="compare reports against stored files")
-    common.add_argument("--update-golden", action="store_true", default=sup,
-                        help="rewrite the stored golden files (needs --golden)")
-    common.add_argument("--config", metavar="FILE", default=sup,
-                        help="flat key=value config file")
-
-    parser = argparse.ArgumentParser(
-        prog="qhv",
-        description="exact degeneration and bundle verification suites",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, summary, flags=None):
-        """A subcommand; ``flags`` maps each of its value flags to its help.
-        A value flag may be given more than once and is read by ``_flag_text``."""
-        command = sub.add_parser(name, parents=[common], help=summary)
-        for flag, text in (flags or {}).items():
-            command.add_argument(f"--{flag}", dest=flag, action="append", help=text)
-        return command
-
-    twists = "comma-separated twists"
-    verify = add("verify", "gluing, adjudication and quotient checks",
-                 {"k": f"{twists} for the zero chart", "l": f"{twists} for the infinity chart"})
-    verify.add_argument("target", choices=("quadric", "f4", "quotient"))
-    add("equivariance", "action/gluing commutation checks",
-        {"family": "a chart family, or both (the default)", "k": twists, "l": twists})
-    add("singular-locus", "per-chart Jacobian certification", {"k": twists})
-    add("terminal", "terminality classification table", {"n-max": None})
-    add("wps", "weighted projective vertex reports",
-        {"weights": "comma-separated weights (repeatable)"})
-    add("bundle-normalize", "normal-form walk of a twisted bundle",
-        {"n": None, "k0": None, "kinf": None})
-    add("dp-homology", "minus-one curves and homology-lemma cases")
-    add("all", "every suite at the configured ranges")
-    return parser
+#: Each command: the targets it takes one of, its value flags and its summary.
+COMMANDS = {
+    "verify": (("quadric", "f4", "quotient"), ("k", "l"), "gluing, adjudication, quotient checks"),
+    "equivariance": ((), ("family", "k", "l"), "action/gluing commutation checks"),
+    "singular-locus": ((), ("k",), "per-chart Jacobian certification"),
+    "terminal": ((), ("n-max",), "terminality classification table"),
+    "wps": ((), ("weights",), "weighted projective vertex reports"),
+    "bundle-normalize": ((), ("n", "k0", "kinf"), "normal-form walk of a twisted bundle"),
+    "dp-homology": ((), (), "minus-one curves and homology-lemma cases"),
+    "all": ((), (), "every suite at the configured ranges"),
+}
+#: The flags every command takes: value name (None for a switch) and summary.
+SHARED_FLAGS = {
+    "human": (None, "plain text output instead of JSON lines"),
+    "golden": ("DIR", "compare reports against stored files"),
+    "update-golden": (None, "rewrite the stored golden files (needs --golden)"),
+    "config": ("FILE", "flat key=value config file"),
+}
+USAGE = "usage: qhv [--FLAG ...] COMMAND [TARGET] [--FLAG ...]  (see qhv --help)"
 
 
-def _suite_names(args) -> list[str]:
-    if args.command == "verify":
-        return [f"verify-{args.target}"]
-    if args.command == "all":
-        return list(SUITES)
-    return [args.command]
+def _help() -> str:
+    lines = [USAGE, "", "exact degeneration and bundle verification suites", "", "commands:"]
+    for name, (targets, flags, summary) in COMMANDS.items():
+        words = [name, *(["{" + ",".join(targets) + "}"] if targets else []),
+                 *(f"[--{flag} {flag.upper()}]" for flag in flags)]
+        lines += ["  " + " ".join(words), "      " + summary]
+    lines += ["", "flags of every command (spelled in full, --flag VALUE or --flag=VALUE):",
+              *(f"  --{f} {v or ''}".ljust(20) + s for f, (v, s) in SHARED_FLAGS.items())]
+    return "\n".join(lines)
+
+
+def _usage_error(message: str):
+    print(f"{USAGE}\nqhv: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> tuple[list[str], dict[str, list[str]]]:
+    """The suites ``argv`` names and its flags, each mapped to its values (none
+    for a switch).  A value may start with ``-`` (a negative twist), not ``--``."""
+    words, flags, args = [], {}, iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(_help())
+            raise SystemExit(0)
+        flag, eq, value = arg[2:].partition("=")
+        if not arg.startswith("--"):
+            words.append(arg)
+        elif flag in SHARED_FLAGS and SHARED_FLAGS[flag][0] is None:
+            if eq:
+                _usage_error(f"flag --{flag} takes no value")
+            flags[flag] = []
+        else:
+            value = value if eq else next(args, "--")
+            if value.startswith("--"):
+                _usage_error(f"flag --{flag} needs a value")
+            flags.setdefault(flag, []).append(value)
+    command, *targets = words or [""]
+    if command not in COMMANDS:
+        _usage_error(f"the command must be one of {', '.join(COMMANDS)}")
+    choices, own, _ = COMMANDS[command]
+    if len(targets) != bool(choices) or not set(targets) <= set(choices):
+        _usage_error(f"{command} takes {' or '.join(choices) or 'no target'}")
+    for flag in sorted(flags.keys() - SHARED_FLAGS.keys() - set(own)):
+        _usage_error(f"unknown flag --{flag} for {command}")
+    if "update-golden" in flags and not any(flags.get("golden", ())):
+        _usage_error("--update-golden needs --golden DIR")
+    return list(SUITES) if command == "all" else ["-".join(words)], flags
 
 
 def run(suites: list[str], cfg: dict, emit) -> dict[str, list[dict]]:
@@ -369,56 +383,43 @@ def run(suites: list[str], cfg: dict, emit) -> dict[str, list[dict]]:
 
 def _golden_compare(suite: str, reports: list[dict], directory: str, update: bool):
     """Returns an error message or None; golden files ignore duration_ms."""
-    path = Path(directory) / f"{suite}.jsonl"
+    path = os.path.join(directory, f"{suite}.jsonl")
     produced = [_dumps({k: v for k, v in r.items() if k != "duration_ms"}) for r in reports]
     if update:
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("\n".join(produced) + "\n", encoding="utf-8")
+            os.makedirs(directory, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as file:
+                file.write("\n".join(produced) + "\n")
         except OSError as exc:
             return f"cannot write golden file {path}: {exc}"
         return None
-    if not path.exists():
+    if not os.path.exists(path):
         return f"golden file {path} does not exist (run with --update-golden)"
     try:
-        stored = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+        with open(path, encoding="utf-8") as file:
+            stored = [line for line in file.read().splitlines() if line]
     except (OSError, UnicodeDecodeError) as exc:
         return f"cannot read golden file {path}: {exc}"
     if stored == produced:
         return None
-    diff = [
-        f"line {i + 1}:\n  golden:   {s}\n  produced: {p}"
-        for i, (s, p) in enumerate(zip(stored, produced))
-        if s != p
-    ][:5]
+    diff = [f"line {i + 1}:\n  golden:   {s}\n  produced: {p}"
+            for i, (s, p) in enumerate(zip(stored, produced)) if s != p][:5]
     if len(stored) != len(produced):
         diff.append(f"line counts differ: golden {len(stored)}, produced {len(produced)}")
     return f"golden mismatch for {path}:\n" + "\n".join(diff)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    def opt(name, default=None):
-        return getattr(args, name, default)
-
-    golden_dir = opt("golden")
-    update = opt("update_golden", False)
-    if update and not golden_dir:
-        parser.error("--update-golden needs --golden DIR")
+    suites, flags = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = opt("config")
-        file_values = read_config_file(config_path) if config_path else {}
-        cfg = build_config(args, file_values)
+        golden_dir, config_path = _flag_text(flags, "golden"), _flag_text(flags, "config")
+        cfg = build_config(flags, read_config_file(config_path) if config_path else {})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    human = opt("human", False)
-
     def emit(report: dict):
-        if human:
+        if "human" in flags:
             shown = " ".join(f"{k}={v}" for k, v in report["params"].items())
             line = (f"{report['status'].upper():5s} {report['check_name']} {shown} "
                     f"({report['duration_ms']} ms)")
@@ -426,12 +427,11 @@ def main(argv: list[str] | None = None) -> int:
             line = _dumps(report)
         print(line, flush=True)
 
-    results = run(_suite_names(args), cfg, emit)
-    passed = all(r["status"] == "pass" for reports in results.values() for r in reports)
-    exit_code = 0 if passed else 1
+    results = run(suites, cfg, emit)
+    exit_code = int(any(r["status"] != "pass" for reports in results.values() for r in reports))
     if golden_dir:
         for suite, suite_reports in results.items():
-            message = _golden_compare(suite, suite_reports, golden_dir, update)
+            message = _golden_compare(suite, suite_reports, golden_dir, "update-golden" in flags)
             if message:
                 print(message, file=sys.stderr)
                 exit_code = 1

@@ -155,6 +155,18 @@ MUTANTS = {
         ("tests/test_degenerations.py::TestSingularLoci"
          "::test_vanishing_powers_are_least_by_membership",),
     ),
+    "parser-accepts-unknown-flag": Mutant(
+        "src/qhv/cli.py",
+        '_usage_error(f"unknown flag --{flag} for {command}")',
+        "pass",
+        ("tests/test_cli.py::TestCommandLine::test_abbreviated_flag_exit_2",),
+    ),
+    "update-golden-unguarded": Mutant(
+        "src/qhv/cli.py",
+        'if "update-golden" in flags and not any(flags.get("golden", ())):',
+        "if False:",
+        ("tests/test_cli.py::TestBasics::test_update_golden_without_golden_exit_2",),
+    ),
 }
 
 

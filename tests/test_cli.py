@@ -525,6 +525,8 @@ class TestParameters:
         ("bundle-normalize", "--n", "1", "--n", "2"),
         ("bundle-normalize", "--k0", "1", "--kinf", "1", "--k0", "2"),
         ("bundle-normalize", "--kinf", "1", "--kinf", "1", "--kinf", "1"),
+        ("wps", "--golden", "goldens", "--golden", "elsewhere"),
+        ("wps", "--config", "a.cfg", "--config", "b.cfg"),
     ])
     def test_repeated_value_flag_exit_2(self, capsys, argv):
         # a repeated flag would otherwise keep its last value silently
@@ -600,6 +602,56 @@ class TestParameters:
         assert "config error" in err and str(path) in err
 
 
+class TestCommandLine:
+    def test_flags_map_to_their_values(self):
+        argv = ["--human", "verify", "f4", "--k=1", "--k", "-2", "--golden=g"]
+        assert cli.parse_args(argv) == (
+            ["verify-f4"], {"human": [], "k": ["1", "-2"], "golden": ["g"]})
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("wps", "--help")])
+    def test_help_names_every_command_and_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 0 and captured.err == ""
+        words = [f"--{flag}" for flag in cli.SHARED_FLAGS]
+        for name, (targets, flags, summary) in cli.COMMANDS.items():
+            words += [name, summary, *targets, *(f"--{flag}" for flag in flags)]
+        assert [word for word in words if word not in captured.out] == []
+
+    def test_equals_form_gives_the_same_config(self, monkeypatch, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("f4-l = 2\n")
+        spaced = config_of(monkeypatch, "--config", str(path), "verify", "f4", "--k", "3")
+        assert config_of(monkeypatch, f"--config={path}", "verify", "f4", "--k=3") == spaced
+        assert changed(spaced) == {"quadric-k": (3,), "f4-k": (3,), "f4-l": (2,)}
+
+    def test_abbreviated_flag_exit_2(self, capsys):
+        # a flag is spelled in full: no prefix of --golden stands for it
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["wps", "--gold", str(GOLDENS)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err == f"{cli.USAGE}\nqhv: error: unknown flag --gold for wps\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("wps", "--k", "1"), "unknown flag --k for wps"),
+        (("terminal", "--n-max"), "flag --n-max needs a value"),
+        (("bundle-normalize", "--n", "--k0", "1"), "flag --n needs a value"),
+        (("verify", "quadric", "f4"), "verify takes quadric or f4 or quotient"),
+        (("verify",), "verify takes quadric or f4 or quotient"),
+        (("wps", "extra"), "wps takes no target"),
+        (("--human=1", "wps"), "flag --human takes no value"),
+        ((), "the command must be one of " + ", ".join(cli.COMMANDS)),
+    ])
+    def test_usage_error_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err == f"{cli.USAGE}\nqhv: error: {message}\n"
+
+
 class TestReportShape:
     HUMAN = re.compile(r"^(PASS|FAIL|ERROR) +[a-z0-9-]+ (\S+=\S+( \S+=\S+)*)? \(\d+ ms\)$")
 
@@ -624,8 +676,10 @@ class TestReportShape:
 
 
 # Runs ``qhv ARG...`` in a fresh interpreter and prints the qhv modules it
-# loaded, and ``dataclasses`` or ``inspect`` if it loaded either: the package
-# defines its records without them, and every process would pay their import.
+# loaded, and any of ``dataclasses``, ``inspect``, ``argparse`` and ``gettext``
+# it loaded: the package defines its records without the first two and reads
+# its command line without the last two, and every process would pay their
+# import.
 LOADED = """
 import contextlib, io, sys
 preloaded = set(sys.modules)
@@ -634,7 +688,8 @@ if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(sys.argv[1:])
 print(" ".join(sorted(m for m in set(sys.modules) - preloaded
-                      if m.startswith("qhv.") or m in ("dataclasses", "inspect"))))
+                      if m.startswith("qhv.")
+                      or m in ("dataclasses", "inspect", "argparse", "gettext"))))
 """
 CHARTS = {"qhv.degenerations", "qhv.group_actions", "qhv.ideals", "qhv.polyring"}
 #: The modules each command loads besides ``qhv.cli``; "" is the bare import.
@@ -679,9 +734,9 @@ def test_library_path_loads_no_dataclasses():
 # Advances suite ARG to its first check in a fresh interpreter and prints the
 # qhv modules loaded by then.
 FIRST_CHECK = """
-import argparse, sys
+import sys
 from qhv import cli
-next(cli.SUITES[sys.argv[1]](cli.build_config(argparse.Namespace(), {})))
+next(cli.SUITES[sys.argv[1]](cli.build_config({}, {})))
 print(" ".join(sorted(m for m in sys.modules if m.startswith("qhv."))))
 """
 #: The modules each suite loads before it yields its first check.
