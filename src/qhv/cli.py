@@ -4,7 +4,8 @@ Runs named check suites over configured twist ranges and streams one JSON
 report per check as soon as it ends (``--human`` switches to plain lines).
 Exit code 0 means every check passed, 1 that some check failed or a golden
 comparison mismatched, 2 that the command line or config file could not be
-parsed.  The command line is read from one table, ``COMMANDS``.  Reports are
+parsed.  The command line is read from one table, ``COMMANDS``, keyed by the
+words a command is typed with; ``SUITES`` is derived from it.  Reports are
 deterministic for a fixed configuration; ``duration_ms`` is the only varying
 field and is ignored by golden comparisons (``--golden DIR`` compares each
 suite's reports against ``DIR/<suite>.jsonl``).  Every engine call runs under
@@ -176,20 +177,6 @@ def suite_dp_homology(cfg):
         yield "homology-lemma", {"fiber": fiber}, partial(_homology_lemma, ruled, fiber)
 
 
-#: Every suite in the order ``qhv all`` runs them.
-SUITES = {
-    "verify-quadric": suite_verify_quadric,
-    "verify-f4": suite_verify_f4,
-    "verify-quotient": suite_verify_quotient,
-    "equivariance": suite_equivariance,
-    "singular-locus": suite_singular_locus,
-    "terminal": suite_terminal,
-    "wps": suite_wps,
-    "bundle-normalize": suite_bundle_normalize,
-    "dp-homology": suite_dp_homology,
-}
-
-
 # -- configuration ---------------------------------------------------------------
 
 
@@ -296,17 +283,24 @@ def build_config(flags: dict, file_values: dict) -> dict:
 # -- entry point -----------------------------------------------------------------
 
 
-#: Each command: the targets it takes one of, its value flags and its summary.
+#: Each command, keyed by the words it is typed with: its suite (None for
+#: ``all``), exactly the value flags its suite reads, and its summary.
 COMMANDS = {
-    "verify": (("quadric", "f4", "quotient"), ("k", "l"), "gluing, adjudication, quotient checks"),
-    "equivariance": ((), ("family", "k", "l"), "action/gluing commutation checks"),
-    "singular-locus": ((), ("k",), "per-chart Jacobian certification"),
-    "terminal": ((), ("n-max",), "terminality classification table"),
-    "wps": ((), ("weights",), "weighted projective vertex reports"),
-    "bundle-normalize": ((), ("n", "k0", "kinf"), "normal-form walk of a twisted bundle"),
-    "dp-homology": ((), (), "minus-one curves and homology-lemma cases"),
-    "all": ((), (), "every suite at the configured ranges"),
+    ("verify", "quadric"): (suite_verify_quadric, ("k", "l"), "quadric gluing checks"),
+    ("verify", "f4"): (suite_verify_f4, ("k", "l"), "F4 adjudication, embedding, gluing checks"),
+    ("verify", "quotient"): (suite_verify_quotient, ("k",), "F4 quotient structure checks"),
+    ("equivariance",): (suite_equivariance, ("family", "k", "l"),
+                        "action/gluing commutation checks"),
+    ("singular-locus",): (suite_singular_locus, ("k",), "per-chart Jacobian certification"),
+    ("terminal",): (suite_terminal, ("n-max",), "terminality classification table"),
+    ("wps",): (suite_wps, ("weights",), "weighted projective vertex reports"),
+    ("bundle-normalize",): (suite_bundle_normalize, ("n", "k0", "kinf"),
+                            "normal-form walk of a twisted bundle"),
+    ("dp-homology",): (suite_dp_homology, (), "minus-one curves and homology-lemma cases"),
+    ("all",): (None, (), "every suite at the configured ranges"),
 }
+#: Every suite, named by its command's words, in the order ``qhv all`` runs them.
+SUITES = {"-".join(words): suite for words, (suite, _, _) in COMMANDS.items() if suite}
 #: The flags every command takes: value name (None for a switch) and summary.
 SHARED_FLAGS = {
     "human": (None, "plain text output instead of JSON lines"),
@@ -314,15 +308,14 @@ SHARED_FLAGS = {
     "update-golden": (None, "rewrite the stored golden files (needs --golden)"),
     "config": ("FILE", "flat key=value config file"),
 }
-USAGE = "usage: qhv [--FLAG ...] COMMAND [TARGET] [--FLAG ...]  (see qhv --help)"
+USAGE = "usage: qhv [--FLAG ...] COMMAND [--FLAG ...]  (see qhv --help)"
 
 
 def _help() -> str:
     lines = [USAGE, "", "exact degeneration and bundle verification suites", "", "commands:"]
-    for name, (targets, flags, summary) in COMMANDS.items():
-        words = [name, *(["{" + ",".join(targets) + "}"] if targets else []),
-                 *(f"[--{flag} {flag.upper()}]" for flag in flags)]
-        lines += ["  " + " ".join(words), "      " + summary]
+    for words, (_, flags, summary) in COMMANDS.items():
+        usage = [*words, *(f"[--{flag} {flag.upper()}]" for flag in flags)]
+        lines += ["  " + " ".join(usage), "      " + summary]
     lines += ["", "flags of every command (spelled in full, --flag VALUE or --flag=VALUE):",
               *(f"  --{f} {v or ''}".ljust(20) + s for f, (v, s) in SHARED_FLAGS.items())]
     return "\n".join(lines)
@@ -353,17 +346,14 @@ def parse_args(argv: list[str]) -> tuple[list[str], dict[str, list[str]]]:
             if value.startswith("--"):
                 _usage_error(f"flag --{flag} needs a value")
             flags.setdefault(flag, []).append(value)
-    command, *targets = words or [""]
-    if command not in COMMANDS:
-        _usage_error(f"the command must be one of {', '.join(COMMANDS)}")
-    choices, own, _ = COMMANDS[command]
-    if len(targets) != bool(choices) or not set(targets) <= set(choices):
-        _usage_error(f"{command} takes {' or '.join(choices) or 'no target'}")
+    if tuple(words) not in COMMANDS:
+        _usage_error(f"the command must be one of {', '.join(map(' '.join, COMMANDS))}")
+    suite, own, _ = COMMANDS[tuple(words)]
     for flag in sorted(flags.keys() - SHARED_FLAGS.keys() - set(own)):
-        _usage_error(f"unknown flag --{flag} for {command}")
+        _usage_error(f"unknown flag --{flag} for {' '.join(words)}")
     if "update-golden" in flags and not any(flags.get("golden", ())):
         _usage_error("--update-golden needs --golden DIR")
-    return list(SUITES) if command == "all" else ["-".join(words)], flags
+    return ["-".join(words)] if suite else list(SUITES), flags
 
 
 def run(suites: list[str], cfg: dict, emit) -> dict[str, list[dict]]:

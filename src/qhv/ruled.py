@@ -238,7 +238,9 @@ def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
     positively; each case therefore certifies the contradiction by searching
     the irreducible classes of the bounded box for one whose product with the
     trace is <= 0 (preferring product exactly 0, then small coordinates).
-    The product with a trace is the linear form of the trace's sum.
+    The product with a trace is the linear form of the trace's sum.  The
+    report passes when it has at least one case and every case found a
+    witness: a box too small to hold a trace certifies nothing.
     """
     if fiber not in FIBERS:
         raise ValueError(f"unknown fiber model {fiber!r}")
@@ -251,13 +253,11 @@ def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
         traces = [(d,) for d in candidates if lat.form(d, d) == -1]
 
     cases = []
-    passed = True
     for trace in traces:
         row = _functional(lat, [sum(c) for c in zip(*trace)])
         # prefer product 0, then small coords
         best = min(((-value, d) for d in candidates if (value := _dot(row, d)) <= 0), default=None)
         ok = best is not None
-        passed = passed and ok
         cases.append(
             {
                 "trace": [str(DivisorClass(lat, t)) for t in trace],
@@ -266,6 +266,7 @@ def homology_lemma_cases(fiber: str, bound: int = 3) -> dict:
                 "found": ok,
             }
         )
+    passed = bool(cases) and all(case["found"] for case in cases)
     return {"fiber": fiber, "bound": bound, "passed": passed, "cases": cases}
 
 

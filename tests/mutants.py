@@ -157,9 +157,63 @@ MUTANTS = {
     ),
     "parser-accepts-unknown-flag": Mutant(
         "src/qhv/cli.py",
-        '_usage_error(f"unknown flag --{flag} for {command}")',
+        '_usage_error(f"unknown flag --{flag} for {\' \'.join(words)}")',
         "pass",
         ("tests/test_cli.py::TestCommandLine::test_abbreviated_flag_exit_2",),
+    ),
+    "quotient-row-takes-l": Mutant(
+        "src/qhv/cli.py",
+        '("verify", "quotient"): (suite_verify_quotient, ("k",),',
+        '("verify", "quotient"): (suite_verify_quotient, ("k", "l"),',
+        ("tests/test_cli.py::TestCommandLine"
+         "::test_each_command_takes_exactly_the_flags_its_suite_reads",
+         "tests/test_cli.py::TestCommandLine::test_usage_error_exit_2"),
+    ),
+    "homology-passes-without-cases": Mutant(
+        "src/qhv/ruled.py",
+        'passed = bool(cases) and all(case["found"] for case in cases)',
+        'passed = all(case["found"] for case in cases)',
+        ("tests/test_ruled.py::TestHomologyLemmaCases::test_bound_zero_certifies_nothing",
+         "tests/test_ruled.py::TestScansAgainstBoxOracles"
+         "::test_homology_cases_equal_the_intersect_search"),
+    ),
+    # the walk's lower bound is the ceiling of -s/c, not its floor
+    "walk-lower-bound-floored": Mutant(
+        "src/qhv/ruled.py",
+        "lo = max(lo, -(s // c))",
+        "lo = max(lo, -s // c)",
+        ("tests/test_ruled.py::TestScansAgainstBoxOracles::test_walk_equals_the_filtered_product",),
+    ),
+    "walk-upper-bound-one-less": Mutant(
+        "src/qhv/ruled.py",
+        "hi = min(hi, s // -c + 1)",
+        "hi = min(hi, s // -c)",
+        ("tests/test_ruled.py::TestScansAgainstBoxOracles::test_walk_equals_the_filtered_product",
+         "tests/test_ruled.py::TestScansAgainstBoxOracles"
+         "::test_irreducible_classes_equal_the_box_scan"),
+    ),
+    "minus-one-last-coordinate-unbounded": Mutant(
+        "src/qhv/ruled.py",
+        "if not rest and x in last and",
+        "if not rest and",
+        ("tests/test_ruled.py::TestMinusOneCurves::test_scan_finds_every_minus_one_class",),
+    ),
+    # an all-zero row is then checked at the first coordinate, where its
+    # last entry, 0, is not a coefficient of that coordinate
+    "zero-row-read-at-first-coordinate": Mutant(
+        "src/qhv/ruled.py",
+        "enumerate(row) if c), default=-1)",
+        "enumerate(row) if c), default=0)",
+        ("tests/test_ruled.py::TestScansAgainstBoxOracles::test_all_zero_row_always_holds",
+         "tests/test_ruled.py::TestScansAgainstBoxOracles::test_walk_equals_the_filtered_product"),
+    ),
+    # the table's representatives (1, a, b) have only unit weights, so only
+    # the reference over every residue triple sees the unit check go
+    "terminal-form-first-unit-unchecked": Mutant(
+        "src/qhv/singular.py",
+        "(w2 + w3) % n == 0 and gcd(w1, n) == 1",
+        "(w2 + w3) % n == 0",
+        ("tests/test_singular.py::TestClassification::test_brute_force_oracle_small_orders",),
     ),
     "update-golden-unguarded": Mutant(
         "src/qhv/cli.py",

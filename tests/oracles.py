@@ -191,7 +191,8 @@ def homology_cases_by_intersect(fiber: str, bound: int) -> dict:
     """The homology-lemma report, each product taken by ``intersect``.
 
     Per trace, the witness is the box curve class whose product with the
-    trace is <= 0, preferring product 0, then small coordinates.
+    trace is <= 0, preferring product 0, then small coordinates.  It passes
+    with at least one case, every one found.
     """
     lat = FIBERS[fiber]
     candidates = irreducible_curve_classes_by_box(lat, bound)
@@ -215,7 +216,7 @@ def homology_cases_by_intersect(fiber: str, bound: int) -> dict:
                 "found": best is not None,
             }
         )
-    passed = all(case["found"] for case in cases)
+    passed = bool(cases) and all(case["found"] for case in cases)
     return {"fiber": fiber, "bound": bound, "passed": passed, "cases": cases}
 
 

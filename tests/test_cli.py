@@ -602,6 +602,9 @@ class TestParameters:
         assert "config error" in err and str(path) in err
 
 
+ONE_OF = "the command must be one of " + ", ".join(" ".join(words) for words in cli.COMMANDS)
+
+
 class TestCommandLine:
     def test_flags_map_to_their_values(self):
         argv = ["--human", "verify", "f4", "--k=1", "--k", "-2", "--golden=g"]
@@ -614,10 +617,26 @@ class TestCommandLine:
             cli.main(list(argv))
         captured = capsys.readouterr()
         assert excinfo.value.code == 0 and captured.err == ""
-        words = [f"--{flag}" for flag in cli.SHARED_FLAGS]
-        for name, (targets, flags, summary) in cli.COMMANDS.items():
-            words += [name, summary, *targets, *(f"--{flag}" for flag in flags)]
-        assert [word for word in words if word not in captured.out] == []
+        shown = [f"--{flag}" for flag in cli.SHARED_FLAGS]
+        for words, (_, flags, summary) in cli.COMMANDS.items():
+            shown += [" ".join(words), summary, *(f"--{flag}" for flag in flags)]
+        assert [text for text in shown if text not in captured.out] == []
+
+    @pytest.mark.parametrize("words", [w for w, row in cli.COMMANDS.items() if row[0]],
+                             ids="-".join)
+    def test_each_command_takes_exactly_the_flags_its_suite_reads(self, words):
+        # a flag no check reads would be accepted and silently dropped
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        suite, own, _ = cli.COMMANDS[words]
+        list(suite(Recording(cli.build_config({}, {}))))  # runs no check body
+        setters = {key: (flag,) for key, (_, _, flag) in cli._CONFIG_KEYS.items() if flag}
+        setters["bundle"] = ("n", "k0", "kinf")
+        assert sorted(own) == sorted({flag for key in read for flag in setters[key]})
 
     def test_equals_form_gives_the_same_config(self, monkeypatch, tmp_path):
         path = tmp_path / "run.cfg"
@@ -638,11 +657,12 @@ class TestCommandLine:
         (("wps", "--k", "1"), "unknown flag --k for wps"),
         (("terminal", "--n-max"), "flag --n-max needs a value"),
         (("bundle-normalize", "--n", "--k0", "1"), "flag --n needs a value"),
-        (("verify", "quadric", "f4"), "verify takes quadric or f4 or quotient"),
-        (("verify",), "verify takes quadric or f4 or quotient"),
-        (("wps", "extra"), "wps takes no target"),
+        (("verify", "quadric", "f4"), ONE_OF),
+        (("verify",), ONE_OF),
+        (("wps", "extra"), ONE_OF),
         (("--human=1", "wps"), "flag --human takes no value"),
-        ((), "the command must be one of " + ", ".join(cli.COMMANDS)),
+        ((), ONE_OF),
+        (("verify", "quotient", "--k", "1", "--l", "1"), "unknown flag --l for verify quotient"),
     ])
     def test_usage_error_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:

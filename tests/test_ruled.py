@@ -247,6 +247,12 @@ class TestHomologyLemmaCases:
         for case in report["cases"]:
             assert case["found"] and case["product"] <= 0
 
+    @pytest.mark.parametrize("fiber", FIBERS)
+    def test_bound_zero_certifies_nothing(self, fiber):
+        # the bound-0 box holds no (-1)-class on sigma1 or blowup2, and no
+        # witness for the blowup1 traces; an empty case list must not pass
+        assert not homology_lemma_cases(fiber, 0)["passed"]
+
     def test_unknown_fiber(self):
         with pytest.raises(ValueError):
             homology_lemma_cases("sigma2")
